@@ -127,10 +127,18 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _norm_grid(spec_grid: int | None, cutoff: int) -> int:
+    """Quadrature grid for the L^p, L^inf and LPS norms at shell cutoff ``cutoff``.
+
+    A grid coarser than 2B+1 cannot resolve the fields, so it is rejected.
+    """
     bw = bandwidth_of(cutoff)
-    if spec_grid is not None:
-        return spec_grid
-    return _fast_len(max(2 * bw + 1, 16))
+    if spec_grid is None:
+        return _fast_len(max(2 * bw + 1, 16))
+    if spec_grid < 2 * bw + 1:
+        raise ConfigError(
+            f"--grid {spec_grid} cannot resolve cutoff {cutoff}: need at least {2 * bw + 1}"
+        )
+    return spec_grid
 
 
 def _write_norms_csv(
@@ -297,7 +305,11 @@ def _study_worker(task) -> tuple[float, float]:
 def _run_manufactured(spec: RunSpec) -> int:
     cfg = spec.config
     prob = problems.two_shell_problem(ell=spec.ell, mu=cfg.mu)
-    if spec.dt_study:
+    if spec.dt_study is not None:
+        if spec.dt_study < 2:
+            raise ConfigError(
+                f"--dt-study needs at least 2 points to fit an order, got {spec.dt_study}"
+            )
         dts = [cfg.dt * 0.5**i for i in range(spec.dt_study)]
         tasks = [(cfg.scheme, dt, cfg.cutoff, cfg.horizon, spec.ell, cfg.mu) for dt in dts]
         if spec.jobs > 1:
@@ -684,6 +696,8 @@ def _spec_from_args(args, problem: str, need_config: bool = True) -> RunSpec:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # reject a bad --grid before the solve writes any artifact
+        _norm_grid(args.grid, config.cutoff)
     return RunSpec(
         problem=problem,
         config=config,

@@ -20,6 +20,7 @@ Fields are immutable values; all operations on them are pure functions.
 
 from __future__ import annotations
 
+import cmath
 import io
 import math
 from dataclasses import dataclass
@@ -495,6 +496,8 @@ def parse_field_block(lines: list[str], pos: int) -> tuple[Field, int]:
             raise ValueError(f"malformed mode line {pos + 1}: {lines[pos]!r}")
         k1, k2, k3, ci = (int(p) for p in parts[:4])
         c = complex(float(parts[4]), float(parts[5]))
+        if not cmath.isfinite(c):
+            raise ValueError(f"non-finite coefficient on line {pos + 1}: {lines[pos]!r}")
         kv = WaveVector(k1, k2, k3)
         if kv.shell > cutoff:
             raise ValueError(f"mode {tuple(kv)} exceeds cutoff {cutoff}")

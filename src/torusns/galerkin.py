@@ -90,7 +90,8 @@ class SolverConfig:
     dt : time step (the actual step is T/N with N = round(T/dt)).
     scheme : 'imex_euler' or 'if_rk4'.
     dealias_grid : optional minimal grid for the transport products; must
-        be at least 3x the axis bandwidth.  None picks the smallest exact
+        be at least 3B+1 for axis bandwidth B, the smallest grid on which
+        the truncated product is alias-free.  None picks the smallest exact
         grid automatically.
     step_tolerance : when set, every step is checked by step doubling and
         the run aborts if the local error estimate exceeds this value.
@@ -128,8 +129,8 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         object.__setattr__(self, "scheme", scheme)
         if self.dealias_grid is not None:
-            if self.dealias_grid < 3 * bandwidth_of(self.cutoff):
-                raise ValueError("dealias grid must be at least 3x the axis bandwidth")
+            if self.dealias_grid < 3 * bandwidth_of(self.cutoff) + 1:
+                raise ValueError("dealias grid must be at least 3B+1 for axis bandwidth B")
         if self.store_every < 1:
             raise ValueError("store_every must be a positive integer")
 

@@ -8,7 +8,12 @@ cube (d/dx_j -> i (2 pi / ell) k_j), so the vector-calculus identities
 hold exactly at coefficient level.  Quadratic products are evaluated
 pseudo-spectrally on a grid padded far enough that the retained coefficients
 are the exact convolution (no aliasing); truncating the result to the input
-cutoff therefore yields the exact Galerkin projection of the product.
+cutoff therefore yields the exact Galerkin projection of the product.  For
+inputs of axis bandwidth B and retained modes |k_i| <= K the smallest such
+grid has n >= 2B + K + 1 points per axis: 3B+1 for the Galerkin projection
+(the 3/2 rule), 4B+1 for the full product.  Fields are real, so grid
+transforms are real FFTs (``rfftn``/``irfftn``) over the k3 >= 0 half of the
+coefficient cube; the other half is its conjugate reflection.
 
 L2 norms and inner products are exact Parseval sums.  L^p norms for p != 2
 are rectangle-rule quadrature on a user-chosen grid, and the L^infinity norm
@@ -236,24 +241,57 @@ def _fft_indices(bandwidth: int, n: int) -> np.ndarray:
     return wave_index_axes(bandwidth) % n
 
 
+def _axis_slices(bw: int, n: int) -> tuple[tuple[slice, slice], ...]:
+    """(FFT-axis, centered-axis) slice pairs of wavenumbers 0..bw and -bw..-1.
+
+    Needs n >= 2 bw + 1, so that the two ranges do not overlap mod n.
+    """
+    return (
+        (slice(0, bw + 1), slice(bw, 2 * bw + 1)),
+        (slice(n - bw, n), slice(0, bw)),
+    )
+
+
 def _sample_stack(stack: np.ndarray, n: int) -> np.ndarray:
     """Exact point samples of the fields in ``stack`` on the n^3 grid.
 
-    Works for any n >= 1: coefficients sharing a residue mod n are
-    accumulated, which reproduces the exact point values of the truncated
-    Fourier sum even on undersampled grids.
+    For n >= 2B+1 only the k3 >= 0 half of each cube is placed and a real
+    inverse transform (``irfftn``) fills in the conjugate half.  Smaller
+    grids accumulate coefficients sharing a residue mod n, which reproduces
+    the exact point values of the truncated Fourier sum even on
+    undersampled grids.
     """
     bw = (stack.shape[1] - 1) // 2
+    if n >= 2 * bw + 1:
+        buf = np.zeros((stack.shape[0], n, n, n // 2 + 1), dtype=np.complex128)
+        for dst1, src1 in _axis_slices(bw, n):
+            for dst2, src2 in _axis_slices(bw, n):
+                buf[:, dst1, dst2, : bw + 1] = stack[:, src1, src2, bw:]
+        return np.fft.irfftn(buf, s=(n, n, n), axes=(1, 2, 3), norm="forward")
     idx = _fft_indices(bw, n)
     bufs = np.zeros((stack.shape[0], n, n, n), dtype=np.complex128)
-    if n >= 2 * bw + 1:
-        bufs[np.ix_(np.arange(stack.shape[0]), idx, idx, idx)] = stack
-    else:
-        i1, i2, i3 = np.meshgrid(idx, idx, idx, indexing="ij")
-        for c in range(stack.shape[0]):
-            np.add.at(bufs[c], (i1, i2, i3), stack[c])
-    vals = np.fft.ifftn(bufs, axes=(1, 2, 3)) * n**3
-    return np.real(vals)
+    i1, i2, i3 = np.meshgrid(idx, idx, idx, indexing="ij")
+    for c in range(stack.shape[0]):
+        np.add.at(bufs[c], (i1, i2, i3), stack[c])
+    return np.real(np.fft.ifftn(bufs, axes=(1, 2, 3), norm="forward"))
+
+
+def _spectrum_stack(values: np.ndarray, keep: int) -> np.ndarray:
+    """Centered coefficients |k_i| <= keep of the real samples ``values``.
+
+    ``values`` has shape (C, n, n, n) with n >= 2 keep + 1.  A real forward
+    transform (``rfftn``) gives the k3 >= 0 half; the k3 < 0 half is its
+    conjugate reflection, c_{-k} = conj(c_k).
+    """
+    n = values.shape[-1]
+    spectrum = np.fft.rfftn(values, axes=(1, 2, 3), norm="forward")
+    side = 2 * keep + 1
+    out = np.empty((values.shape[0], side, side, side), dtype=np.complex128)
+    for src1, dst1 in _axis_slices(keep, n):
+        for src2, dst2 in _axis_slices(keep, n):
+            out[:, dst1, dst2, keep:] = spectrum[:, src1, src2, : keep + 1]
+    out[..., :keep] = np.conj(out[:, ::-1, ::-1, 2 * keep : keep : -1])
+    return out
 
 
 def sample_values(u: Field, n: int) -> np.ndarray:
@@ -284,12 +322,10 @@ def _analyze_values(
     read_bw = bw if assume_support is None else min(bw, assume_support)
     if n < 2 * read_bw + 1:
         raise ValueError(f"undersampled: grid size {n} cannot resolve cutoff {cutoff}")
-    spectrum = np.fft.fftn(values) / n**3
-    idx = _fft_indices(read_bw, n)
     side = 2 * bw + 1
     coeffs = np.zeros((side,) * 3, dtype=np.complex128)
     lo, hi = bw - read_bw, bw + read_bw + 1
-    coeffs[lo:hi, lo:hi, lo:hi] = spectrum[np.ix_(idx, idx, idx)]
+    coeffs[lo:hi, lo:hi, lo:hi] = _spectrum_stack(values[None], read_bw)[0]
     return SpectralScalarField(ell, cutoff, hermitianize(coeffs))
 
 
@@ -347,32 +383,32 @@ def convect(
 
     The retained coefficients are the exact Galerkin truncation of the
     product; no aliasing error enters.  Inputs must share ell and cutoff.
+
+    With axis bandwidth B the product has modes |k_i| <= 2B.  On an n-point
+    axis a product mode k' lands on a kept mode k only if |k' - k| >= n, so
+    keeping |k_i| <= K is exact once n >= 2B + K + 1: n = 3B+1 for the
+    default ``out_cutoff`` (the 3/2 rule) and 4B+1 only when the full
+    product (K = 2B) is requested.  ``min_grid`` raises n further.  w and
+    the nine derivatives of u are sampled with one real inverse transform,
+    the three products are analysed with one real forward transform.
     """
     if w.ell != u.ell or w.cutoff != u.cutoff:
         raise ValueError("mismatched ell/cutoff between drift and field")
     if out_cutoff is None:
         out_cutoff = u.cutoff
-    bw_total = w.bandwidth + u.bandwidth
-    n = _product_grid(bw_total, min_grid)
-    wv = _sample_stack(w.coeff_stack(), n)
-    k1, k2, k3, _ = wave_cubes(u.bandwidth)
-    fac = 1j * _wavenumber_factor(u)
-    deriv_stack = np.empty((9,) + u.components[0].coeffs.shape, dtype=np.complex128)
-    for i, comp in enumerate(u.components):
-        for j, kj in enumerate((k1, k2, k3)):
-            deriv_stack[3 * i + j] = fac * kj * comp.coeffs
-    dv = _sample_stack(deriv_stack, n).reshape(3, 3, n, n, n)
-    prod = np.einsum("jxyz,ijxyz->ixyz", wv, dv)
-    spectrum = np.fft.fftn(prod, axes=(1, 2, 3)) / n**3
-    idx = _fft_indices(bw_total, n)
-    small = spectrum[np.ix_(np.arange(3), idx, idx, idx)]
+    bw = u.bandwidth
     out_bw = bandwidth_of(out_cutoff)
+    keep = min(out_bw, 2 * bw)
+    n = _fast_len(max(2 * bw + keep + 1, min_grid or 0, 4))
+    k1, k2, k3, _ = wave_cubes(bw)
+    grad_mult = 1j * _wavenumber_factor(u) * np.stack((k1, k2, k3))
+    du = u.coeff_stack()[:, None] * grad_mult[None]
+    vals = _sample_stack(np.concatenate((w.coeff_stack(), du.reshape(9, *k1.shape))), n)
+    prod = np.einsum("jxyz,ijxyz->ixyz", vals[:3], vals[3:].reshape(3, 3, n, n, n))
     side = 2 * out_bw + 1
     coeffs = np.zeros((3, side, side, side), dtype=np.complex128)
-    keep = min(out_bw, bw_total)
-    lo_o, hi_o = out_bw - keep, out_bw + keep + 1
-    lo_s, hi_s = bw_total - keep, bw_total + keep + 1
-    coeffs[:, lo_o:hi_o, lo_o:hi_o, lo_o:hi_o] = small[:, lo_s:hi_s, lo_s:hi_s, lo_s:hi_s]
+    lo, hi = out_bw - keep, out_bw + keep + 1
+    coeffs[:, lo:hi, lo:hi, lo:hi] = _spectrum_stack(prod, keep)
     coeffs = 0.5 * (coeffs + np.conj(coeffs[:, ::-1, ::-1, ::-1]))
     return SpectralVectorField.from_stack(u.ell, out_cutoff, coeffs)
 

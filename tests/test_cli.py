@@ -125,6 +125,43 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "configuration error" in r.stderr
 
+    @pytest.mark.parametrize("grid", ["0", "3"])
+    def test_grid_below_resolution_is_config_error(self, tmp_path, grid):
+        # cutoff 4 has axis bandwidth 2, so the grid needs at least 5 points
+        r = run_cli(
+            "decay", "--T", "0.05", "--dt", "1e-3", "--M", "4", "--grid", grid,
+            "--out-dir", "out", cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "configuration error" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_certify_grid_checked_against_trajectory_cutoff(self, decay_dir, tmp_path):
+        out, _ = decay_dir
+        r = run_cli(
+            "certify", "--traj", str(out / "run.traj"), "--mu", "0.1", "--grid", "4",
+            cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+
+    def test_nonfinite_field_coefficient_is_config_error(self, tmp_path):
+        rng = np.random.default_rng(5)
+        u0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
+        save_field(u0, tmp_path / "u0.field")
+        lines = (tmp_path / "u0.field").read_text().splitlines()
+        k1, k2, k3, comp, _, im = lines[1].split()
+        lines[1] = f"{k1} {k2} {k3} {comp} nan {im}"
+        (tmp_path / "u0.field").write_text("\n".join(lines) + "\n")
+        r = run_cli(
+            "custom", "--T", "0.01", "--dt", "1e-3", "--M", "4", "--u0", "u0.field",
+            cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "non-finite coefficient" in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
@@ -259,6 +296,17 @@ class TestStudy:
         assert len(lines) == 3
         meta = json.loads((tmp_path / "study" / "dt_study.json").read_text())
         assert meta["observed_order"] > 3.0
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_dt_study_needs_two_points(self, tmp_path, points):
+        r = run_cli(
+            "manufactured", "--dt-study", points, "--dt", "4e-3", "--T", "0.1",
+            "--out-dir", "study", cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "at least 2 points" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "study").exists()
 
     def test_jobs_fanout_matches_serial(self, tmp_path):
         outputs = {}

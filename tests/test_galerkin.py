@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="dealias"):
             SolverConfig(mu=1, horizon=1, cutoff=9, dt=1e-2, dealias_grid=4)
 
+    def test_dealias_grid_threshold_is_3b_plus_1(self):
+        # cutoff 9 has axis bandwidth 3: 3B+1 = 10 is the smallest exact grid
+        with pytest.raises(ValueError, match="dealias"):
+            SolverConfig(mu=1, horizon=1, cutoff=9, dt=1e-2, dealias_grid=9)
+        cfg = SolverConfig(mu=1, horizon=1, cutoff=9, dt=1e-2, dealias_grid=10)
+        assert cfg.dealias_grid == 10
+
     def test_scheme_case_folded(self):
         cfg = SolverConfig(mu=1, horizon=1, cutoff=4, dt=1e-2, scheme="IF_RK4")
         assert cfg.scheme == "if_rk4"

@@ -226,6 +226,25 @@ class TestConvection:
         slow = _brute_convect(w, u, 8)
         assert l2_norm_exact(fast - slow) <= 1e-12 * l2_norm_exact(slow)
 
+    @pytest.mark.parametrize("cutoff,out_cutoff", [(9, None), (25, None), (16, 49)])
+    def test_brute_force_oracle_on_threshold_grids(self, ell, rng, cutoff, out_cutoff):
+        # The kernel grid 2B + K + 1 is 5-smooth here (10, 16 and 16 points)
+        # and so is the grid one point smaller, so an off-by-one in the grid
+        # rule aliases.  (16, 49) keeps bandwidth K = 7, between B = 4 and 2B.
+        w = _sparse_vector_field(ell, cutoff, rng)
+        u = _sparse_vector_field(ell, cutoff, rng)
+        assert l2_norm_exact(div(w)) > 0.0 and l2_norm_exact(div(u)) > 0.0
+        fast = convect(w, u, out_cutoff=out_cutoff)
+        slow = _brute_convect(w, u, out_cutoff or cutoff)
+        assert l2_norm_exact(fast - slow) <= 1e-12 * l2_norm_exact(slow)
+
+    def test_larger_grid_changes_nothing(self, ell, rng):
+        w = random_vector_field(ell, 9, rng)
+        u = random_vector_field(ell, 9, rng)
+        base = convect(w, u).coeff_stack()
+        padded = convect(w, u, min_grid=24).coeff_stack()
+        assert np.max(np.abs(padded - base)) <= 1e-14 * np.max(np.abs(base))
+
     def test_skew_symmetry(self, ell, rng):
         for _ in range(10):
             w = leray_project(random_vector_field(ell, 6, rng))
@@ -270,6 +289,21 @@ class TestConvection:
         w = leray_project(random_vector_field(ell, 6, rng))
         u = random_vector_field(ell, 6, rng)
         assert convect(w, u).hermitian_defect() == 0.0
+
+
+def _sparse_vector_field(ell, cutoff, rng, density=0.1):
+    """Random real field on a sparse +-k symmetric mode set containing +-B e_i.
+
+    The axis extremes make the product reach |k_i| = 2B, where an undersized
+    grid aliases; sparsity keeps the brute-force triple loop cheap.
+    """
+    bw = bandwidth_of(cutoff)
+    side = 2 * bw + 1
+    mask = rng.random((side,) * 3) < density
+    mask[2 * bw, bw, bw] = mask[bw, 2 * bw, bw] = mask[bw, bw, 2 * bw] = True
+    mask |= mask[::-1, ::-1, ::-1]
+    v = random_vector_field(ell, cutoff, rng)
+    return v.with_stack(v.coeff_stack() * mask)
 
 
 def _brute_convect(w, u, out_cutoff):
