@@ -30,6 +30,7 @@ import numpy as np
 from . import estimates, problems
 from .eigenbasis import build_basis, load_basis, project_coefficients
 from .fields import (
+    _FMT,
     SpectralVectorField,
     bandwidth_of,
     load_field,
@@ -74,8 +75,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
-
-_FMT = "{:.17g}"
 
 
 class ConfigError(Exception):

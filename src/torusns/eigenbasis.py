@@ -33,6 +33,8 @@ from .fields import (
     WaveVector,
     bandwidth_of,
     embed_vector,
+    line_number,
+    next_line,
     parse_field_block,
     vector_from_modes,
     write_field,
@@ -249,20 +251,19 @@ def save_basis(basis: DivFreeBasis, path) -> None:
 
 def load_basis(path) -> DivFreeBasis:
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
     constants = []
     entries = []
     gradient_entries = []
     pos = 0
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        parts = lines[pos].split()
+    while True:
+        parts, end = next_line(text, pos)
+        if not parts:
+            break
         if len(parts) != 3 or parts[0] not in ("BASIS", "BASIS-GRAD"):
-            raise ValueError(f"expected BASIS index line at line {pos + 1}")
+            raise ValueError(f"expected BASIS index line at line {line_number(text, pos)}")
         kind, m, j = parts[0], int(parts[1]), int(parts[2])
-        field, pos = parse_field_block(lines, pos + 1)
+        field, pos = parse_field_block(text, end)
         if not isinstance(field, SpectralVectorField):
             raise ValueError("basis entries must be vector fields")
         if kind == "BASIS" and m == 0:

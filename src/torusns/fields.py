@@ -20,9 +20,9 @@ Fields are immutable values; all operations on them are pure functions.
 
 from __future__ import annotations
 
-import cmath
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
@@ -440,100 +440,126 @@ def random_vector_field(
 # Format:  header line "TORUSFIELD 1 <ell> <cutoff> <ncomponents>", then one
 # line "k1 k2 k3 comp re im" per stored mode with comp in 1..ncomponents.
 # Only one representative of each +-k pair is stored (k = 0 counts as its own
-# pair); the missing partner is restored as the complex conjugate on read.
+# pair): the lexicographically larger of k and -k, i.e. k1 > 0, or k1 = 0 and
+# k2 > 0, or k1 = k2 = 0 and k3 >= 0.  The missing partner is restored as the
+# complex conjugate on read.  The writer omits modes with c_k = 0 and emits
+# the rows component by component, each in increasing lexicographic order of
+# k, with 17 significant digits so every float reads back exactly; these
+# rules make the bytes a function of the field.  A block ends before the
+# first non-blank line that starts with neither a digit nor a sign; the
+# reader accepts its rows in any order.
 # ---------------------------------------------------------------------------
 
 _FMT = "{:.17g}"
-
-
-def _canonical_pair_rep(k: WaveVector) -> bool:
-    """True when k is the stored representative of the pair {k, -k}."""
-    return tuple(k) >= tuple(-k)
+# "%.17g" % x is the same text as _FMT.format(x) for every float
+_ROW = "%d %d %d %d %.17g %.17g\n"
+_ROW_DTYPE = np.dtype([("k", np.int64, (4,)), ("c", np.float64, (2,))])
+# a line break, then a line whose first token cannot start an integer
+_BLOCK_END = re.compile(r"\n[ \t]*[^\s0-9+-]")
 
 
 def write_field(u: Field, stream: io.TextIOBase) -> None:
-    comps = [u] if isinstance(u, SpectralScalarField) else list(u.components)
-    stream.write(
-        f"TORUSFIELD 1 {_FMT.format(u.ell)} {u.cutoff} {len(comps)}\n"
-    )
+    comps = [u] if isinstance(u, SpectralScalarField) else u.components
+    stream.write(f"TORUSFIELD 1 {_FMT.format(u.ell)} {u.cutoff} {len(comps)}\n")
+    b = u.bandwidth
     for ci, comp in enumerate(comps, start=1):
-        entries = [(k, c) for k, c in comp.modes() if _canonical_pair_rep(k)]
-        entries.sort(key=lambda item: tuple(item[0]))
-        for k, c in entries:
-            stream.write(
-                f"{k.k1} {k.k2} {k.k3} {ci} "
-                f"{_FMT.format(c.real)} {_FMT.format(c.imag)}\n"
-            )
+        # C order over the centered cube is lexicographic in k, so the stored
+        # representatives are the second half of the flattened cube, k = 0 first
+        center = comp.coeffs.size // 2
+        half = comp.coeffs.reshape(-1)[center:]
+        idx = np.flatnonzero(np.abs(half) > 0)
+        k1, k2, k3 = np.unravel_index(center + idx, comp.coeffs.shape)
+        c = half[idx]
+        rows = np.column_stack((k1 - b, k2 - b, k3 - b, np.full(len(idx), ci), c.real, c.imag))
+        stream.write(_ROW * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def parse_field_block(lines: list[str], pos: int) -> tuple[Field, int]:
-    """Parse one TORUSFIELD block starting at ``lines[pos]``.
+def next_line(text: str, pos: int) -> tuple[list[str], int]:
+    """Tokens of the first non-blank line at or after offset ``pos`` of
+    ``text`` and the offset just past that line; no tokens at the end."""
+    while pos < len(text):
+        eol = text.find("\n", pos)
+        eol = len(text) if eol < 0 else eol + 1
+        tokens = text[pos:eol].split()
+        if tokens:
+            return tokens, eol
+        pos = eol
+    return [], pos
 
-    Returns the field and the index of the first line after the block; used
+
+def line_number(text: str, pos: int) -> int:
+    """1-based number of the first non-blank line at or after offset ``pos``."""
+    return text.count("\n", 0, next_line(text, pos)[1] - 1) + 1
+
+
+def parse_field_block(text: str, pos: int) -> tuple[Field, int]:
+    """Parse the TORUSFIELD block whose header is the first non-blank line at
+    or after offset ``pos`` of ``text``.
+
+    Returns the field and the offset of the first line after the block; used
     directly by composite formats (trajectory files, basis dumps).
     """
-    header = lines[pos].split()
+    header, start = next_line(text, pos)
     if len(header) != 5 or header[0] != "TORUSFIELD" or header[1] != "1":
-        raise ValueError(f"expected TORUSFIELD 1 header at line {pos + 1}")
+        raise ValueError(f"expected TORUSFIELD 1 header at line {line_number(text, pos)}")
     ell = float(header[2])
     cutoff = int(header[3])
     ncomp = int(header[4])
     if ncomp not in (1, 3):
         raise ValueError(f"unsupported component count {ncomp}")
+    found = _BLOCK_END.search(text, start - 1)
+    end = found.start() + 1 if found else len(text)
+    body = text[start:end].splitlines()
+    rows = np.zeros(0, dtype=_ROW_DTYPE)
+    if any(map(str.strip, body)):
+        try:
+            rows = np.loadtxt(body, dtype=_ROW_DTYPE, comments=None, ndmin=1)
+        except ValueError as exc:
+            at = line_number(text, pos)
+            raise ValueError(f"malformed mode line in the block at line {at}: {exc}") from None
     bw = bandwidth_of(cutoff)
     side = 2 * bw + 1
-    stacks = np.zeros((ncomp, side, side, side), dtype=np.complex128)
-    seen: set[tuple[int, int, int, int]] = set()
-    pos += 1
-    while pos < len(lines):
-        parts = lines[pos].split()
-        if not parts:
-            pos += 1
-            continue
-        if not _looks_like_int(parts[0]):
-            break  # next block's header
-        if len(parts) != 6:
-            raise ValueError(f"malformed mode line {pos + 1}: {lines[pos]!r}")
-        k1, k2, k3, ci = (int(p) for p in parts[:4])
-        c = complex(float(parts[4]), float(parts[5]))
-        if not cmath.isfinite(c):
-            raise ValueError(f"non-finite coefficient on line {pos + 1}: {lines[pos]!r}")
-        kv = WaveVector(k1, k2, k3)
-        if kv.shell > cutoff:
-            raise ValueError(f"mode {tuple(kv)} exceeds cutoff {cutoff}")
-        if not 1 <= ci <= ncomp:
-            raise ValueError(f"component index {ci} out of range")
-        key = (k1, k2, k3, ci)
-        nkey = (-k1, -k2, -k3, ci)
-        if key in seen or nkey in seen:
-            raise ValueError(f"duplicate mode {key[:3]} in component {ci}")
-        seen.add(key)
-        stacks[ci - 1, bw + k1, bw + k2, bw + k3] = c
-        if (k1, k2, k3) != (0, 0, 0):
-            stacks[ci - 1, bw - k1, bw - k2, bw - k3] = np.conj(c)
-        pos += 1
+    kv, comp = rows["k"][:, :3], rows["k"][:, 3]
+    _reject(~np.isfinite(rows["c"]).all(axis=1), "non-finite coefficient", rows, text, pos)
+    # the box test comes first: squares of indices outside it may overflow
+    outside = ((kv < -bw) | (kv > bw)).any(axis=1) | ((kv * kv).sum(axis=1) > cutoff)
+    _reject(outside, f"exceeds cutoff {cutoff}", rows, text, pos)
+    _reject((comp < 1) | (comp > ncomp), "component index out of range", rows, text, pos)
+    flat = np.ravel_multi_index(tuple((kv + bw).T), (side,) * 3)
+    mirror = side**3 - 1 - flat
+    # one key per component and +-k pair
+    key = (comp - 1) * side**3 + np.maximum(flat, mirror)
+    repeated = np.bincount(key)[key] > 1
+    _reject(repeated, "duplicate mode (k or -k given twice)", rows, text, pos)
+    coef = np.empty(len(rows), dtype=np.complex128)
+    coef.real, coef.imag = rows["c"].T
+    stacks = np.zeros((ncomp, side**3), dtype=np.complex128)
+    stacks[comp - 1, mirror] = np.conj(coef)
+    stacks[comp - 1, flat] = coef  # last, so k = 0 keeps c
+    stacks = stacks.reshape(ncomp, side, side, side)
     if ncomp == 1:
-        return SpectralScalarField(ell, cutoff, stacks[0]), pos
-    return SpectralVectorField.from_stack(ell, cutoff, stacks), pos
+        return SpectralScalarField(ell, cutoff, stacks[0]), end
+    return SpectralVectorField.from_stack(ell, cutoff, stacks), end
 
 
-def _looks_like_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+def _reject(bad: np.ndarray, what: str, rows: np.ndarray, text: str, pos: int) -> None:
+    """Raise for the first row flagged in ``bad`` of the block parsed from ``pos``."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        for _ in range(i + 1):  # past the header and the rows before row i
+            _, pos = next_line(text, pos)
+        k = tuple(int(x) for x in rows["k"][i, :3])
+        raise ValueError(
+            f"{what}: mode {k}, component {rows['k'][i, 3]}, line {line_number(text, pos)}"
+        )
 
 
 def read_field(stream: io.TextIOBase) -> Field:
-    lines = stream.read().splitlines()
-    pos = 0
-    while pos < len(lines) and not lines[pos].strip():
-        pos += 1
-    if pos == len(lines):
+    text = stream.read()
+    if not text.strip():
         raise ValueError("empty field stream")
-    field, pos = parse_field_block(lines, pos)
-    if any(line.strip() for line in lines[pos:]):
+    field, pos = parse_field_block(text, 0)
+    if next_line(text, pos)[0]:
         raise ValueError("trailing content after field block")
     return field
 

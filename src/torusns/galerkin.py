@@ -30,10 +30,13 @@ import numpy as np
 
 from .eigenbasis import DivFreeBasis, project_coefficients, reconstruct
 from .fields import (
+    _FMT,
     SpectralScalarField,
     SpectralVectorField,
     bandwidth_of,
     embed_vector,
+    line_number,
+    next_line,
     parse_field_block,
     truncate_vector,
     wave_cubes,
@@ -774,8 +777,6 @@ def energy_identity_defect(
 # Trajectory files.
 # ---------------------------------------------------------------------------
 
-_FMT = "{:.17g}"
-
 
 def save_trajectory(traj: FieldTrajectory, path) -> None:
     """Write 'TRAJ 1 <ell> <cutoff> <N>' and one field block per sample."""
@@ -790,26 +791,26 @@ def save_trajectory(traj: FieldTrajectory, path) -> None:
 
 def load_trajectory(path) -> FieldTrajectory:
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    pos = 0
-    while pos < len(lines) and not lines[pos].strip():
-        pos += 1
-    header = lines[pos].split()
+        text = fh.read()
+    header, pos = next_line(text, 0)
     if len(header) != 5 or header[0] != "TRAJ" or header[1] != "1":
         raise ValueError("not a TRAJ version 1 file")
     count = int(header[4])
-    pos += 1
     times = []
     fields = []
-    for _ in range(count):
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        parts = lines[pos].split()
+    for i in range(count):
+        parts, end = next_line(text, pos)
         if len(parts) != 2 or parts[0] != "T":
-            raise ValueError(f"expected time marker at line {pos + 1}")
+            raise ValueError(
+                f"expected time marker {i + 1} of {count} at line {line_number(text, pos)}"
+            )
         times.append(float(parts[1]))
-        field, pos = parse_field_block(lines, pos + 1)
+        field, pos = parse_field_block(text, end)
         if not isinstance(field, SpectralVectorField):
             raise ValueError("trajectory blocks must be vector fields")
         fields.append(field)
+    if next_line(text, pos)[0]:
+        raise ValueError(
+            f"trailing content after the {count} samples at line {line_number(text, pos)}"
+        )
     return FieldTrajectory(np.array(times), tuple(fields))

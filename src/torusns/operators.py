@@ -33,7 +33,6 @@ from .fields import (
     SpectralVectorField,
     bandwidth_of,
     hermitianize,
-    truncate_scalar,
     wave_cubes,
     wave_index_axes,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "dj_norm",
     "synthesize",
     "analyze",
-    "multiply",
     "convect",
     "self_convection",
     "symmetrized_convection",
@@ -311,22 +309,11 @@ def synthesize(u: SpectralScalarField, n: int) -> SampledGrid:
 
 def analyze(grid: SampledGrid, cutoff: int) -> SpectralScalarField:
     """Recover the coefficients of a bandlimited field from its grid samples."""
-    return _analyze_values(grid.values, grid.ell, cutoff)
-
-
-def _analyze_values(
-    values: np.ndarray, ell: float, cutoff: int, assume_support: int | None = None
-) -> SpectralScalarField:
-    n = values.shape[-1]
     bw = bandwidth_of(cutoff)
-    read_bw = bw if assume_support is None else min(bw, assume_support)
-    if n < 2 * read_bw + 1:
-        raise ValueError(f"undersampled: grid size {n} cannot resolve cutoff {cutoff}")
-    side = 2 * bw + 1
-    coeffs = np.zeros((side,) * 3, dtype=np.complex128)
-    lo, hi = bw - read_bw, bw + read_bw + 1
-    coeffs[lo:hi, lo:hi, lo:hi] = _spectrum_stack(values[None], read_bw)[0]
-    return SpectralScalarField(ell, cutoff, hermitianize(coeffs))
+    if grid.n < 2 * bw + 1:
+        raise ValueError(f"undersampled: grid size {grid.n} cannot resolve cutoff {cutoff}")
+    coeffs = _spectrum_stack(grid.values[None], bw)[0]
+    return SpectralScalarField(grid.ell, cutoff, hermitianize(coeffs))
 
 
 def _fast_len(n: int) -> int:
@@ -339,38 +326,6 @@ def _fast_len(n: int) -> int:
         if m == 1:
             return n
         n += 1
-
-
-def _product_grid(bw_total: int, min_grid: int | None = None) -> int:
-    # alias-free retention of every product mode needs n >= 2*bw_total + 1
-    n = 2 * bw_total + 1
-    if min_grid is not None:
-        n = max(n, min_grid)
-    return _fast_len(max(n, 4))
-
-
-def multiply(
-    a: SpectralScalarField,
-    b: SpectralScalarField,
-    out_cutoff: int | None = None,
-    min_grid: int | None = None,
-) -> SpectralScalarField:
-    """Pointwise product of two scalar fields, exact in coefficients.
-
-    The result is computed on a zero-padded grid large enough that the full
-    convolution is alias-free, then truncated to ``out_cutoff`` (defaults to
-    the larger input cutoff, i.e. the Galerkin projection of the product).
-    """
-    if a.ell != b.ell:
-        raise ValueError("incompatible domains: fields have different periods")
-    if out_cutoff is None:
-        out_cutoff = max(a.cutoff, b.cutoff)
-    bw_total = a.bandwidth + b.bandwidth
-    n = _product_grid(bw_total, min_grid)
-    va = sample_values(a, n)
-    vb = sample_values(b, n)
-    full = _analyze_values(va * vb, a.ell, 3 * bw_total**2, assume_support=bw_total)
-    return truncate_scalar(full, out_cutoff)
 
 
 def convect(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torusns.cli import main
 from torusns.fields import load_field, random_vector_field, save_field
-from torusns.galerkin import load_trajectory
+from torusns.galerkin import FieldTrajectory, load_trajectory, save_trajectory
 from torusns.helmholtz import leray_project
 from torusns.eigenbasis import build_basis, save_basis
 
@@ -160,6 +164,23 @@ class TestExitCodes:
         )
         assert r.returncode == 2
         assert "non-finite coefficient" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("damage", ["empty", "count_too_large", "trailing_block"])
+    def test_malformed_trajectory_is_config_error(self, decay_dir, tmp_path, damage):
+        text = (decay_dir[0] / "run.traj").read_text()
+        header, body = text.split("\n", 1)
+        if damage == "empty":
+            text = ""
+        elif damage == "count_too_large":
+            *head, count = header.split()
+            text = " ".join(head + [str(int(count) + 1)]) + "\n" + body
+        else:  # the first sample once more, after the counted ones
+            text += body[: body.index("\nT ") + 1]
+        (tmp_path / "bad.traj").write_text(text)
+        r = run_cli("certify", "--traj", "bad.traj", "--mu", "0.1", cwd=tmp_path)
+        assert r.returncode == 2
+        assert "configuration error" in r.stderr
         assert "Traceback" not in r.stderr
 
 
@@ -319,3 +340,66 @@ class TestStudy:
             assert r.returncode == 0, r.stderr
             outputs[sub] = (tmp_path / sub / "dt_study.csv").read_bytes()
         assert outputs["serial"] == outputs["par"]
+
+
+BAD_TOKENS = [
+    "nan", "inf", "-inf", "1e400", "1.0", "x", "0x1f", "--1", "-1", "0", "2", "7",
+    "99999999999999999999",
+]
+
+
+def _corrupt(text, kind, where, token):
+    """Damage one place of a field or trajectory file, chosen by ``where``."""
+    if kind == "truncate":
+        return text[: where % len(text)]
+    lines = [line.split() for line in text.splitlines()]
+    if kind == "count":  # the sample or component count of a header line
+        headers = [toks for toks in lines if toks[0] in ("TRAJ", "TORUSFIELD")]
+        headers[where % len(headers)][-1] = token
+    else:
+        i, j = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))][
+            where % sum(map(len, lines))
+        ]
+        if kind == "drop":
+            del lines[i][j]
+        elif kind == "extra":
+            lines[i].insert(j, token)
+        else:
+            lines[i][j] = token
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    u = leray_project(random_vector_field(ELL, 2, np.random.default_rng(11), amplitude=0.3))
+    save_field(u, d / "u0.field")
+    traj = FieldTrajectory(np.array([0.0, 0.01, 0.02]), (u, u * 0.99, u * 0.98))
+    save_trajectory(traj, d / "run.traj")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("TORUS_NS_OUT", raising=False)
+        yield d
+
+
+class TestCorruptedFiles:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        target=st.sampled_from(["field", "traj"]),
+        kind=st.sampled_from(["truncate", "drop", "extra", "replace", "count"]),
+        where=st.integers(0, 10**6),
+        token=st.sampled_from(BAD_TOKENS),
+    )
+    def test_exit_code_is_documented(self, fuzz_dir, target, kind, where, token):
+        # in-process, so an uncaught exception fails the test with its traceback
+        name = "u0.field" if target == "field" else "run.traj"
+        bad = fuzz_dir / f"bad_{name}"
+        bad.write_text(_corrupt((fuzz_dir / name).read_text(), kind, where, token))
+        if target == "field":
+            argv = ["custom", "--u0", str(bad), "--M", "2", "--T", "0.002", "--dt", "1e-3"]
+        else:
+            argv = ["certify", "--traj", str(bad), "--mu", "0.1"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out-dir", str(fuzz_dir / "out")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from torusns.fields import (
+    _FMT,
     SampledGrid,
     SpectralScalarField,
     SpectralVectorField,
@@ -20,6 +21,7 @@ from torusns.fields import (
     vector_from_modes,
     write_field,
 )
+from torusns.galerkin import FieldTrajectory, load_trajectory, save_trajectory
 
 
 def test_wavevector_shell():
@@ -150,3 +152,75 @@ class TestSerialization:
         save_field(f, tmp_path / "p.field")
         g = load_field(tmp_path / "p.field")
         assert g.components[0].coefficient((1, 1, 0)) == f.components[0].coefficient((1, 1, 0))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "1 0 0 1 1.0",  # five tokens
+            "1 0 0 1 1.0 0.0 7",  # seven tokens
+            "1.0 0 0 1 1.0 0.0",  # non-integer index
+            "1 0 0 0 1.0 0.0",  # component below range
+            "1 0 0 4 1.0 0.0",  # component above range
+            "1 0 0 1 nan 0.0",
+            "1 0 0 1 0.0 -inf",
+            "1 0 0 1 1e400 0.0",  # overflows to inf
+            "4611686018427387904 0 0 1 1.0 0.0",  # k1 = 2**62: k1**2 wraps in int64
+            "1 0 0 2 1.0 0.0\n1 0 0 2 2.0 0.0",  # the same k twice
+            "0 0 0 1 1.0 0.0\n0 0 0 1 1.0 0.0",  # k = 0 is its own pair
+        ],
+    )
+    def test_malformed_rows_rejected(self, rows):
+        with pytest.raises(ValueError):
+            read_field(io.StringIO(f"TORUSFIELD 1 1.0 4 3\n1 1 0 3 0.5 0.5\n{rows}\n"))
+
+
+def _reference_write_field(u, stream):
+    """The per-mode writer the array codec replaced, kept as its oracle."""
+    comps = [u] if isinstance(u, SpectralScalarField) else list(u.components)
+    stream.write(f"TORUSFIELD 1 {_FMT.format(u.ell)} {u.cutoff} {len(comps)}\n")
+    for ci, comp in enumerate(comps, start=1):
+        entries = [(k, c) for k, c in comp.modes() if tuple(k) >= tuple(-k)]
+        entries.sort(key=lambda item: tuple(item[0]))
+        for k, c in entries:
+            stream.write(
+                f"{k.k1} {k.k2} {k.k3} {ci} {_FMT.format(c.real)} {_FMT.format(c.imag)}\n"
+            )
+
+
+def _ragged_field(ell, cutoff, rng, vector):
+    """Random field with zeroed modes and -0.0 real and imaginary parts."""
+    stacks = []
+    for _ in range(3 if vector else 1):
+        c = random_scalar_field(ell, cutoff, rng).coeffs * 10.0 ** rng.integers(-300, 300)
+        c = np.where(rng.random(c.shape) < 0.3, 0.0, c)
+        ragged = np.empty_like(c)
+        ragged.real = np.where(rng.random(c.shape) < 0.2, -0.0, c.real)
+        ragged.imag = np.where(rng.random(c.shape) < 0.2, -0.0, c.imag)
+        stacks.append(ragged)
+    if vector:
+        return SpectralVectorField.from_stack(ell, cutoff, np.stack(stacks))
+    return SpectralScalarField(ell, cutoff, stacks[0])
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 6, 36])
+def test_writer_matches_reference(ell, rng, cutoff, vector):
+    f = _ragged_field(ell, cutoff, rng, vector)
+    new, ref = io.StringIO(), io.StringIO()
+    write_field(f, new)
+    _reference_write_field(f, ref)
+    assert new.getvalue() == ref.getvalue()
+    assert cutoff < 5 or " -0" in ref.getvalue()
+
+
+def test_trajectory_write_read_write_identity(ell, rng, tmp_path):
+    times = np.array([0.0, 0.25, 0.5])
+    traj = FieldTrajectory(times, tuple(_ragged_field(ell, 6, rng, True) for _ in times))
+    save_trajectory(traj, tmp_path / "a.traj")
+    back = load_trajectory(tmp_path / "a.traj")
+    save_trajectory(back, tmp_path / "b.traj")
+    assert (tmp_path / "a.traj").read_bytes() == (tmp_path / "b.traj").read_bytes()
+    again = load_trajectory(tmp_path / "b.traj")
+    assert np.array_equal(back.times, again.times)
+    for u, v in zip(back.fields, again.fields):
+        assert np.array_equal(u.coeff_stack(), v.coeff_stack())
