@@ -126,8 +126,8 @@ class SpectralScalarField:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.ell > 0:
-            raise ValueError("period ell must be positive")
+        if not 0 < self.ell < math.inf:
+            raise ValueError("period ell must be positive and finite")
         if not (isinstance(self.cutoff, (int, np.integer)) and self.cutoff >= 0):
             raise ValueError("cutoff must be a nonnegative integer")
         object.__setattr__(self, "cutoff", int(self.cutoff))
@@ -447,10 +447,12 @@ def random_vector_field(
 # k, with 17 significant digits so every float reads back exactly; these
 # rules make the bytes a function of the field.  A block ends before the
 # first non-blank line that starts with neither a digit nor a sign; the
-# reader accepts its rows in any order.
+# reader accepts its rows in any order, and rejects a header whose dense
+# cube, ncomponents (2B+1)^3 coefficients, exceeds _MAX_COEFFS = 2^24.
 # ---------------------------------------------------------------------------
 
 _FMT = "{:.17g}"
+_MAX_COEFFS = 2**24  # 256 MiB of complex128
 # "%.17g" % x is the same text as _FMT.format(x) for every float
 _ROW = "%d %d %d %d %.17g %.17g\n"
 _ROW_DTYPE = np.dtype([("k", np.int64, (4,)), ("c", np.float64, (2,))])
@@ -507,6 +509,10 @@ def parse_field_block(text: str, pos: int) -> tuple[Field, int]:
     ncomp = int(header[4])
     if ncomp not in (1, 3):
         raise ValueError(f"unsupported component count {ncomp}")
+    bw = bandwidth_of(cutoff)
+    side = 2 * bw + 1
+    if ncomp * side**3 > _MAX_COEFFS:
+        raise ValueError(f"cutoff {cutoff} needs more than {_MAX_COEFFS} coefficients")
     found = _BLOCK_END.search(text, start - 1)
     end = found.start() + 1 if found else len(text)
     body = text[start:end].splitlines()
@@ -517,8 +523,6 @@ def parse_field_block(text: str, pos: int) -> tuple[Field, int]:
         except ValueError as exc:
             at = line_number(text, pos)
             raise ValueError(f"malformed mode line in the block at line {at}: {exc}") from None
-    bw = bandwidth_of(cutoff)
-    side = 2 * bw + 1
     kv, comp = rows["k"][:, :3], rows["k"][:, 3]
     _reject(~np.isfinite(rows["c"]).all(axis=1), "non-finite coefficient", rows, text, pos)
     # the box test comes first: squares of indices outside it may overflow

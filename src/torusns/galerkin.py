@@ -44,7 +44,6 @@ from .fields import (
 )
 from .operators import (
     _fast_len,
-    _sample_stack,
     div,
     grad,
     grad_norm,
@@ -161,6 +160,8 @@ class FieldTrajectory:
             raise ValueError("times and fields must have matching lengths")
         if len(times) < 1:
             raise ValueError("a trajectory needs at least one sample")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         if abs(times[0]) > 1e-12 * max(1.0, abs(times[-1])):
             raise ValueError("trajectories start at t = 0")
         if np.any(np.diff(times) <= 0):
@@ -423,17 +424,6 @@ def _integrate_ns(
 # ---------------------------------------------------------------------------
 
 
-def _drift_derivative_stack(field: SpectralVectorField) -> np.ndarray:
-    """Coefficient stack with entry [m, c] holding d_m (component c)."""
-    k1, k2, k3, _ = wave_cubes(field.bandwidth)
-    fac = 1j * 2.0 * math.pi / field.ell
-    out = np.empty((3, 3) + field.components[0].coeffs.shape, dtype=np.complex128)
-    for c, comp in enumerate(field.components):
-        for m, km in enumerate((k1, k2, k3)):
-            out[m, c] = fac * km * comp.coeffs
-    return out
-
-
 @dataclass(frozen=True)
 class LinearizedOperator:
     """Dense Galerkin matrices A(t) of the drift-linearized problem.
@@ -454,16 +444,36 @@ class LinearizedOperator:
 
     def at(self, t: float) -> np.ndarray:
         """Full matrix at time t (linear interpolation between samples)."""
-        times = self.times
-        if len(times) == 1:
-            return self.matrices[0]
-        t = min(max(t, times[0]), times[-1])
-        i = int(np.searchsorted(times, t))
-        if i < len(times) and times[i] == t:
-            return self.matrices[i]
-        i = min(max(i, 1), len(times) - 1)
-        theta = (t - times[i - 1]) / (times[i] - times[i - 1])
-        return (1 - theta) * self.matrices[i - 1] + theta * self.matrices[i]
+        return _interpolate(self.times, self.matrices, t)
+
+
+def _interpolate(times: np.ndarray, table: np.ndarray, t: float) -> np.ndarray:
+    """Linear interpolation of the rows of ``table`` sampled at ``times``;
+    t is clamped to the sampled span, and a sample time returns its row."""
+    t = min(max(t, times[0]), times[-1])
+    i = int(np.searchsorted(times, t))
+    if i < len(times) and times[i] == t:
+        return table[i]
+    i = min(max(i, 1), len(times) - 1)
+    theta = (t - times[i - 1]) / (times[i] - times[i - 1])
+    return (1 - theta) * table[i - 1] + theta * table[i]
+
+
+def _basis_modes(basis: DivFreeBasis) -> tuple[np.ndarray, np.ndarray]:
+    """k_b and c_b = c_{k_b} of every divergence-free basis field, k_b the
+    larger of its +-k pair; c_b is halved at k_b = 0, a pair of one mode,
+    so that a sum over both signs of k_b counts that mode once."""
+    side = 2 * bandwidth_of(basis.cutoff) + 1
+    center = side**3 // 2
+    half = basis._divfree_matrix.reshape(basis.dim, 3, side**3)[:, :, center:]
+    support = np.any(half != 0, axis=1)
+    if np.any(support.sum(axis=1) != 1):
+        raise ValueError("every basis field must be a single +-k pair")
+    rep = np.argmax(support, axis=1)
+    kvec = np.stack(np.unravel_index(center + rep, (side,) * 3), axis=1) - side // 2
+    coef = half[np.arange(basis.dim), :, rep]
+    coef[rep == 0] /= 2
+    return kvec.astype(np.float64), coef
 
 
 def assemble_linearized(
@@ -474,65 +484,62 @@ def assemble_linearized(
 ) -> LinearizedOperator:
     """Galerkin matrices of the drift coupling plus diagonal diffusion.
 
-    For every drift sample the coupling entries are evaluated in the form
-    (w . grad v', v) + (v' . grad w, v) and cross-checked against the
-    integration-by-parts form (w . grad v', v) - (w, v' . grad v); the
-    identity requires div w = 0, so a non-solenoidal drift is rejected.
+    Entry (a, b) of the coupling is (w . grad v_b, v_a) + (v_b . grad w, v_a),
+    summed in Fourier space over the triads r = p + q, r = +-k_a, q = +-k_b:
+    each basis field is one +-k pair, so only the drift modes k_a -+ k_b
+    enter.  The identity (v_b . grad w, v_a) + (w, v_b . grad v_a) =
+    -((div v_b) w, v_a) = 0 is checked, which rejects a basis field that is
+    not solenoidal; a drift that is not solenoidal is rejected by its
+    divergence.
     """
     if isinstance(w, SpectralVectorField):
-        times = np.array([0.0])
-        samples = [w]
-    else:
-        times = np.asarray(w.times, dtype=np.float64)
-        samples = list(w.fields)
+        w = FieldTrajectory(np.zeros(1), (w,))
+    times, samples = w.times, w.fields
     for s in samples:
         if s.ell != basis.ell:
             raise ValueError("incompatible domains: drift period differs from basis")
         _require_divfree(s, "drift field")
 
-    ell = basis.ell
-    bw = bandwidth_of(basis.cutoff)
-    bw_w = max(s.bandwidth for s in samples)
-    # triple products w * grad v' * v have per-axis bandwidth bw_w + 2 bw
-    n = _fast_len(max(3 * bw, bw_w + 2 * bw) + 1)
-    cell = (ell / n) ** 3
-    fields = basis.divfree_fields()
-    dim = len(fields)
-
-    vsamp = np.empty((dim, 3, n, n, n))
-    dsamp = np.empty((dim, 3, 3, n, n, n))
-    for b, fb in enumerate(fields):
-        vsamp[b] = _sample_stack(fb.coeff_stack(), n)
-        dsamp[b] = _sample_stack(
-            _drift_derivative_stack(fb).reshape(9, *fb.components[0].coeffs.shape), n
-        ).reshape(3, 3, n, n, n)
-
-    vflat = vsamp.reshape(dim, -1)
-    npts = n**3
-    matrices = np.empty((len(times), dim, dim))
+    kvec, coef = _basis_modes(basis)
+    conj = coef.conj()
+    # |k_a +- k_b|^2 <= 4 M: drift modes beyond that never couple the basis
+    w_cutoff = 4 * basis.cutoff
+    side = 2 * bandwidth_of(w_cutoff) + 1
+    # flat position in the centered cube is linear in k (mixed radix)
+    lin = (kvec @ np.array([side * side, side, 1.0])).astype(np.intp)
+    at_diff = side**3 // 2 + lin[:, None] - lin[None, :]
+    at_sum = side**3 // 2 + lin[:, None] + lin[None, :]
+    # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a; and c_b . k_b
+    gram, gram_bar, ka_cb = conj @ coef.T, conj @ conj.T, kvec @ coef.T
+    kb_cb = np.einsum("bj,bj->b", kvec, coef)
+    # the four sign pairs of (r, q) come in conjugate pairs, so an entry is
+    # 2 Re of the terms at (k_a, k_b) and (k_a, -k_b), each i kappa ell^3 X:
+    # entry = -2 kappa ell^3 Im X
+    fac = -4.0 * math.pi * basis.ell**2
+    matrices = np.empty((len(times), basis.dim, basis.dim))
     for it, wt in enumerate(samples):
-        wsamp = _sample_stack(wt.coeff_stack(), n)
-        dwsamp = _sample_stack(
-            _drift_derivative_stack(wt).reshape(9, *wt.components[0].coeffs.shape), n
-        ).reshape(3, 3, n, n, n)
-        # (w . grad v_col, v_row)
-        conv = np.einsum("mxyz,bmcxyz->bcxyz", wsamp, dsamp).reshape(dim, -1)
-        t1 = cell * (vflat @ conv.T)
-        # (v_col . grad w, v_row)
-        gradw = np.einsum("bmxyz,mcxyz->bcxyz", vsamp, dwsamp).reshape(dim, -1)
-        t2 = cell * (vflat @ gradw.T)
-        # second form: (w . grad v_col, v_row) - (w, v_col . grad v_row)
-        tw = np.einsum("cxyz,bmcxyz->bmxyz", wsamp, dsamp).reshape(dim, -1)
-        s2 = cell * (tw @ vsamp.reshape(dim, -1).T)
+        wflat = truncate_vector(wt, w_cutoff).coeff_stack().reshape(3, -1)
+        w_diff, w_sum = wflat[:, at_diff], wflat[:, at_sum]
+        wd_ca = np.einsum("jab,aj->ab", w_diff, conj)
+        ws_ca = np.einsum("jab,aj->ab", w_sum, conj)
+        # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a)
+        t1 = fac * np.imag(
+            np.einsum("jab,bj->ab", w_diff, kvec) * gram
+            - np.einsum("jab,bj->ab", w_sum, kvec) * gram_bar
+        )
+        # (v_b . grad w, v_a): (c_q . p)(w_p . conj c_a)
+        t2 = fac * np.imag((ka_cb - kb_cb) * wd_ca + np.conj(ka_cb + kb_cb) * ws_ca)
+        # (w, v_b . grad v_a): -(c_q . r)(w_p . conj c_a)
+        s2 = -fac * np.imag(ka_cb * wd_ca + np.conj(ka_cb) * ws_ca)
         scale = max(1.0, float(np.max(np.abs(t1)) + np.max(np.abs(t2))))
         defect = float(np.max(np.abs(t2 + s2)))
         if defect > check_tol * scale:
             raise ValueError(
                 f"coupling-form identity violated (defect {defect:.3e}); "
-                "drift is not solenoidal enough"
+                "a basis field is not solenoidal"
             )
         matrices[it] = t1 + t2
-    diffusion = mu * basis.shell_values() * (2.0 * math.pi / ell) ** 2
+    diffusion = mu * basis.shell_values() * (2.0 * math.pi / basis.ell) ** 2
     matrices += np.diag(diffusion)[None, :, :]
     return LinearizedOperator(basis, mu, times, matrices, diffusion)
 
@@ -576,21 +583,10 @@ def _coefficient_forcing(
     if isinstance(f, FieldTrajectory):
         if f.horizon < horizon * (1 - 1e-9):
             raise ValueError("forcing samples do not cover the integration horizon")
-        times = f.times
         table = np.stack(
             [project_coefficients(truncate_vector(x, basis.cutoff), basis) for x in f.fields]
         )
-
-        def lookup(t: float) -> np.ndarray:
-            tt = min(max(t, times[0]), times[-1])
-            i = int(np.searchsorted(times, tt))
-            if i < len(times) and times[i] == tt:
-                return table[i]
-            i = min(max(i, 1), len(times) - 1)
-            theta = (tt - times[i - 1]) / (times[i] - times[i - 1])
-            return (1 - theta) * table[i - 1] + theta * table[i]
-
-        return lookup
+        return lambda t: _interpolate(f.times, table, t)
     if callable(f):
         return lambda t: project_coefficients(truncate_vector(f(t), basis.cutoff), basis)
     raise TypeError(f"unsupported forcing specification: {type(f)!r}")

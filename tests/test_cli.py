@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,7 +167,10 @@ class TestExitCodes:
         assert "non-finite coefficient" in r.stderr
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("damage", ["empty", "count_too_large", "trailing_block"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["empty", "count_too_large", "trailing_block", "nan_time", "inf_ell", "huge_cutoff"],
+    )
     def test_malformed_trajectory_is_config_error(self, decay_dir, tmp_path, damage):
         text = (decay_dir[0] / "run.traj").read_text()
         header, body = text.split("\n", 1)
@@ -175,8 +179,14 @@ class TestExitCodes:
         elif damage == "count_too_large":
             *head, count = header.split()
             text = " ".join(head + [str(int(count) + 1)]) + "\n" + body
-        else:  # the first sample once more, after the counted ones
+        elif damage == "trailing_block":  # the first sample once more, after the counted ones
             text += body[: body.index("\nT ") + 1]
+        elif damage == "nan_time":  # the second time marker
+            text = header + "\n" + re.sub(r"\nT \S+", "\nT nan", body, count=1)
+        elif damage == "inf_ell":  # in the TRAJ and every TORUSFIELD header
+            text = re.sub(r"^(TRAJ|TORUSFIELD) 1 \S+", r"\1 1 inf", text, flags=re.M)
+        else:  # a dense cube of 3 (2 * 10^4 + 1)^3 coefficients, 384 TB
+            text = re.sub(r"^(TORUSFIELD 1 \S+) \d+", r"\1 100000000", text, count=1, flags=re.M)
         (tmp_path / "bad.traj").write_text(text)
         r = run_cli("certify", "--traj", "bad.traj", "--mu", "0.1", cwd=tmp_path)
         assert r.returncode == 2

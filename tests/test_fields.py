@@ -173,6 +173,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_field(io.StringIO(f"TORUSFIELD 1 1.0 4 3\n1 1 0 3 0.5 0.5\n{rows}\n"))
 
+    @pytest.mark.parametrize(
+        "ell, cutoff, message",
+        [
+            ("inf", 4, "finite"),
+            ("nan", 4, "finite"),
+            ("1.0", 100000000, "coefficients"),  # a dense cube of 384 TB
+            ("1.0", 7921, "coefficients"),  # B = 89: 3 * 179^3 > 2^24 coefficients
+        ],
+    )
+    def test_malformed_header_rejected(self, ell, cutoff, message):
+        with pytest.raises(ValueError, match=message):
+            read_field(io.StringIO(f"TORUSFIELD 1 {ell} {cutoff} 3\n1 1 0 3 0.5 0.5\n"))
+
 
 def _reference_write_field(u, stream):
     """The per-mode writer the array codec replaced, kept as its oracle."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 
 from torusns.eigenbasis import build_basis, project_coefficients
 from torusns.fields import (
+    SpectralVectorField,
+    bandwidth_of,
     random_vector_field,
     vector_from_modes,
+    wave_cubes,
 )
 from torusns.galerkin import (
     FieldTrajectory,
@@ -23,7 +27,7 @@ from torusns.galerkin import (
     solve_navier_stokes,
 )
 from torusns.helmholtz import leray_project, recover_pressure
-from torusns.operators import div, l2_norm_exact
+from torusns.operators import _fast_len, _sample_stack, div, l2_norm_exact
 from torusns.problems import (
     shear_decay_amplitude,
     shear_field,
@@ -160,6 +164,44 @@ class TestAssembly:
         with pytest.raises(ValueError, match="divergence-free"):
             assemble_linearized(w, basis4, MU)
 
+    @pytest.mark.parametrize(
+        "swap, message",
+        [
+            # the coupling-form identity holds only for solenoidal basis fields
+            ("curl_free", "coupling-form identity.*basis field is not solenoidal"),
+            ("two_pairs", r"single \+-k pair"),
+        ],
+    )
+    def test_malformed_basis_field_rejected(self, basis4, rng, swap, message):
+        w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
+        entries = list(basis4.entries)
+        m, j, field = entries[5]
+        if swap == "curl_free":
+            field = basis4.gradient_entries[0][2]
+        else:
+            field = (field + entries[9][2]) * math.sqrt(0.5)
+        entries[5] = (m, j, field)
+        bad = dataclasses.replace(basis4, entries=tuple(entries))
+        with pytest.raises(ValueError, match=message):
+            assemble_linearized(w, bad, MU)
+
+    @pytest.mark.parametrize("drift", ["cutoff4", "cutoff9", "wide", "trajectory", "zero"])
+    def test_matches_grid_assembly(self, rng, drift):
+        basis = build_basis(ELL, 9 if drift == "cutoff9" else 4)
+        w_cutoff = 9 if drift in ("cutoff9", "wide") else 4
+        w = leray_project(random_vector_field(ELL, w_cutoff, rng, amplitude=0.3))
+        if drift == "trajectory":
+            w2 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
+            w = FieldTrajectory(np.array([0.0, 0.5]), (w, w2))
+        elif drift == "zero":
+            w = w * 0.0
+        op = assemble_linearized(w, basis, MU)
+        ref = _grid_coupling(w, basis)
+        assert len(op.matrices) == len(ref)
+        for i, expected in enumerate(ref):
+            err = np.max(np.abs(op.drift_part(i) - expected))
+            assert err <= 1e-13 * np.max(np.abs(expected))
+
     def test_wide_drift_entries_exact(self, basis4, rng):
         # drift modes above the basis cutoff still couple the basis fields
         from torusns.fields import embed_vector
@@ -184,6 +226,42 @@ def SpectralZero():
 
 def _shells1():
     return [np.array(k) for k in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]]
+
+
+def _grid_coupling(w, basis):
+    """Drift couplings (w . grad v_b, v_a) + (v_b . grad w, v_a) by exact
+    quadrature of the sampled basis fields: the grid assembly the Fourier
+    assembly replaced, kept as its oracle."""
+    samples = [w] if isinstance(w, SpectralVectorField) else list(w.fields)
+
+    def derivatives(field):
+        k1, k2, k3, _ = wave_cubes(field.bandwidth)
+        fac = 1j * 2.0 * math.pi / field.ell
+        out = np.empty((3, 3) + field.components[0].coeffs.shape, dtype=np.complex128)
+        for c, comp in enumerate(field.components):
+            for m, km in enumerate((k1, k2, k3)):
+                out[m, c] = fac * km * comp.coeffs
+        return out.reshape(9, *out.shape[2:])
+
+    bw = bandwidth_of(basis.cutoff)
+    bw_w = max(s.bandwidth for s in samples)
+    # triple products w * grad v_b * v_a have per-axis bandwidth bw_w + 2 bw
+    n = _fast_len(max(3 * bw, bw_w + 2 * bw) + 1)
+    cell = (basis.ell / n) ** 3
+    fields = basis.divfree_fields()
+    dim = len(fields)
+    vsamp = np.stack([_sample_stack(f.coeff_stack(), n) for f in fields])
+    dsamp = np.stack([_sample_stack(derivatives(f), n) for f in fields])
+    dsamp = dsamp.reshape(dim, 3, 3, n, n, n)
+    vflat = vsamp.reshape(dim, -1)
+    out = []
+    for wt in samples:
+        wsamp = _sample_stack(wt.coeff_stack(), n)
+        dwsamp = _sample_stack(derivatives(wt), n).reshape(3, 3, n, n, n)
+        conv = np.einsum("mxyz,bmcxyz->bcxyz", wsamp, dsamp).reshape(dim, -1)
+        gradw = np.einsum("bmxyz,mcxyz->bcxyz", vsamp, dwsamp).reshape(dim, -1)
+        out.append(cell * (vflat @ conv.T) + cell * (vflat @ gradw.T))
+    return out
 
 
 def _transport_matrix(w, basis):
