@@ -31,6 +31,7 @@ from . import estimates, problems
 from .eigenbasis import build_basis, load_basis, project_coefficients
 from .fields import (
     _FMT,
+    _MAX_COEFFS,
     SpectralVectorField,
     bandwidth_of,
     load_field,
@@ -128,7 +129,8 @@ def _write_json(path: Path, obj) -> None:
 def _norm_grid(spec_grid: int | None, cutoff: int) -> int:
     """Quadrature grid for the L^p, L^inf and LPS norms at shell cutoff ``cutoff``.
 
-    A grid coarser than 2B+1 cannot resolve the fields, so it is rejected.
+    A grid coarser than 2B+1 cannot resolve the fields, so it is rejected,
+    and so is a grid of more than 2^24 points, the ceiling on field files.
     """
     bw = bandwidth_of(cutoff)
     if spec_grid is None:
@@ -137,6 +139,8 @@ def _norm_grid(spec_grid: int | None, cutoff: int) -> int:
         raise ConfigError(
             f"--grid {spec_grid} cannot resolve cutoff {cutoff}: need at least {2 * bw + 1}"
         )
+    if spec_grid**3 > _MAX_COEFFS:
+        raise ConfigError(f"--grid {spec_grid} has more than {_MAX_COEFFS} points")
     return spec_grid
 
 
@@ -312,7 +316,7 @@ def _run_manufactured(spec: RunSpec) -> int:
         dts = [cfg.dt * 0.5**i for i in range(spec.dt_study)]
         tasks = [(cfg.scheme, dt, cfg.cutoff, cfg.horizon, spec.ell, cfg.mu) for dt in dts]
         if spec.jobs > 1:
-            with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(spec.jobs, len(tasks))) as pool:
                 results = list(pool.map(_study_worker, tasks))
         else:
             results = [_study_worker(t) for t in tasks]
@@ -409,6 +413,8 @@ def _run_custom(spec: RunSpec) -> int:
 
 
 def _run_certify(args) -> int:
+    if not 0 < args.mu < math.inf:
+        raise ConfigError(f"viscosity mu must be positive and finite, got {args.mu}")
     try:
         traj = load_trajectory(args.traj)
     except (OSError, ValueError) as exc:
@@ -697,6 +703,8 @@ def _spec_from_args(args, problem: str, need_config: bool = True) -> RunSpec:
             raise ConfigError(str(exc)) from exc
         # reject a bad --grid before the solve writes any artifact
         _norm_grid(args.grid, config.cutoff)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     return RunSpec(
         problem=problem,
         config=config,

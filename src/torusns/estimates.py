@@ -170,11 +170,14 @@ def energy_certificate(
             grid_n = _fast_len(max(2 * w.fields[0].bandwidth + 1, 16))
         sup_sq = np.array([lp_norm(x, math.inf, grid_n) ** 2 for x in w.fields])
         integral = trapezoid(sup_sq, w.times)
-        factor = (
-            1.0
-            + 2.0 * math.sqrt(2.0) * math.exp(integral / mu)
-            + (4.0 / mu) * integral * math.exp(2.0 * integral / mu)
-        )
+        try:
+            factor = (
+                1.0
+                + 2.0 * math.sqrt(2.0) * math.exp(integral / mu)
+                + (4.0 / mu) * integral * math.exp(2.0 * integral / mu)
+            )
+        except OverflowError:  # I/mu beyond the float range: no finite bound
+            factor = math.inf
 
     if rhs2 == 0.0:
         ratio = 0.0 if lhs2 == 0.0 else math.inf
@@ -216,9 +219,9 @@ def lps_norm(
     traj: FieldTrajectory, s_exponent: float, r_exponent: float, n: int
 ) -> LpsReport:
     """Time-quadrature of the spatial L^r norm to the power s."""
-    if s_exponent < 1:
+    if not s_exponent >= 1:
         raise ValueError("time exponent must be >= 1 (or infinity)")
-    if r_exponent <= 1:
+    if not r_exponent > 1:
         raise ValueError("space exponent must lie in (1, infinity]")
     spatial = np.array([lp_norm(u, r_exponent, n) for u in traj.fields])
     if math.isinf(s_exponent):

@@ -70,6 +70,9 @@ def wave_index_axes(bandwidth: int) -> np.ndarray:
     return np.arange(-bandwidth, bandwidth + 1)
 
 
+# Admitted torus periods: ell^3 and (2 pi / ell)^2 stay finite, nonzero floats.
+_MIN_ELL, _MAX_ELL = 1e-100, 1e100
+
 _CUBE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
@@ -126,8 +129,8 @@ class SpectralScalarField:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 < self.ell < math.inf:
-            raise ValueError("period ell must be positive and finite")
+        if not _MIN_ELL <= self.ell <= _MAX_ELL:
+            raise ValueError(f"period ell must be finite and lie in [{_MIN_ELL:g}, {_MAX_ELL:g}]")
         if not (isinstance(self.cutoff, (int, np.integer)) and self.cutoff >= 0):
             raise ValueError("cutoff must be a nonnegative integer")
         object.__setattr__(self, "cutoff", int(self.cutoff))

@@ -86,10 +86,11 @@ class SolverConfig:
 
     Attributes
     ----------
-    mu : viscosity, positive.
-    horizon : final time T.
+    mu : viscosity, positive and finite.
+    horizon : final time T, positive and finite.
     cutoff : spectral shell cutoff M of the Galerkin space.
-    dt : time step (the actual step is T/N with N = round(T/dt)).
+    dt : time step, positive and finite (the actual step is T/N with
+        N = round(T/dt), which must be a finite number).
     scheme : 'imex_euler' or 'if_rk4'.
     dealias_grid : optional minimal grid for the transport products; must
         be at least 3B+1 for axis bandwidth B, the smallest grid on which
@@ -116,12 +117,14 @@ class SolverConfig:
     cfl_warning: bool = True
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError("viscosity mu must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon T must be positive")
-        if not self.dt > 0:
-            raise ValueError("time step dt must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("viscosity mu must be positive and finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon T must be positive and finite")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("time step dt must be positive and finite")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError("the step count T/dt is not a finite number")
         if self.dt > self.horizon * (1 + 1e-12):
             raise ValueError("time step dt must not exceed the horizon")
         if self.cutoff < 1:
@@ -602,12 +605,12 @@ def _integrate_linear(
     nsteps = max(1, round(config.horizon / dt))
     dt = config.horizon / nsteps
     diff = op.diffusion
-
-    def drift(t: float) -> np.ndarray:
-        return op.at(t) - np.diag(diff)
+    eh = np.exp(-diff * dt / 2.0)
+    ef = eh * eh
 
     def gee(c: np.ndarray, t: float) -> np.ndarray:
-        return gfun(t) - drift(t) @ c
+        # the drift part (A(t) - diag(diff)) c, without forming the matrix
+        return gfun(t) - op.at(t) @ c + diff * c
 
     c = c0.copy()
     out = [c0.copy()]
@@ -617,8 +620,6 @@ def _integrate_linear(
         if config.scheme == "imex_euler":
             c = (c + dt * gee(c, t)) / (1.0 + dt * diff)
         else:
-            eh = np.exp(-diff * dt / 2.0)
-            ef = eh * eh
             k1 = gee(c, t)
             k2 = gee(eh * (c + 0.5 * dt * k1), t + 0.5 * dt)
             k3 = gee(eh * c + 0.5 * dt * k2, t + 0.5 * dt)
@@ -662,11 +663,24 @@ def linearized_closed_form(
 ) -> np.ndarray:
     """Matrix-exponential solution for an autonomous operator.
 
-    c(t) = exp(-t A) c0 + int_0^t exp(-(t - s) A) g ds for constant g,
-    evaluated through the augmented-matrix exponential.
+    c(t) = exp(-t A) c0 + int_0^t exp(-(t - s) A) g ds for constant g is the
+    top of z(t) = exp(t B) [c0; 1] with the augmented matrix
+    B = [[-A, g], [0, 0]].  By the semigroup property the times are walked in
+    order from t = 0: each spacing h = t_i - t_(i-1) advances z by
+    Phi(h) = exp(h B), one matrix-vector product.  Phi is recomputed only
+    when h differs from the spacing it was computed for by more than a few
+    ulp of t_i, so the uniform times of the solver, jittered by roundoff,
+    cost one exponential; a repeated time costs nothing.  The times must be
+    finite and nondecreasing from 0.
     """
     if len(op.times) != 1:
         raise ValueError("closed form requires an autonomous (single-sample) operator")
+    times = np.asarray(times, dtype=np.float64)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("closed-form times must be finite")
+    steps = np.diff(times, prepend=0.0)
+    if np.any(steps < 0):
+        raise ValueError("closed-form times must be nondecreasing from t = 0")
     a = op.matrices[0]
     dim = a.shape[0]
     out = np.empty((len(times), dim))
@@ -674,9 +688,14 @@ def linearized_closed_form(
     aug = np.zeros((dim + 1, dim + 1))
     aug[:dim, :dim] = -a
     aug[:dim, dim] = g
-    for i, t in enumerate(times):
-        phi = matrix_exponential(aug * t)
-        out[i] = phi[:dim, :dim] @ c0 + phi[:dim, dim]
+    z = np.append(np.asarray(c0, dtype=np.float64), 1.0)
+    phi, phi_step = None, math.nan
+    for i, (t, h) in enumerate(zip(times, steps)):
+        if h > 0:
+            if not abs(h - phi_step) <= 4 * np.spacing(t):
+                phi, phi_step = matrix_exponential(aug * h), h
+            z = phi @ z
+        out[i] = z[:dim]
     return out
 
 
@@ -791,7 +810,9 @@ def load_trajectory(path) -> FieldTrajectory:
     header, pos = next_line(text, 0)
     if len(header) != 5 or header[0] != "TRAJ" or header[1] != "1":
         raise ValueError("not a TRAJ version 1 file")
-    count = int(header[4])
+    ell, cutoff, count = float(header[2]), int(header[3]), int(header[4])
+    if count < 1:
+        raise ValueError(f"TRAJ sample count must be at least 1, got {count}")
     times = []
     fields = []
     for i in range(count):
@@ -804,6 +825,11 @@ def load_trajectory(path) -> FieldTrajectory:
         field, pos = parse_field_block(text, end)
         if not isinstance(field, SpectralVectorField):
             raise ValueError("trajectory blocks must be vector fields")
+        if field.ell != ell or field.cutoff != cutoff:
+            raise ValueError(
+                f"block {i + 1} has ell {field.ell!r} and cutoff {field.cutoff}, "
+                f"but the TRAJ header says ell {ell!r} and cutoff {cutoff}"
+            )
         fields.append(field)
     if next_line(text, pos)[0]:
         raise ValueError(

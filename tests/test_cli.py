@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusns.cli import main
+from torusns.cli import _apply_config_file, build_parser, main
 from torusns.fields import load_field, random_vector_field, save_field
 from torusns.galerkin import FieldTrajectory, load_trajectory, save_trajectory
 from torusns.helmholtz import leray_project
@@ -169,7 +169,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "damage",
-        ["empty", "count_too_large", "trailing_block", "nan_time", "inf_ell", "huge_cutoff"],
+        [
+            "empty", "count_too_large", "trailing_block", "nan_time", "inf_ell", "huge_cutoff",
+            "header_ell", "header_cutoff", "negative_count",
+        ],
     )
     def test_malformed_trajectory_is_config_error(self, decay_dir, tmp_path, damage):
         text = (decay_dir[0] / "run.traj").read_text()
@@ -185,13 +188,76 @@ class TestExitCodes:
             text = header + "\n" + re.sub(r"\nT \S+", "\nT nan", body, count=1)
         elif damage == "inf_ell":  # in the TRAJ and every TORUSFIELD header
             text = re.sub(r"^(TRAJ|TORUSFIELD) 1 \S+", r"\1 1 inf", text, flags=re.M)
-        else:  # a dense cube of 3 (2 * 10^4 + 1)^3 coefficients, 384 TB
+        elif damage == "huge_cutoff":  # a dense cube of 3 (2 * 10^4 + 1)^3 coefficients, 384 TB
             text = re.sub(r"^(TORUSFIELD 1 \S+) \d+", r"\1 100000000", text, count=1, flags=re.M)
+        elif damage == "header_ell":  # the blocks keep their ell
+            text = re.sub(r"^TRAJ 1 \S+", "TRAJ 1 inf", text)
+        elif damage == "header_cutoff":  # the blocks keep cutoff 4
+            text = re.sub(r"^(TRAJ 1 \S+) \d+", r"\1 99", text)
+        else:
+            text = re.sub(r"^(TRAJ .*) \d+$", r"\1 -1", text, count=1, flags=re.M)
         (tmp_path / "bad.traj").write_text(text)
         r = run_cli("certify", "--traj", "bad.traj", "--mu", "0.1", cwd=tmp_path)
         assert r.returncode == 2
         assert "configuration error" in r.stderr
         assert "Traceback" not in r.stderr
+        if damage == "negative_count":
+            assert "sample count must be at least 1" in r.stderr
+        elif damage.startswith("header_"):
+            assert "TRAJ header" in r.stderr
+
+    @pytest.mark.parametrize("command", ["decay", "linearized"])
+    @pytest.mark.parametrize(
+        "horizon, step", [("inf", "1e-3"), ("0.01", "inf"), ("nan", "1e-3"), ("1e300", "1e-300")]
+    )
+    def test_nonfinite_horizon_or_step_is_config_error(self, tmp_path, command, horizon, step):
+        r = run_cli(
+            command, "--T", horizon, "--dt", step, "--M", "4", "--out-dir", "out", cwd=tmp_path
+        )
+        assert r.returncode == 2
+        assert "configuration error" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pair", ["nan,4", "4,nan", "nan,nan"])
+    def test_nan_lps_exponent_is_config_error(self, decay_dir, tmp_path, pair):
+        out, _ = decay_dir
+        r = run_cli(
+            "certify", "--traj", str(out / "run.traj"), "--mu", "0.1", "--lps", pair,
+            "--out-dir", "cert", cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "exponent" in r.stderr
+        assert not (tmp_path / "cert" / "certificate.json").exists()
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["decay", "--jobs", "0"], "--jobs must be at least 1"),
+            (["decay", "--grid", "257"], "points"),
+            (["decay", "--ell", "1e300"], "period ell"),
+            (["linearized", "--ell", "1e-300"], "period ell"),
+            (["decay", "--mu", "inf"], "viscosity"),
+            (["certify", "--mu", "0"], "viscosity"),
+            (["certify", "--mu", "nan"], "viscosity"),
+        ],
+        ids=["jobs", "grid", "huge_ell", "tiny_ell", "inf_mu", "certify_zero_mu", "certify_nan_mu"],
+    )
+    def test_flag_value_out_of_range_is_config_error(
+        self, decay_dir, tmp_path, monkeypatch, argv, message
+    ):
+        monkeypatch.delenv("TORUS_NS_OUT", raising=False)
+        if argv[0] == "certify":
+            argv = argv + ["--traj", str(decay_dir[0] / "run.traj")]
+        else:
+            argv = argv + ["--T", "0.003", "--dt", "1e-3", "--M", "4"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error" in err.getvalue() and message in err.getvalue()
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:
@@ -413,3 +479,77 @@ class TestCorruptedFiles:
             code = main(argv + ["--out-dir", str(fuzz_dir / "out")])
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
+
+
+# Values every fuzzed flag may get, and per flag a few that parse.  Sizes are
+# capped here, not in the program: M <= 3, small Bochner indices, and at
+# most 4 time steps (see _cap_steps).
+BAD_VALUES = ["-1", "0", "-0", "nan", "inf", "-inf", "x", "", "1,2", "0x10", "1e400"]
+FLAG_VALUES = {
+    "--M": ["1", "2", "3"],
+    "--T": ["0.003", "1e-300", "1e300"],
+    "--dt": ["1e-3", "1e-300", "1e300"],
+    "--mu": ["0.1", "1e-300", "1e300"],
+    "--ell": ["1", "6.25", "1e-300", "1e300"],
+    "--grid": ["5", "7", "16", "257", "99999999999999999999"],
+    "--lps": ["4,6", "inf,2", "2,inf", "nan,4", "4,nan", "0.5,6", "2,1", "x,6", "4,6,8"],
+    "--bochner": ["0,1", "1,0", "1,1", "-1,0", "0,-1", "x,1", "0"],
+    "--jobs": ["1", "2", "99999999999999999999"],
+}
+SOLVER_DEFAULTS = {"--M": "3", "--T": "0.003", "--dt": "1e-3"}
+CONFIG_NOISE = ["", "# comment", "junk line", "unknown_key = 1", "= 3", "M ="]
+
+
+def _positive_number(text):
+    try:
+        x = float(text)
+    except ValueError:
+        return None
+    return x if 0 < x < math.inf else None
+
+
+def _cap_steps(flags):
+    """Set dt = T where T and dt are numbers whose ratio T/dt exceeds 4."""
+    horizon, step = _positive_number(flags["--T"]), _positive_number(flags["--dt"])
+    if horizon is not None and step is not None and not horizon / step <= 4:
+        flags["--dt"] = flags["--T"]
+    return flags
+
+
+_flag_value = st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.sampled_from(BAD_VALUES + FLAG_VALUES[flag]))
+)
+
+
+class TestFlagValues:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["decay", "taylor_green", "manufactured", "linearized", "certify"]),
+        drawn=st.lists(_flag_value, min_size=1, max_size=3),
+        via_config=st.booleans(),
+        noise=st.sampled_from(CONFIG_NOISE),
+    )
+    def test_exit_code_is_documented(self, fuzz_dir, command, drawn, via_config, noise):
+        if command == "certify":  # it takes no solver flags, so only drawn ones are passed
+            flags, base = dict(drawn), ["certify", "--traj", str(fuzz_dir / "run.traj")]
+        else:
+            flags, base = _cap_steps({**SOLVER_DEFAULTS, **dict(drawn)}), [command]
+        if via_config:
+            lines = [f"{flag[2:]} = {value}" for flag, value in flags.items()] + [noise]
+            (fuzz_dir / "flags.cfg").write_text("\n".join(lines) + "\n")
+            argv = base + ["--config", str(fuzz_dir / "flags.cfg")]
+        else:
+            argv = base + [tok for flag, value in flags.items() for tok in (flag, value)]
+        argv += ["--out-dir", str(fuzz_dir / "flags_out")]
+        # --jobs starts a pool only with --dt-study, which is never passed here
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a value with exit 2
+                code = exc.code
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and "--jobs" in flags:
+            args = build_parser().parse_args(_apply_config_file(argv, build_parser()))
+            assert args.jobs >= 1

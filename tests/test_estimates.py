@@ -162,6 +162,13 @@ class TestEnergyCertificate:
         )
         assert cert.factor == pytest.approx(expected, rel=1e-12)
 
+    def test_drift_factor_beyond_float_range_is_infinite(self, shear_run):
+        # I/mu = 0.25 T / 1e-300: exp overflows, so no finite bound exists
+        w = vector_from_modes(ELL, 4, {(0, 0, 0): (0.5, 0.0, 0.0)})
+        cert = energy_certificate(shear_run, None, None, 1e-300, w=w)
+        assert cert.factor == math.inf
+        assert cert.passed
+
     def test_rhs_blind_to_gradient_part_of_forcing(self, shear_run, rng):
         f = random_vector_field(ELL, 4, rng)
         cert_full = energy_certificate(shear_run, f, None, MU)
@@ -209,6 +216,14 @@ class TestLps:
             lps_norm(shear_run, 0.5, 6.0, 16)
         with pytest.raises(ValueError, match="space exponent"):
             lps_norm(shear_run, 4.0, 1.0, 16)
+
+    def test_nan_exponents_rejected(self, shear_run):
+        with pytest.raises(ValueError, match=">= 1"):
+            lps_norm(shear_run, math.nan, 6.0, 16)
+        with pytest.raises(ValueError, match="space exponent"):
+            lps_norm(shear_run, 4.0, math.nan, 16)
+        # infinity stays a valid exponent in time and in space
+        assert math.isfinite(lps_norm(shear_run, math.inf, math.inf, 16).value)
 
 
 class TestBochner:

@@ -333,6 +333,145 @@ class TestLinearizedSolve:
             linearized_closed_form(op, None, np.zeros(op.matrices.shape[1]), [0.1])
 
 
+def _closed_form_per_time(op, f_const, c0, times):
+    """The closed form with one augmented exponential per output time."""
+    a = op.matrices[0]
+    dim = a.shape[0]
+    g = np.zeros(dim) if f_const is None else f_const
+    aug = np.zeros((dim + 1, dim + 1))
+    aug[:dim, :dim] = -a
+    aug[:dim, dim] = g
+    out = np.empty((len(times), dim))
+    for i, t in enumerate(times):
+        phi = matrix_exponential(aug * t)
+        out[i] = phi[:dim, :dim] @ c0 + phi[:dim, dim]
+    return out
+
+
+def _integrate_linear_dense(op, gfun, c0, config, dt):
+    """The integrator with a dense A(t) - diag(diffusion) formed at every stage."""
+    nsteps = max(1, round(config.horizon / dt))
+    dt = config.horizon / nsteps
+    diff = op.diffusion
+
+    def gee(c, t):
+        return gfun(t) - (op.at(t) - np.diag(diff)) @ c
+
+    c = c0.copy()
+    out = [c0.copy()]
+    for nstep in range(nsteps):
+        t = nstep * dt
+        if config.scheme == "imex_euler":
+            c = (c + dt * gee(c, t)) / (1.0 + dt * diff)
+        else:
+            eh = np.exp(-diff * dt / 2.0)
+            ef = eh * eh
+            k1 = gee(c, t)
+            k2 = gee(eh * (c + 0.5 * dt * k1), t + 0.5 * dt)
+            k3 = gee(eh * c + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = gee(ef * c + dt * eh * k3, t + dt)
+            c = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        out.append(c.copy())
+    return np.stack(out)
+
+
+def _solver_times(horizon, dt):
+    """The output times of solve_linearized: (n + 1) * dt_effective, roundoff included."""
+    cfg = SolverConfig(mu=MU, horizon=horizon, cutoff=4, dt=dt)
+    return np.array([0.0] + [(n + 1) * cfg.dt_effective for n in range(cfg.nsteps)])
+
+
+@pytest.fixture(scope="module")
+def drift_problem(basis4):
+    rng = np.random.default_rng(31)
+    w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
+    op = assemble_linearized(w, basis4, MU)
+    c0 = rng.standard_normal(basis4.dim)
+    g = rng.standard_normal(basis4.dim)
+    return op, c0, g
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.arange(6) * 0.05,
+            _solver_times(0.02, 5e-3),
+            _solver_times(0.3, 1e-3),
+            np.array([0.0, 0.01, 0.04, 0.05, 0.2, 0.21, 0.5]),
+            np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.35]),
+            np.array([0.0, 0.1, 0.2, 0.3 + 1e-10, 0.4 + 1e-10]),
+        ],
+        ids=["uniform", "solver", "solver_long", "nonuniform", "repeated", "near_uniform"],
+    )
+    def test_matches_per_time_exponentials(self, drift_problem, forced, times):
+        op, c0, g = drift_problem
+        f_const = g if forced else None
+        ref = _closed_form_per_time(op, f_const, c0, times)
+        got = linearized_closed_form(op, f_const, c0, times)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_zero_time_returns_initial_coefficients(self, drift_problem):
+        op, c0, g = drift_problem
+        out = linearized_closed_form(op, g, c0, [0.0, 0.0])
+        assert np.array_equal(out, np.stack([c0, c0]))
+
+    @pytest.mark.parametrize(
+        "horizon, dt", [(0.02, 5e-3), (0.25, 1e-3), (0.1, 3e-3), (1.0, 1e-3)]
+    )
+    def test_uniform_solver_times_take_one_exponential(
+        self, drift_problem, monkeypatch, horizon, dt
+    ):
+        from torusns import galerkin
+
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return matrix_exponential(a, *args, **kwargs)
+
+        monkeypatch.setattr(galerkin, "matrix_exponential", counted)
+        op, c0, g = drift_problem
+        times = _solver_times(horizon, dt)
+        assert len(set(np.diff(times))) > 1  # the spacings differ in their last bits
+        linearized_closed_form(op, g, c0, times)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, 0.2, 0.1], [-0.1, 0.0], [0.0, math.nan], [0.0, math.inf]],
+        ids=["decreasing", "negative", "nan", "inf"],
+    )
+    def test_bad_times_rejected(self, drift_problem, times):
+        op, c0, g = drift_problem
+        with pytest.raises(ValueError, match="closed-form times"):
+            linearized_closed_form(op, g, c0, times)
+
+
+class TestMatrixFreeStages:
+    @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
+    @pytest.mark.parametrize("autonomous", [True, False])
+    def test_matches_dense_stages(self, basis4, drift_problem, scheme, autonomous):
+        from torusns.galerkin import _coefficient_forcing, _integrate_linear
+
+        op, c0, _ = drift_problem
+        if not autonomous:
+            rng = np.random.default_rng(37)
+            w0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
+            w1 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
+            drift = FieldTrajectory(np.array([0.0, 0.06, 0.1]), (w0, w1, w0 * 0.5))
+            op = assemble_linearized(drift, basis4, MU)
+        forcing = leray_project(random_vector_field(ELL, 4, np.random.default_rng(41)))
+        forcing = FieldTrajectory(np.array([0.0, 0.1]), (forcing, forcing * -0.5))
+        gfun = _coefficient_forcing(forcing, basis4, 0.1)
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
+        ref = _integrate_linear_dense(op, gfun, c0, cfg, cfg.dt_effective)
+        times, got = _integrate_linear(op, gfun, c0, cfg, cfg.dt_effective)
+        assert np.array_equal(times, _solver_times(0.1, 4e-3))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestNavierStokes:
     def test_zero_data_stays_zero(self):
         zero = vector_from_modes(ELL, 4, {})
