@@ -619,7 +619,6 @@ def _add_common(p: argparse.ArgumentParser, with_solver: bool = True) -> None:
         p.add_argument(
             "--scheme", default="if_rk4", type=str.lower, choices=["imex_euler", "if_rk4"]
         )
-        p.add_argument("--amplitude", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -638,6 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
+        if name in ("decay", "taylor_green", "linearized"):
+            p.add_argument("--amplitude", type=float, default=1.0,
+                           help="amplitude of the built-in initial field")
         if name == "manufactured":
             p.add_argument("--dt-study", type=int, default=None, metavar="N",
                            help="run N step-halving points starting at --dt")
@@ -705,11 +707,14 @@ def _spec_from_args(args, problem: str, need_config: bool = True) -> RunSpec:
         _norm_grid(args.grid, config.cutoff)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    amplitude = getattr(args, "amplitude", 1.0)
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"--amplitude must be finite, got {amplitude}")
     return RunSpec(
         problem=problem,
         config=config,
         ell=args.ell,
-        amplitude=getattr(args, "amplitude", 1.0),
+        amplitude=amplitude,
         out_dir=out_dir,
         grid=args.grid,
         lps_pairs=list(args.lps) if args.lps else [],

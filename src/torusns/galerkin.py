@@ -12,7 +12,11 @@ Two problems are integrated:
     du/dt = mu Lap u + P(f - (u . grad) u),
     advanced in coefficient space with the diffusion handled exactly by an
     integrating factor (IF_RK4) or implicitly (IMEX_EULER), the transport
-    term dealiased and the Leray projection applied at every stage.
+    term dealiased and the Leray projection applied at every stage.  The
+    loop works on coefficient stacks and evaluates the transport kernel
+    4 times per IF_RK4 step and once per IMEX_EULER step, plus once for
+    the t = 0 rhs sample: N(u_{n+1}) = P(f(t_{n+1}) - (u_{n+1} . grad) u_{n+1})
+    is the stored rhs sample (when stored) and the next step's k1.
 
 Forcing may be supplied as a steady field, a time-sampled trajectory
 (mid-step values by linear interpolation), or a callable t -> field
@@ -43,6 +47,7 @@ from .fields import (
     write_field,
 )
 from .operators import (
+    _convect_stack,
     _fast_len,
     div,
     grad,
@@ -53,7 +58,7 @@ from .operators import (
     lp_norm,
     self_convection,
 )
-from .helmholtz import leray_project
+from .helmholtz import _project_stack
 
 __all__ = [
     "SolverAbort",
@@ -343,11 +348,16 @@ def _integrate_ns(
     _require_divfree(u0, "initial field")
     u = embed_vector(u0, cutoff)
     forcing = _forcing_function(f, ell, cutoff, config.horizon)
+    steady = None
+    if f is None or isinstance(f, SpectralVectorField):
+        steady = forcing(0.0).coeff_stack()
 
     mu = config.mu
     bw = bandwidth_of(cutoff)
     ksq = wave_cubes(bw)[3].astype(np.float64)
     lam = ksq * (2.0 * math.pi / ell) ** 2
+    # the multiplier of operators.laplacian, for the stored rhs samples
+    lapmult = -((2.0 * math.pi / ell) ** 2) * wave_cubes(bw)[3]
     dt = config.dt_effective
     nsteps = config.nsteps
     e_half = np.exp(-mu * lam * dt / 2.0)
@@ -358,38 +368,36 @@ def _integrate_ns(
     cfl_grid = _fast_len(max(2 * bw + 1, 8))
     warned_cfl = False
 
-    def nonlinear(v: SpectralVectorField, t: float) -> SpectralVectorField:
-        return leray_project(forcing(t) - self_convection(v, min_grid=min_grid))
+    def nonlinear(c: np.ndarray, t: float) -> np.ndarray:
+        """P(f(t) - (u . grad) u) for the coefficient stack c of u."""
+        fc = forcing(t).coeff_stack() if steady is None else steady
+        return _project_stack(fc - _convect_stack(c, c, ell, cutoff, min_grid), bw)
 
-    def step(v: SpectralVectorField, t: float, h: float) -> SpectralVectorField:
+    def step(c: np.ndarray, k1: np.ndarray, t: float, h: float) -> np.ndarray:
+        """Advance c from t by h; k1 is nonlinear(c, t)."""
         if config.scheme == "imex_euler":
-            rhs = v.coeff_stack() + h * nonlinear(v, t).coeff_stack()
-            return SpectralVectorField.from_stack(ell, cutoff, rhs / (1.0 + h * mu * lam))
-        eh = np.exp(-mu * lam * h / 2.0) if h != dt else e_half
-        ef = eh * eh
-        c = v.coeff_stack()
-        k1 = nonlinear(v, t).coeff_stack()
-        k2 = nonlinear(
-            SpectralVectorField.from_stack(ell, cutoff, eh * (c + 0.5 * h * k1)),
-            t + 0.5 * h,
-        ).coeff_stack()
-        k3 = nonlinear(
-            SpectralVectorField.from_stack(ell, cutoff, eh * c + 0.5 * h * k2),
-            t + 0.5 * h,
-        ).coeff_stack()
-        k4 = nonlinear(
-            SpectralVectorField.from_stack(ell, cutoff, ef * c + h * eh * k3), t + h
-        ).coeff_stack()
-        out = ef * c + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
-        return SpectralVectorField.from_stack(ell, cutoff, out)
+            return (c + h * k1) / (imex_denom if h == dt else 1.0 + h * mu * lam)
+        eh = e_half if h == dt else np.exp(-mu * lam * h / 2.0)
+        ef = e_full if h == dt else eh * eh
+        k2 = nonlinear(eh * (c + 0.5 * h * k1), t + 0.5 * h)
+        k3 = nonlinear(eh * c + 0.5 * h * k2, t + 0.5 * h)
+        k4 = nonlinear(ef * c + h * eh * k3, t + h)
+        return ef * c + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
 
+    def wrap(stack: np.ndarray) -> SpectralVectorField:
+        return SpectralVectorField.from_stack(ell, cutoff, stack)
+
+    c = u.coeff_stack()
+    # N = nonlinear(c, t) at the current time: the rhs sample's transport
+    # part and the next step's k1
+    N = nonlinear(c, 0.0)
     times = [0.0]
     fields = [u]
-    rhs_samples = [laplacian(u) * mu + nonlinear(u, 0.0)]
+    rhs_samples = [wrap((c * lapmult) * float(mu) + N)]
     for n in range(nsteps):
         t = n * dt
         if config.cfl_warning and not warned_cfl and n % 25 == 0:
-            umax = lp_norm(u, math.inf, cfl_grid)
+            umax = lp_norm(wrap(c), math.inf, cfl_grid)
             if umax * dt * (2.0 * math.pi / ell) * bw > 0.5:
                 warnings.warn(
                     f"advective CFL number exceeds 0.5 at t={t:.6g}; "
@@ -398,27 +406,27 @@ def _integrate_ns(
                     stacklevel=2,
                 )
                 warned_cfl = True
-        u_next = step(u, t, dt)
+        c_next = step(c, N, t, dt)
         if config.step_tolerance is not None:
-            half = step(step(u, t, dt / 2.0), t + dt / 2.0, dt / 2.0)
-            est = float(
-                np.max(np.abs(u_next.coeff_stack() - half.coeff_stack()))
-            )
+            h = dt / 2.0
+            mid = step(c, N, t, h)
+            half = step(mid, nonlinear(mid, t + h), t + h, h)
+            est = float(np.max(np.abs(c_next - half)))
             if est > config.step_tolerance:
                 raise SolverAbort(
                     f"step rejected at t={t:.6g}: local error estimate "
                     f"{est:.3e} exceeds tolerance {config.step_tolerance:.3e}"
                 )
-        u = u_next
-        stack = u.coeff_stack()
-        norm = l2_norm_exact(u)
-        if not np.all(np.isfinite(stack)) or norm > blowup_scale:
+        c = c_next
+        norm = math.sqrt(ell**3 * float(np.sum(np.abs(c) ** 2)))  # l2_norm_exact
+        if not np.all(np.isfinite(c)) or norm > blowup_scale:
             raise SolverAbort(f"blow-up suspected at t={(n + 1) * dt:.6g}")
+        tn = (n + 1) * dt
+        N = nonlinear(c, tn)
         if (n + 1) % config.store_every == 0 or n + 1 == nsteps:
-            tn = (n + 1) * dt
             times.append(tn)
-            fields.append(u)
-            rhs_samples.append(laplacian(u) * mu + nonlinear(u, tn))
+            fields.append(wrap(c))
+            rhs_samples.append(wrap((c * lapmult) * float(mu) + N))
     return FieldTrajectory(np.array(times), tuple(fields), tuple(rhs_samples))
 
 

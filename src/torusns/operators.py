@@ -31,8 +31,11 @@ from .fields import (
     SampledGrid,
     SpectralScalarField,
     SpectralVectorField,
+    align_scalar,
+    align_vector,
     bandwidth_of,
     hermitianize,
+    shell_mask,
     wave_cubes,
     wave_index_axes,
 )
@@ -184,23 +187,9 @@ def inner_l2(u: Field, v: Field) -> float:
         raise ValueError("incompatible domains: fields have different periods")
     if u.ncomponents != v.ncomponents:
         raise ValueError("cannot pair fields of different rank")
-    a, b = _coeff_stack(u), _coeff_stack(v)
-    if a.shape != b.shape:
-        bw = max(u.bandwidth, v.bandwidth)
-        a = _embed_stack(a, bw)
-        b = _embed_stack(b, bw)
-    return float(np.real(np.sum(a * np.conj(b)))) * u.ell**3
-
-
-def _embed_stack(stack: np.ndarray, bw_new: int) -> np.ndarray:
-    bw_old = (stack.shape[1] - 1) // 2
-    if bw_old == bw_new:
-        return stack
-    side = 2 * bw_new + 1
-    out = np.zeros((stack.shape[0], side, side, side), dtype=stack.dtype)
-    lo, hi = bw_new - bw_old, bw_new + bw_old + 1
-    out[:, lo:hi, lo:hi, lo:hi] = stack
-    return out
+    if u.cutoff != v.cutoff:
+        u, v = (align_scalar if isinstance(u, SpectralScalarField) else align_vector)(u, v)
+    return float(np.real(np.sum(_coeff_stack(u) * np.conj(_coeff_stack(v))))) * u.ell**3
 
 
 def grad_norm(u: Field, j: float) -> float:
@@ -328,6 +317,32 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
+def _convect_stack(
+    w: np.ndarray, u: np.ndarray, ell: float, out_cutoff: int, min_grid: int | None = None
+) -> np.ndarray:
+    """Array kernel of :func:`convect` on (3, 2B+1, 2B+1, 2B+1) coefficient
+    stacks; returns the symmetrized, shell-masked stack at ``out_cutoff``."""
+    bw = (u.shape[1] - 1) // 2
+    out_bw = bandwidth_of(out_cutoff)
+    keep = min(out_bw, 2 * bw)
+    n = _fast_len(max(2 * bw + keep + 1, min_grid or 0, 4))
+    k1, k2, k3, _ = wave_cubes(bw)
+    grad_mult = 1j * (2.0 * math.pi / ell) * np.stack((k1, k2, k3))
+    # w and the nine derivatives of u, built in place: no copy of du
+    src = np.empty((12, *k1.shape), dtype=np.complex128)
+    src[:3] = w
+    np.multiply(u[:, None], grad_mult[None], out=src[3:].reshape(3, 3, *k1.shape))
+    vals = _sample_stack(src, n)
+    prod = np.einsum("jxyz,ijxyz->ixyz", vals[:3], vals[3:].reshape(3, 3, n, n, n))
+    side = 2 * out_bw + 1
+    coeffs = np.zeros((3, side, side, side), dtype=np.complex128)
+    lo, hi = out_bw - keep, out_bw + keep + 1
+    coeffs[:, lo:hi, lo:hi, lo:hi] = _spectrum_stack(prod, keep)
+    coeffs = 0.5 * (coeffs + np.conj(coeffs[:, ::-1, ::-1, ::-1]))
+    np.copyto(coeffs, 0.0, where=~shell_mask(out_bw, out_cutoff))
+    return coeffs
+
+
 def convect(
     w: SpectralVectorField,
     u: SpectralVectorField,
@@ -351,20 +366,7 @@ def convect(
         raise ValueError("mismatched ell/cutoff between drift and field")
     if out_cutoff is None:
         out_cutoff = u.cutoff
-    bw = u.bandwidth
-    out_bw = bandwidth_of(out_cutoff)
-    keep = min(out_bw, 2 * bw)
-    n = _fast_len(max(2 * bw + keep + 1, min_grid or 0, 4))
-    k1, k2, k3, _ = wave_cubes(bw)
-    grad_mult = 1j * _wavenumber_factor(u) * np.stack((k1, k2, k3))
-    du = u.coeff_stack()[:, None] * grad_mult[None]
-    vals = _sample_stack(np.concatenate((w.coeff_stack(), du.reshape(9, *k1.shape))), n)
-    prod = np.einsum("jxyz,ijxyz->ixyz", vals[:3], vals[3:].reshape(3, 3, n, n, n))
-    side = 2 * out_bw + 1
-    coeffs = np.zeros((3, side, side, side), dtype=np.complex128)
-    lo, hi = out_bw - keep, out_bw + keep + 1
-    coeffs[:, lo:hi, lo:hi, lo:hi] = _spectrum_stack(prod, keep)
-    coeffs = 0.5 * (coeffs + np.conj(coeffs[:, ::-1, ::-1, ::-1]))
+    coeffs = _convect_stack(w.coeff_stack(), u.coeff_stack(), u.ell, out_cutoff, min_grid)
     return SpectralVectorField.from_stack(u.ell, out_cutoff, coeffs)
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "smooth_random_divfree",
     "temporal_order_study",
     "observed_order",
-    "spatial_refinement_errors",
 ]
 
 
@@ -335,28 +334,3 @@ def observed_order(points: Sequence[tuple[float, float]]) -> float:
     dts = np.log([p[0] for p in points])
     errs = np.log([max(p[1], 1e-300) for p in points])
     return float(np.polyfit(dts, errs, 1)[0])
-
-
-def spatial_refinement_errors(
-    cutoffs: Sequence[int],
-    problem: ManufacturedProblem | None = None,
-    dt: float = 1e-3,
-    horizon: float = 0.25,
-    scheme: str = "if_rk4",
-) -> dict[int, float]:
-    """Max-in-time L2 error against the closed-form truth per shell cutoff.
-
-    The error includes the truncated tail of the target, so it directly
-    reflects the spectral accuracy of the Galerkin hierarchy.
-    """
-    if problem is None:
-        problem = analytic_decay_problem()
-    out = {}
-    for cutoff in cutoffs:
-        u0 = truncate_vector(problem.initial, cutoff)
-        config = SolverConfig(
-            mu=problem.mu, horizon=horizon, cutoff=cutoff, dt=dt, scheme=scheme
-        )
-        traj = solve_navier_stokes(problem.forcing, u0, config)
-        out[cutoff] = _max_l2_deviation(traj, problem.velocity)
-    return out

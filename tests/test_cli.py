@@ -241,8 +241,14 @@ class TestExitCodes:
             (["decay", "--mu", "inf"], "viscosity"),
             (["certify", "--mu", "0"], "viscosity"),
             (["certify", "--mu", "nan"], "viscosity"),
+            (["decay", "--amplitude", "nan"], "--amplitude must be finite"),
+            (["taylor_green", "--amplitude", "inf"], "--amplitude must be finite"),
+            (["linearized", "--amplitude=-inf"], "--amplitude must be finite"),
         ],
-        ids=["jobs", "grid", "huge_ell", "tiny_ell", "inf_mu", "certify_zero_mu", "certify_nan_mu"],
+        ids=[
+            "jobs", "grid", "huge_ell", "tiny_ell", "inf_mu", "certify_zero_mu", "certify_nan_mu",
+            "decay_nan_amplitude", "taylor_green_inf_amplitude", "linearized_inf_amplitude",
+        ],
     )
     def test_flag_value_out_of_range_is_config_error(
         self, decay_dir, tmp_path, monkeypatch, argv, message
@@ -257,6 +263,19 @@ class TestExitCodes:
             code = main(argv + ["--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "configuration error" in err.getvalue() and message in err.getvalue()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["manufactured", "custom", "certify"])
+    def test_amplitude_only_on_subcommands_that_read_it(self, decay_dir, tmp_path, command):
+        argv = [command, "--amplitude", "nan", "--out-dir", str(tmp_path / "out")]
+        if command == "certify":
+            argv += ["--traj", str(decay_dir[0] / "run.traj")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --amplitude" in err.getvalue()
         assert not (tmp_path / "out").exists()
 
 
@@ -495,6 +514,7 @@ FLAG_VALUES = {
     "--lps": ["4,6", "inf,2", "2,inf", "nan,4", "4,nan", "0.5,6", "2,1", "x,6", "4,6,8"],
     "--bochner": ["0,1", "1,0", "1,1", "-1,0", "0,-1", "x,1", "0"],
     "--jobs": ["1", "2", "99999999999999999999"],
+    "--amplitude": ["0.5", "-2", "1e-300", "1e300"],
 }
 SOLVER_DEFAULTS = {"--M": "3", "--T": "0.003", "--dt": "1e-3"}
 CONFIG_NOISE = ["", "# comment", "junk line", "unknown_key = 1", "= 3", "M ="]

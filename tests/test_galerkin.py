@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import torusns.galerkin as galerkin
 from torusns.eigenbasis import build_basis, project_coefficients
 from torusns.fields import (
     SpectralVectorField,
@@ -27,7 +28,14 @@ from torusns.galerkin import (
     solve_navier_stokes,
 )
 from torusns.helmholtz import leray_project, recover_pressure
-from torusns.operators import _fast_len, _sample_stack, div, l2_norm_exact
+from torusns.operators import (
+    _fast_len,
+    _sample_stack,
+    div,
+    l2_norm_exact,
+    laplacian,
+    self_convection,
+)
 from torusns.problems import (
     shear_decay_amplitude,
     shear_field,
@@ -600,6 +608,83 @@ class TestNavierStokes:
         assert traj.error_estimate is not None
         # first-order scheme: estimate is about half the true error
         assert err <= 3.0 * traj.error_estimate
+
+
+def _field_loop(force, u0, cfg):
+    """Every step of the field-at-a-time loop the array loop replaced, with
+    the same arithmetic; steady forcing, no CFL check, no step doubling."""
+    lam = wave_cubes(bandwidth_of(cfg.cutoff))[3] * (2.0 * math.pi / u0.ell) ** 2
+    h = cfg.dt_effective
+
+    def nonlinear(v):
+        return leray_project(force - self_convection(v)).coeff_stack()
+
+    def step(v):
+        c = v.coeff_stack()
+        if cfg.scheme == "imex_euler":
+            return v.with_stack((c + h * nonlinear(v)) / (1.0 + h * cfg.mu * lam))
+        eh = np.exp(-cfg.mu * lam * h / 2.0)
+        ef = eh * eh
+        k1 = nonlinear(v)
+        k2 = nonlinear(v.with_stack(eh * (c + 0.5 * h * k1)))
+        k3 = nonlinear(v.with_stack(eh * c + 0.5 * h * k2))
+        k4 = nonlinear(v.with_stack(ef * c + h * eh * k3))
+        return v.with_stack(ef * c + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4))
+
+    fields = [u0]
+    for _ in range(cfg.nsteps):
+        fields.append(step(fields[-1]))
+    return fields
+
+
+class TestArrayLoop:
+    """The solver loop runs on coefficient stacks and evaluates the
+    transport kernel once per stage, reusing N(u_{n+1}) as the next k1."""
+
+    @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
+    @pytest.mark.parametrize("store_every", [1, 3])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_matches_field_operators_bitwise(self, rng, scheme, store_every, forced):
+        u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.5)
+        f = random_vector_field(ELL, 4, rng, amplitude=0.3) if forced else None
+        cfg = SolverConfig(
+            mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme, store_every=store_every
+        )
+        traj = solve_navier_stokes(f, u0, cfg)
+        force = f if forced else SpectralVectorField.zero(ELL, 4)
+        steps = _field_loop(force, u0, cfg)
+        stored = steps[::store_every] + ([steps[-1]] if cfg.nsteps % store_every else [])
+        assert len(traj) == len(stored)
+        for u, rhs, ref in zip(traj.fields, traj.rhs, stored):
+            assert np.array_equal(u.coeff_stack(), ref.coeff_stack())
+            expected = laplacian(u) * MU + leray_project(force - self_convection(u))
+            assert np.array_equal(rhs.coeff_stack(), expected.coeff_stack())
+
+    @pytest.mark.parametrize(
+        "scheme, tolerance, per_step",
+        [("if_rk4", None, 4), ("imex_euler", None, 1), ("if_rk4", 1.0, 11), ("imex_euler", 1.0, 2)],
+    )
+    @pytest.mark.parametrize("store_every", [1, 3])
+    def test_kernel_calls_per_solve(
+        self, rng, monkeypatch, scheme, tolerance, per_step, store_every
+    ):
+        calls = []
+        kernel = galerkin._convect_stack
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(galerkin, "_convect_stack", counted)
+        u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.5)
+        cfg = SolverConfig(
+            mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme,
+            step_tolerance=tolerance, store_every=store_every,
+        )
+        solve_navier_stokes(None, u0, cfg)
+        # one for the t = 0 rhs sample, then per step the stages after k1
+        # and N(u_{n+1}), which is also the next step's k1
+        assert len(calls) == 1 + per_step * cfg.nsteps
 
 
 class TestEnergyIdentity:
