@@ -3,7 +3,6 @@ periodic 3-torus, with evaluators for energy estimates and mixed-norm
 (LPS-type) regularity monitors."""
 
 from .fields import (
-    SampledGrid,
     SpectralScalarField,
     SpectralVectorField,
     WaveVector,
@@ -15,7 +14,6 @@ from .fields import (
     vector_from_modes,
 )
 from .operators import (
-    analyze,
     convect,
     div,
     dj_norm,
@@ -32,7 +30,6 @@ from .operators import (
     self_convection,
     sobolev_norm,
     symmetrized_convection,
-    synthesize,
 )
 from .helmholtz import (
     ProjectionDecomposition,

@@ -699,7 +699,6 @@ def _spec_from_args(args, problem: str, need_config: bool = True) -> RunSpec:
                 cutoff=args.M,
                 dt=args.dt,
                 scheme=args.scheme.lower(),
-                dealias_grid=None,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

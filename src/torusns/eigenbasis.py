@@ -205,7 +205,9 @@ def _coefficients(u: SpectralVectorField, basis: DivFreeBasis, matrix: np.ndarra
             f"field cutoff {u.cutoff} exceeds basis cutoff {basis.cutoff}"
         )
     flat = embed_vector(u, basis.cutoff).coeff_stack().ravel()
-    return np.real(matrix.conj() @ flat) * basis.ell**3
+    # Re(conj(B) x) = Re(B conj(x)) with the same products up to exact sign
+    # flips, so the values are those of conj(B) @ x, without copying B
+    return np.real(matrix @ flat.conj()) * basis.ell**3
 
 
 def project_coefficients(u: SpectralVectorField, basis: DivFreeBasis) -> np.ndarray:

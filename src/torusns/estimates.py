@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .fields import SpectralVectorField, wave_cubes
+from .fields import SpectralVectorField, truncate_vector, wave_cubes
 from .galerkin import (
     FieldTrajectory,
     Forcing,
@@ -111,8 +112,9 @@ class EnergyCertificate:
     rhs_squared = ||u0||^2 + (2/mu) ||f||^2_{L2(I,V1')} + ||f||^2_{L1(I,V1')};
     ``factor`` is the certified multiplicative constant (1 + 2 sqrt(2) for a
     vanishing drift) and ``passed`` records lhs_squared <= factor *
-    rhs_squared.  ``ratio`` is the raw quotient, reported for the strict
-    factor-one reading, which is not asserted.
+    rhs_squared, and is False when either side is not finite.  ``ratio``
+    is the raw quotient, reported for the strict factor-one reading, which
+    is not asserted.
     """
 
     lhs_squared: float
@@ -149,7 +151,9 @@ def energy_certificate(
     if u0 is None:
         u0 = traj.initial
     times = traj.times
-    forcing = _forcing_function(f, traj.ell, traj.cutoff, traj.horizon)
+    forcing = _forcing_function(
+        f, traj.ell, traj.horizon, partial(truncate_vector, cutoff=traj.cutoff)
+    )
     sup_u = max(l2_norm_exact(u) for u in traj.fields)
     grad_sq = np.array([grad_norm(u, 1) ** 2 for u in traj.fields])
     lhs2 = sup_u**2 + mu * trapezoid(grad_sq, times)
@@ -183,7 +187,11 @@ def energy_certificate(
         ratio = 0.0 if lhs2 == 0.0 else math.inf
     else:
         ratio = lhs2 / rhs2
-    passed = lhs2 <= factor * rhs2 * (1.0 + 1e-12) + 1e-300
+    passed = (
+        math.isfinite(lhs2)
+        and math.isfinite(rhs2)
+        and lhs2 <= factor * rhs2 * (1.0 + 1e-12) + 1e-300
+    )
     return EnergyCertificate(lhs2, rhs2, factor, ratio, passed)
 
 
@@ -264,10 +272,8 @@ def _time_derivative_chain(
                 f"requested s={s} exceeds available derivative depth "
                 f"{len(f_series)} of the forcing"
             )
-        lookups = [
-            _forcing_function(fj, traj.ell, traj.cutoff, traj.horizon)
-            for fj in f_series
-        ]
+        fit = partial(truncate_vector, cutoff=traj.cutoff)
+        lookups = [_forcing_function(fj, traj.ell, traj.horizon, fit) for fj in f_series]
     chain: list[list[SpectralVectorField]] = [list(traj.fields)]
     if s >= 1 and traj.rhs is not None and (f_series is None or len(f_series) >= 1):
         # stored rhs samples are exactly d_t u for solver output

@@ -32,7 +32,6 @@ __all__ = [
     "WaveVector",
     "SpectralScalarField",
     "SpectralVectorField",
-    "SampledGrid",
     "scalar_from_modes",
     "vector_from_modes",
     "random_scalar_field",
@@ -269,35 +268,6 @@ class SpectralVectorField:
 
 
 Field = SpectralScalarField | SpectralVectorField
-
-
-def _is_pow_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-@dataclass(frozen=True)
-class SampledGrid:
-    """Real samples of a periodic scalar field on the uniform grid x_j = j ell / n.
-
-    The grid size n is a power of two, at least 4.
-    """
-
-    ell: float
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.ell > 0:
-            raise ValueError("period ell must be positive")
-        if not (_is_pow_two(int(self.n)) and self.n >= 4):
-            raise ValueError("grid size n must be a power of two >= 4")
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.n,) * 3:
-            raise ValueError(f"values must have shape {(self.n,) * 3}, got {vals.shape}")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "values", vals)
 
 
 def align_scalar(

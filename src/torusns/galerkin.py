@@ -20,7 +20,8 @@ Two problems are integrated:
 
 Forcing may be supplied as a steady field, a time-sampled trajectory
 (mid-step values by linear interpolation), or a callable t -> field
-(evaluated exactly at the stage times).
+(evaluated exactly at the stage times); sampled forcing and sampled
+drifts share one interpolation rule, :func:`_interpolate`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,17 +99,15 @@ class SolverConfig:
     dt : time step, positive and finite (the actual step is T/N with
         N = round(T/dt), which must be a finite number).
     scheme : 'imex_euler' or 'if_rk4'.
-    dealias_grid : optional minimal grid for the transport products; must
-        be at least 3B+1 for axis bandwidth B, the smallest grid on which
-        the truncated product is alias-free.  None picks the smallest exact
-        grid automatically.
     step_tolerance : when set, every step is checked by step doubling and
         the run aborts if the local error estimate exceeds this value.
     attach_error_estimate : when True the integration is repeated at dt/2
         and the maximal L2 deviation is attached to the trajectory.
     store_every : keep every n-th step in the returned trajectory.
-    cfl_warning : emit a RuntimeWarning when the advective CFL number
-        ||u||_inf dt (2 pi/ell) max|k| exceeds 0.5.
+
+    The transport products always use the smallest alias-free grid, and a
+    run warns once (RuntimeWarning) when the advective CFL number
+    ||u||_inf dt (2 pi/ell) max|k| exceeds 0.5.
     """
 
     mu: float
@@ -115,11 +115,9 @@ class SolverConfig:
     cutoff: int
     dt: float
     scheme: str = "if_rk4"
-    dealias_grid: int | None = None
     step_tolerance: float | None = None
     attach_error_estimate: bool = False
     store_every: int = 1
-    cfl_warning: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.mu < math.inf:
@@ -138,9 +136,6 @@ class SolverConfig:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         object.__setattr__(self, "scheme", scheme)
-        if self.dealias_grid is not None:
-            if self.dealias_grid < 3 * bandwidth_of(self.cutoff) + 1:
-                raise ValueError("dealias grid must be at least 3B+1 for axis bandwidth B")
         if self.store_every < 1:
             raise ValueError("store_every must be a positive integer")
 
@@ -210,20 +205,8 @@ class FieldTrajectory:
         return self.fields[-1]
 
     def at(self, t: float) -> SpectralVectorField:
-        """Linear interpolation in coefficient space; exact at the samples."""
-        times = self.times
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9 * max(1.0, times[-1]):
-            raise ValueError(f"time {t} outside trajectory span [0, {times[-1]}]")
-        i = int(np.searchsorted(times, t))
-        if i < len(times) and abs(times[i] - t) <= 1e-12 * max(1.0, times[-1]):
-            return self.fields[i]
-        i = min(max(i, 1), len(times) - 1)
-        t0, t1 = times[i - 1], times[i]
-        theta = (t - t0) / (t1 - t0)
-        stack = (1 - theta) * self.fields[i - 1].coeff_stack() + theta * self.fields[
-            i
-        ].coeff_stack()
-        return SpectralVectorField.from_stack(self.ell, self.cutoff, stack)
+        """Linear interpolation in coefficient space (rule of :func:`_interpolate`)."""
+        return _interpolate(self.times, self.fields, t)
 
     def scaled(self, factor: float) -> "FieldTrajectory":
         return FieldTrajectory(
@@ -262,39 +245,63 @@ def cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forcing lookup.
+# Sampled data in time and forcing lookup.
 # ---------------------------------------------------------------------------
 
 
-def _forcing_function(
-    f: Forcing, ell: float, cutoff: int, horizon: float
-) -> Callable[[float], SpectralVectorField]:
-    """Normalize the forcing input to a callable returning cutoff-truncated fields."""
-    zero = SpectralVectorField.zero(ell, cutoff)
+def _interpolate(times: np.ndarray, samples, t: float):
+    """Linear interpolation at time t of ``samples`` (arrays or fields) taken
+    at the increasing ``times``.
 
-    def fit(field: SpectralVectorField) -> SpectralVectorField:
+    A lone sample is constant.  Otherwise a time more than 1e-9 outside the
+    span [times[0], T] raises ValueError, and a time at a sample or at most
+    1e-12 max(1, T) below it returns that sample itself.
+    """
+    if len(times) == 1:
+        return samples[0]
+    last = times[-1]
+    if t < times[0] - 1e-9 or t > last + 1e-9 * max(1.0, last):
+        raise ValueError(f"time {t} outside the sampled span [{times[0]}, {last}]")
+    i = int(np.searchsorted(times, t))
+    if i < len(times) and abs(times[i] - t) <= 1e-12 * max(1.0, last):
+        return samples[i]
+    i = min(max(i, 1), len(times) - 1)
+    theta = (t - times[i - 1]) / (times[i] - times[i - 1])
+    return (1 - theta) * samples[i - 1] + theta * samples[i]
+
+
+def _require_cover(times: np.ndarray, horizon: float, what: str) -> None:
+    if len(times) > 1 and times[-1] < horizon * (1 - 1e-9):
+        raise ValueError(f"{what} samples do not cover the integration horizon")
+
+
+def _forcing_function(
+    f: Forcing, ell: float, horizon: float, fit: Callable[[SpectralVectorField], object]
+) -> Callable[[float], object]:
+    """Normalize the forcing input to t -> fit(f(t)).
+
+    ``fit`` turns a forcing field of period ell into what the caller works
+    with: a truncated field, a coefficient stack or basis coefficients.
+    Absent forcing is the zero field; absent and steady forcing are fitted
+    once.  Sampled forcing is interpolated by :meth:`FieldTrajectory.at` and
+    must cover [0, horizon]; a callable is evaluated at every t.
+    """
+
+    def checked(field: SpectralVectorField):
         if field.ell != ell:
             raise ValueError("incompatible domains: forcing period differs")
-        if field.cutoff > cutoff:
-            return truncate_vector(field, cutoff)
-        if field.cutoff < cutoff:
-            return embed_vector(field, cutoff)
-        return field
+        return fit(field)
 
     if f is None:
-        return lambda t: zero
+        f = SpectralVectorField.zero(ell, 0)
     if isinstance(f, SpectralVectorField):
-        steady = fit(f)
+        steady = checked(f)
         return lambda t: steady
     if isinstance(f, FieldTrajectory):
-        if f.horizon < horizon * (1 - 1e-9):
-            raise ValueError(
-                "forcing samples do not cover the integration horizon"
-            )
-        fitted = FieldTrajectory(f.times, tuple(fit(x) for x in f.fields))
-        return fitted.at
+        _require_cover(f.times, horizon, "forcing")
+        return lambda t: checked(f.at(t))
     if callable(f):
-        return lambda t: fit(f(t))
+        return lambda t: checked(f(t))
     raise TypeError(f"unsupported forcing specification: {type(f)!r}")
 
 
@@ -347,10 +354,9 @@ def _integrate_ns(
         )
     _require_divfree(u0, "initial field")
     u = embed_vector(u0, cutoff)
-    forcing = _forcing_function(f, ell, cutoff, config.horizon)
-    steady = None
-    if f is None or isinstance(f, SpectralVectorField):
-        steady = forcing(0.0).coeff_stack()
+    forcing = _forcing_function(
+        f, ell, config.horizon, lambda g: truncate_vector(g, cutoff).coeff_stack()
+    )
 
     mu = config.mu
     bw = bandwidth_of(cutoff)
@@ -363,15 +369,13 @@ def _integrate_ns(
     e_half = np.exp(-mu * lam * dt / 2.0)
     e_full = e_half * e_half
     imex_denom = 1.0 + dt * mu * lam
-    min_grid = config.dealias_grid
     blowup_scale = 1e8 * (l2_norm_exact(u) + 1.0)
     cfl_grid = _fast_len(max(2 * bw + 1, 8))
     warned_cfl = False
 
     def nonlinear(c: np.ndarray, t: float) -> np.ndarray:
         """P(f(t) - (u . grad) u) for the coefficient stack c of u."""
-        fc = forcing(t).coeff_stack() if steady is None else steady
-        return _project_stack(fc - _convect_stack(c, c, ell, cutoff, min_grid), bw)
+        return _project_stack(forcing(t) - _convect_stack(c, c, ell, cutoff), bw)
 
     def step(c: np.ndarray, k1: np.ndarray, t: float, h: float) -> np.ndarray:
         """Advance c from t by h; k1 is nonlinear(c, t)."""
@@ -396,7 +400,7 @@ def _integrate_ns(
     rhs_samples = [wrap((c * lapmult) * float(mu) + N)]
     for n in range(nsteps):
         t = n * dt
-        if config.cfl_warning and not warned_cfl and n % 25 == 0:
+        if not warned_cfl and n % 25 == 0:
             umax = lp_norm(wrap(c), math.inf, cfl_grid)
             if umax * dt * (2.0 * math.pi / ell) * bw > 0.5:
                 warnings.warn(
@@ -454,20 +458,8 @@ class LinearizedOperator:
         return self.matrices[i] - np.diag(self.diffusion)
 
     def at(self, t: float) -> np.ndarray:
-        """Full matrix at time t (linear interpolation between samples)."""
+        """Full matrix at time t (rule of :func:`_interpolate`)."""
         return _interpolate(self.times, self.matrices, t)
-
-
-def _interpolate(times: np.ndarray, table: np.ndarray, t: float) -> np.ndarray:
-    """Linear interpolation of the rows of ``table`` sampled at ``times``;
-    t is clamped to the sampled span, and a sample time returns its row."""
-    t = min(max(t, times[0]), times[-1])
-    i = int(np.searchsorted(times, t))
-    if i < len(times) and times[i] == t:
-        return table[i]
-    i = min(max(i, 1), len(times) - 1)
-    theta = (t - times[i - 1]) / (times[i] - times[i - 1])
-    return (1 - theta) * table[i - 1] + theta * table[i]
 
 
 def _basis_modes(basis: DivFreeBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -565,11 +557,18 @@ def solve_linearized(
 
     A step-halving convergence estimate is attached to the trajectory.  For
     autonomous operators compare against :func:`linearized_closed_form`.
+    A drift sampled at several times must cover the horizon.
     """
     basis = op.basis
+    _require_cover(op.times, config.horizon, "drift")
     _require_divfree(u0, "initial field")
     c0 = project_coefficients(u0, basis)
-    gfun = _coefficient_forcing(f, basis, config.horizon)
+    gfun = _forcing_function(
+        f,
+        basis.ell,
+        config.horizon,
+        lambda g: project_coefficients(truncate_vector(g, basis.cutoff), basis),
+    )
     coarse_times, coarse = _integrate_linear(op, gfun, c0, config, config.dt_effective)
     fine_times, fine = _integrate_linear(op, gfun, c0, config, config.dt_effective / 2)
     est = float(np.max(np.abs(coarse - fine[::2])))
@@ -579,28 +578,6 @@ def solve_linearized(
         reconstruct(basis, gfun(t) - op.at(t) @ c) for t, c in zip(coarse_times, coarse)
     )
     return FieldTrajectory(coarse_times, fields, rhs, error_estimate=est)
-
-
-def _coefficient_forcing(
-    f: Forcing, basis: DivFreeBasis, horizon: float
-) -> Callable[[float], np.ndarray]:
-    dim = basis.dim
-    if f is None:
-        zero = np.zeros(dim)
-        return lambda t: zero
-    if isinstance(f, SpectralVectorField):
-        vec = project_coefficients(truncate_vector(f, basis.cutoff), basis)
-        return lambda t: vec
-    if isinstance(f, FieldTrajectory):
-        if f.horizon < horizon * (1 - 1e-9):
-            raise ValueError("forcing samples do not cover the integration horizon")
-        table = np.stack(
-            [project_coefficients(truncate_vector(x, basis.cutoff), basis) for x in f.fields]
-        )
-        return lambda t: _interpolate(f.times, table, t)
-    if callable(f):
-        return lambda t: project_coefficients(truncate_vector(f(t), basis.cutoff), basis)
-    raise TypeError(f"unsupported forcing specification: {type(f)!r}")
 
 
 def _integrate_linear(
@@ -758,7 +735,9 @@ def residual(
     du/dt comes from the stored rhs samples when present (and
     ``use_stored_rhs``), otherwise from second-order finite differences.
     """
-    forcing = _forcing_function(f, traj.ell, traj.cutoff, traj.horizon)
+    forcing = _forcing_function(
+        f, traj.ell, traj.horizon, partial(truncate_vector, cutoff=traj.cutoff)
+    )
     if use_stored_rhs and traj.rhs is not None:
         dtu = list(traj.rhs)
     else:
@@ -782,7 +761,9 @@ def energy_identity_defect(
 
     with trapezoid time quadrature.
     """
-    forcing = _forcing_function(f, traj.ell, traj.cutoff, traj.horizon)
+    forcing = _forcing_function(
+        f, traj.ell, traj.horizon, partial(truncate_vector, cutoff=traj.cutoff)
+    )
     energy = np.array([0.5 * l2_norm_exact(u) ** 2 for u in traj.fields])
     enstrophy = np.array([grad_norm(u, 1) ** 2 for u in traj.fields])
     work = np.array(

@@ -28,13 +28,11 @@ import numpy as np
 
 from .fields import (
     Field,
-    SampledGrid,
     SpectralScalarField,
     SpectralVectorField,
     align_scalar,
     align_vector,
     bandwidth_of,
-    hermitianize,
     shell_mask,
     wave_cubes,
     wave_index_axes,
@@ -54,8 +52,6 @@ __all__ = [
     "hs_norm",
     "lp_norm",
     "dj_norm",
-    "synthesize",
-    "analyze",
     "convect",
     "self_convection",
     "symmetrized_convection",
@@ -220,7 +216,7 @@ def multi_indices(order: int) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Grid synthesis and analysis.
+# Grid sampling and spectra.
 # ---------------------------------------------------------------------------
 
 
@@ -287,24 +283,6 @@ def sample_values(u: Field, n: int) -> np.ndarray:
     return vals[0] if isinstance(u, SpectralScalarField) else vals
 
 
-def synthesize(u: SpectralScalarField, n: int) -> SampledGrid:
-    """Sample a scalar field on the n^3 grid (n a power of two, >= 2B+1)."""
-    if n < 2 * u.bandwidth + 1:
-        raise ValueError(
-            f"undersampled: grid size {n} cannot resolve bandwidth {u.bandwidth}"
-        )
-    return SampledGrid(u.ell, n, sample_values(u, n))
-
-
-def analyze(grid: SampledGrid, cutoff: int) -> SpectralScalarField:
-    """Recover the coefficients of a bandlimited field from its grid samples."""
-    bw = bandwidth_of(cutoff)
-    if grid.n < 2 * bw + 1:
-        raise ValueError(f"undersampled: grid size {grid.n} cannot resolve cutoff {cutoff}")
-    coeffs = _spectrum_stack(grid.values[None], bw)[0]
-    return SpectralScalarField(grid.ell, cutoff, hermitianize(coeffs))
-
-
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (friendly FFT size)."""
     while True:
@@ -317,15 +295,13 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _convect_stack(
-    w: np.ndarray, u: np.ndarray, ell: float, out_cutoff: int, min_grid: int | None = None
-) -> np.ndarray:
+def _convect_stack(w: np.ndarray, u: np.ndarray, ell: float, out_cutoff: int) -> np.ndarray:
     """Array kernel of :func:`convect` on (3, 2B+1, 2B+1, 2B+1) coefficient
     stacks; returns the symmetrized, shell-masked stack at ``out_cutoff``."""
     bw = (u.shape[1] - 1) // 2
     out_bw = bandwidth_of(out_cutoff)
     keep = min(out_bw, 2 * bw)
-    n = _fast_len(max(2 * bw + keep + 1, min_grid or 0, 4))
+    n = _fast_len(max(2 * bw + keep + 1, 4))
     k1, k2, k3, _ = wave_cubes(bw)
     grad_mult = 1j * (2.0 * math.pi / ell) * np.stack((k1, k2, k3))
     # w and the nine derivatives of u, built in place: no copy of du
@@ -344,10 +320,7 @@ def _convect_stack(
 
 
 def convect(
-    w: SpectralVectorField,
-    u: SpectralVectorField,
-    out_cutoff: int | None = None,
-    min_grid: int | None = None,
+    w: SpectralVectorField, u: SpectralVectorField, out_cutoff: int | None = None
 ) -> SpectralVectorField:
     """Convective derivative (w . grad) u, dealiased.
 
@@ -358,33 +331,31 @@ def convect(
     axis a product mode k' lands on a kept mode k only if |k' - k| >= n, so
     keeping |k_i| <= K is exact once n >= 2B + K + 1: n = 3B+1 for the
     default ``out_cutoff`` (the 3/2 rule) and 4B+1 only when the full
-    product (K = 2B) is requested.  ``min_grid`` raises n further.  w and
-    the nine derivatives of u are sampled with one real inverse transform,
-    the three products are analysed with one real forward transform.
+    product (K = 2B) is requested; the kernel always takes the smallest such
+    5-smooth n.  w and the nine derivatives of u are sampled with one real
+    inverse transform, the three products are analysed with one real forward
+    transform.
     """
     if w.ell != u.ell or w.cutoff != u.cutoff:
         raise ValueError("mismatched ell/cutoff between drift and field")
     if out_cutoff is None:
         out_cutoff = u.cutoff
-    coeffs = _convect_stack(w.coeff_stack(), u.coeff_stack(), u.ell, out_cutoff, min_grid)
+    coeffs = _convect_stack(w.coeff_stack(), u.coeff_stack(), u.ell, out_cutoff)
     return SpectralVectorField.from_stack(u.ell, out_cutoff, coeffs)
 
 
 def self_convection(
-    u: SpectralVectorField, out_cutoff: int | None = None, min_grid: int | None = None
+    u: SpectralVectorField, out_cutoff: int | None = None
 ) -> SpectralVectorField:
     """Nonlinear transport term (u . grad) u."""
-    return convect(u, u, out_cutoff, min_grid)
+    return convect(u, u, out_cutoff)
 
 
 def symmetrized_convection(
-    w: SpectralVectorField,
-    u: SpectralVectorField,
-    out_cutoff: int | None = None,
-    min_grid: int | None = None,
+    w: SpectralVectorField, u: SpectralVectorField, out_cutoff: int | None = None
 ) -> SpectralVectorField:
     """Symmetric bilinear term (w . grad) u + (u . grad) w."""
-    return convect(w, u, out_cutoff, min_grid) + convect(u, w, out_cutoff, min_grid)
+    return convect(w, u, out_cutoff) + convect(u, w, out_cutoff)
 
 
 # ---------------------------------------------------------------------------

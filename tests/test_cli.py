@@ -113,6 +113,19 @@ class TestExitCodes:
         assert r.returncode == 3
         assert "blow-up suspected" in r.stderr
 
+    @pytest.mark.parametrize("problem", ["decay", "taylor_green"])
+    def test_overflowed_certificate_fails(self, tmp_path, problem):
+        # both sides of the energy estimate overflow to inf: inf <= inf must
+        # not count as a pass
+        r = run_cli(
+            problem, "--M", "3", "--T", "0.003", "--dt", "1e-3", "--amplitude", "1e300",
+            "--out-dir", "out", cwd=tmp_path,
+        )
+        assert r.returncode == 4, r.stderr
+        assert "certificate pass: False" in r.stdout
+        cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
+        assert cert["pass"] is False
+
     def test_inadmissible_lps_rejected_when_strict(self, decay_dir, tmp_path):
         out, _ = decay_dir
         r = run_cli(

@@ -144,6 +144,18 @@ class TestCoefficients:
         target = truncate_vector(leray_project(u), 4)
         assert l2_norm_exact(rec - target) <= 1e-12 * l2_norm_exact(u)
 
+    @pytest.mark.parametrize("cutoff", [4, 9])
+    def test_match_conjugated_matrix_product_bitwise(self, rng, cutoff):
+        # reference: the conjugated basis matrix times the coefficients
+        basis = build_basis(ELL, cutoff)
+        for u in (random_vector_field(ELL, cutoff, rng), random_vector_field(ELL, 1, rng)):
+            flat = truncate_vector(u, cutoff).coeff_stack().ravel()
+            for got, matrix in (
+                (project_coefficients(u, basis), basis._divfree_matrix),
+                (gradient_coefficients(u, basis), basis._gradient_matrix),
+            ):
+                assert np.array_equal(got, np.real(matrix.conj() @ flat) * ELL**3)
+
     def test_divfree_iff_gradient_coefficients_vanish(self, basis4, rng):
         u = leray_project(random_vector_field(ELL, 4, rng))
         assert np.max(np.abs(gradient_coefficients(u, basis4))) <= 1e-13 * l2_norm_exact(u)

@@ -169,6 +169,17 @@ class TestEnergyCertificate:
         assert cert.factor == math.inf
         assert cert.passed
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_sides_do_not_pass(self, shear_run):
+        # inf <= factor * inf holds in floating point but certifies nothing
+        huge = shear_run.scaled(1e300)
+        both = energy_certificate(huge, None, None, MU)
+        assert both.lhs_squared == math.inf and both.rhs_squared == math.inf
+        assert not both.passed
+        rhs_only = energy_certificate(shear_run, None, shear_run.initial * 1e300, MU)
+        assert math.isfinite(rhs_only.lhs_squared) and rhs_only.rhs_squared == math.inf
+        assert not rhs_only.passed
+
     def test_rhs_blind_to_gradient_part_of_forcing(self, shear_run, rng):
         f = random_vector_field(ELL, 4, rng)
         cert_full = energy_certificate(shear_run, f, None, MU)

@@ -6,7 +6,6 @@ import pytest
 
 from torusns.fields import (
     _FMT,
-    SampledGrid,
     SpectralScalarField,
     SpectralVectorField,
     WaveVector,
@@ -91,15 +90,6 @@ def test_fields_are_immutable(ell, rng):
         f.coeffs[0, 0, 0] = 1.0
     with pytest.raises(Exception):
         f.ell = 3.0
-
-
-def test_sampled_grid_validation(ell):
-    with pytest.raises(ValueError, match="power of two"):
-        SampledGrid(ell, 6, np.zeros((6, 6, 6)))
-    with pytest.raises(ValueError, match="power of two"):
-        SampledGrid(ell, 2, np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match="shape"):
-        SampledGrid(ell, 4, np.zeros((4, 4)))
 
 
 class TestSerialization:

@@ -67,15 +67,6 @@ class TestConfig:
             SolverConfig(mu=1, horizon=0.1, cutoff=4, dt=0.2)
         with pytest.raises(ValueError, match="scheme"):
             SolverConfig(mu=1, horizon=1, cutoff=4, dt=1e-2, scheme="euler")
-        with pytest.raises(ValueError, match="dealias"):
-            SolverConfig(mu=1, horizon=1, cutoff=9, dt=1e-2, dealias_grid=4)
-
-    def test_dealias_grid_threshold_is_3b_plus_1(self):
-        # cutoff 9 has axis bandwidth 3: 3B+1 = 10 is the smallest exact grid
-        with pytest.raises(ValueError, match="dealias"):
-            SolverConfig(mu=1, horizon=1, cutoff=9, dt=1e-2, dealias_grid=9)
-        cfg = SolverConfig(mu=1, horizon=1, cutoff=9, dt=1e-2, dealias_grid=10)
-        assert cfg.dealias_grid == 10
 
     def test_scheme_case_folded(self):
         cfg = SolverConfig(mu=1, horizon=1, cutoff=4, dt=1e-2, scheme="IF_RK4")
@@ -101,6 +92,39 @@ class TestTrajectory:
         mid = traj.at(0.5)
         ref = (a + b) * 0.5
         assert l2_norm_exact(mid - ref) <= 1e-14 * l2_norm_exact(ref)
+
+    def test_interpolation_rule_shared(self, basis4, rng):
+        # FieldTrajectory.at, LinearizedOperator.at and sampled forcing use
+        # one rule: a time just below a sample returns it bitwise, a lone
+        # sample is constant, a time beyond the span by more than 1e-9 raises
+        times = np.array([0.0, 0.1, 0.2])
+        ws = [leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3)) for _ in times]
+        traj = FieldTrajectory(times, tuple(ws))
+        op = assemble_linearized(traj, basis4, MU)
+        forcing = galerkin._forcing_function(traj, ELL, 0.2, lambda g: g.coeff_stack())
+        callers = [
+            (traj.at, [w.coeff_stack() for w in ws], lambda x: x.coeff_stack()),
+            (op.at, op.matrices, lambda x: x),
+            (forcing, [w.coeff_stack() for w in ws], lambda x: x),
+        ]
+        for at, samples, values in callers:
+            assert np.array_equal(values(at(0.1 - 1e-13)), samples[1])
+            assert np.array_equal(values(at(0.2 - 1e-13)), samples[2])
+            ref = 0.5 * (samples[0] + samples[1])
+            assert np.max(np.abs(values(at(0.05)) - ref)) <= 1e-15 * np.max(np.abs(ref))
+            beyond = values(at(0.2 + 5e-10))  # within 1e-9 of the span: no error
+            assert np.max(np.abs(beyond - samples[2])) <= 1e-7 * np.max(np.abs(samples[2]))
+            with pytest.raises(ValueError, match="outside the sampled span"):
+                at(0.2 + 2e-9)
+            with pytest.raises(ValueError, match="outside the sampled span"):
+                at(-2e-9)
+        lone = FieldTrajectory(np.zeros(1), (ws[0],))
+        lone_op = assemble_linearized(ws[0], basis4, MU)
+        lone_forcing = galerkin._forcing_function(lone, ELL, 5.0, lambda g: g)
+        for t in (0.0, 1e-10, 0.3, 5.0):
+            assert lone.at(t) is ws[0]
+            assert np.array_equal(lone_op.at(t), lone_op.matrices[0])
+            assert lone_forcing(t) is ws[0]
 
     def test_save_load_roundtrip(self, shear_run, tmp_path):
         path = tmp_path / "run.traj"
@@ -333,6 +357,19 @@ class TestLinearizedSolve:
             worst = max(worst, float(np.max(np.abs(res))))
         assert worst <= 10.0 * dt**2 * float(np.max(np.abs(coeffs)))
 
+    def test_drift_must_cover_horizon(self, basis4, rng):
+        w0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.2))
+        drift = FieldTrajectory(np.array([0.0, 0.05]), (w0, w0 * 0.5))
+        op = assemble_linearized(drift, basis4, MU)
+        u0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.5))
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=1e-2)
+        with pytest.raises(ValueError, match="drift samples do not cover the integration horizon"):
+            solve_linearized(op, None, u0, cfg)
+        covered = solve_linearized(op, None, u0, dataclasses.replace(cfg, horizon=0.05))
+        assert covered.horizon == pytest.approx(0.05)
+        # a lone drift sample is constant in time and needs no cover
+        solve_linearized(assemble_linearized(w0, basis4, MU), None, u0, cfg)
+
     def test_closed_form_requires_autonomous(self, basis4, rng):
         w0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.2))
         drift = FieldTrajectory(np.array([0.0, 1.0]), (w0, w0 * 0.5))
@@ -461,7 +498,7 @@ class TestMatrixFreeStages:
     @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
     @pytest.mark.parametrize("autonomous", [True, False])
     def test_matches_dense_stages(self, basis4, drift_problem, scheme, autonomous):
-        from torusns.galerkin import _coefficient_forcing, _integrate_linear
+        from torusns.galerkin import _forcing_function, _integrate_linear
 
         op, c0, _ = drift_problem
         if not autonomous:
@@ -472,7 +509,7 @@ class TestMatrixFreeStages:
             op = assemble_linearized(drift, basis4, MU)
         forcing = leray_project(random_vector_field(ELL, 4, np.random.default_rng(41)))
         forcing = FieldTrajectory(np.array([0.0, 0.1]), (forcing, forcing * -0.5))
-        gfun = _coefficient_forcing(forcing, basis4, 0.1)
+        gfun = _forcing_function(forcing, ELL, 0.1, lambda g: project_coefficients(g, basis4))
         cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
         ref = _integrate_linear_dense(op, gfun, c0, cfg, cfg.dt_effective)
         times, got = _integrate_linear(op, gfun, c0, cfg, cfg.dt_effective)
@@ -542,11 +579,10 @@ class TestNavierStokes:
         )
         assert worst <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore:advective CFL:RuntimeWarning")
     def test_blowup_aborts(self, rng):
         u0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=150.0))
-        cfg = SolverConfig(
-            mu=1e-6, horizon=2.0, cutoff=4, dt=0.1, scheme="imex_euler", cfl_warning=False
-        )
+        cfg = SolverConfig(mu=1e-6, horizon=2.0, cutoff=4, dt=0.1, scheme="imex_euler")
         with pytest.raises(SolverAbort, match="blow-up suspected at t="):
             solve_navier_stokes(None, u0, cfg)
 
@@ -556,26 +592,12 @@ class TestNavierStokes:
         with pytest.warns(RuntimeWarning, match="CFL"):
             solve_navier_stokes(None, u0, cfg)
 
+    @pytest.mark.filterwarnings("ignore:advective CFL:RuntimeWarning")
     def test_step_rejection(self, rng):
         u0 = smooth_random_divfree(ELL, 4, rng, amplitude=1.0)
-        cfg = SolverConfig(
-            mu=MU, horizon=0.1, cutoff=4, dt=1e-2, step_tolerance=1e-18, cfl_warning=False
-        )
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=1e-2, step_tolerance=1e-18)
         with pytest.raises(SolverAbort, match="step rejected"):
             solve_navier_stokes(None, u0, cfg)
-
-    def test_dealias_grid_override_changes_nothing(self, rng):
-        # any grid at or above the exactness threshold yields the same
-        # Galerkin trajectory up to rounding
-        u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.4)
-        base = SolverConfig(mu=MU, horizon=0.05, cutoff=4, dt=1e-3)
-        padded = SolverConfig(mu=MU, horizon=0.05, cutoff=4, dt=1e-3, dealias_grid=24)
-        t1 = solve_navier_stokes(None, u0, base)
-        t2 = solve_navier_stokes(None, u0, padded)
-        worst = max(
-            l2_norm_exact(a - b) for a, b in zip(t1.fields, t2.fields)
-        )
-        assert worst <= 1e-12 * l2_norm_exact(u0)
 
     def test_store_every(self, rng):
         u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.2)

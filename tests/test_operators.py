@@ -6,14 +6,16 @@ import pytest
 from torusns.fields import (
     bandwidth_of,
     embed_vector as embed,
+    hermitianize,
     random_scalar_field,
     random_vector_field,
     scalar_from_modes,
     vector_from_modes,
     SpectralVectorField,
+    truncate_vector,
 )
 from torusns.operators import (
-    analyze,
+    _spectrum_stack,
     convect,
     div,
     dj_norm,
@@ -32,7 +34,6 @@ from torusns.operators import (
     self_convection,
     sobolev_norm,
     symmetrized_convection,
-    synthesize,
 )
 from torusns.helmholtz import leray_project
 
@@ -145,27 +146,20 @@ class TestNegLaplacianPow:
 class TestGridTransforms:
     def test_constant_samples(self, ell):
         f = scalar_from_modes(ell, 4, {(0, 0, 0): 1.75})
-        g = synthesize(f, 8)
-        assert np.max(np.abs(g.values - 1.75)) == 0.0
+        assert np.max(np.abs(sample_values(f, 8) - 1.75)) == 0.0
 
     def test_sine_closed_form(self, ell):
         f = scalar_from_modes(ell, 4, {(0, 1, 0): -0.5j})
-        g = synthesize(f, 8)
+        vals = sample_values(f, 8)
         x = np.arange(8) * ell / 8
-        assert np.max(np.abs(g.values[0, :, 0] - np.sin(2 * np.pi * x / ell))) <= 1e-13
+        assert np.max(np.abs(vals[0, :, 0] - np.sin(2 * np.pi * x / ell))) <= 1e-13
 
     def test_round_trip(self, ell, rng):
         f = random_scalar_field(ell, 6, rng)
-        g = analyze(synthesize(f, 8), 6)
         scale = np.max(np.abs(f.coeffs))
-        assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-13 * scale
-
-    def test_undersampled_raises(self, ell, rng):
-        f = random_scalar_field(ell, 9, rng)  # bandwidth 3 needs n >= 7
-        with pytest.raises(ValueError, match="undersampled"):
-            synthesize(f, 4)
-        with pytest.raises(ValueError, match="undersampled"):
-            analyze(synthesize(f, 8), 16)
+        for n in (5, 8, 9):  # any grid of at least 2B+1 points
+            back = hermitianize(_spectrum_stack(sample_values(f, n)[None], f.bandwidth)[0])
+            assert np.max(np.abs(back - f.coeffs)) <= 1e-13 * scale
 
     def test_pointwise_samples_exact_even_undersampled(self, ell):
         # sampling identities: exact point values on any grid
@@ -239,11 +233,14 @@ class TestConvection:
         assert l2_norm_exact(fast - slow) <= 1e-12 * l2_norm_exact(slow)
 
     def test_larger_grid_changes_nothing(self, ell, rng):
+        # the full product (4B+1 grid), truncated, is the Galerkin product
+        # (3B+1 grid): the kept modes do not depend on the grid
         w = random_vector_field(ell, 9, rng)
         u = random_vector_field(ell, 9, rng)
         base = convect(w, u).coeff_stack()
-        padded = convect(w, u, min_grid=24).coeff_stack()
-        assert np.max(np.abs(padded - base)) <= 1e-14 * np.max(np.abs(base))
+        full = convect(w, u, out_cutoff=3 * (2 * bandwidth_of(9)) ** 2)
+        truncated = truncate_vector(full, 9).coeff_stack()
+        assert np.max(np.abs(truncated - base)) <= 1e-14 * np.max(np.abs(base))
 
     def test_skew_symmetry(self, ell, rng):
         for _ in range(10):
