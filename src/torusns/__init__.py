@@ -24,7 +24,9 @@ from .operators import (
     l2_norm_exact,
     laplacian,
     lp_norm,
+    NormTable,
     neg_laplacian_pow,
+    norm_table,
     partial_derivative,
     rot,
     self_convection,
@@ -76,6 +78,7 @@ from .estimates import (
     gn_report,
     lps_admissible,
     lps_norm,
+    lps_report,
     nonlinear_term_bound_report,
     perov_bound,
 )

@@ -60,13 +60,14 @@ from .helmholtz import (
     recover_pressure,
 )
 from .operators import (
+    NormTable,
     convect,
     div,
     grad,
     hs_norm,
     inner_l2,
     l2_norm_exact,
-    lp_norm,
+    norm_table,
     rot,
     laplacian,
     _fast_len,
@@ -96,7 +97,8 @@ class RunSpec:
     amplitude: float = 1.0
     out_dir: Path = Path(".")
     grid: int | None = None
-    lps_pairs: list[tuple[float, float]] = field(default_factory=list)
+    # the first pair also gives the lps_partial column of norms.csv
+    lps_pairs: list[tuple[float, float]] = field(default_factory=lambda: [(4.0, 6.0)])
     bochner_pairs: list[tuple[int, int]] = field(default_factory=list)
     u0_path: str | None = None
     f_path: str | None = None
@@ -144,36 +146,31 @@ def _norm_grid(spec_grid: int | None, cutoff: int) -> int:
     return spec_grid
 
 
+def _norm_table(traj: FieldTrajectory, spec: RunSpec) -> NormTable:
+    """The norms of every stored sample, each sample read once: the exact
+    norms, and on the quadrature grid L^inf and the L^r of every LPS pair."""
+    grid_n = _norm_grid(spec.grid, traj.cutoff)
+    return norm_table(traj.fields, grid_n, [r for _, r in spec.lps_pairs])
+
+
 def _write_norms_csv(
-    path: Path, traj: FieldTrajectory, grid_n: int, lps_pair: tuple[float, float]
+    path: Path, traj: FieldTrajectory, table: NormTable, lps_pair: tuple[float, float]
 ) -> None:
     s_exp, r_exp = lps_pair
     rows = ["t,l2,h1,h2,linf,div,lps_partial"]
-    spatial = np.array([lp_norm(u, r_exp, grid_n) for u in traj.fields])
+    spatial = np.array(table.lp[r_exp])
     if math.isinf(s_exp):
         partial = np.maximum.accumulate(spatial)
     else:
         partial = cumulative_trapezoid(spatial**s_exp, traj.times) ** (1.0 / s_exp)
-    for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
-        rows.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    t,
-                    l2_norm_exact(u),
-                    hs_norm(u, 1),
-                    hs_norm(u, 2),
-                    lp_norm(u, math.inf, grid_n),
-                    l2_norm_exact(div(u)),
-                    partial[i],
-                )
-            )
-        )
+    columns = (traj.times, table.l2, table.hs(1), table.hs(2), table.linf, table.div, partial)
+    rows += [",".join(_fmt(x) for x in row) for row in zip(*columns)]
     path.write_text("\n".join(rows) + "\n")
 
 
 def _certificate_payload(
     traj: FieldTrajectory,
+    table: NormTable,
     f,
     mu: float,
     spec: RunSpec,
@@ -183,25 +180,28 @@ def _certificate_payload(
     energy_defect: bool = True,
 ) -> dict:
     grid_n = _norm_grid(spec.grid, traj.cutoff)
-    cert = estimates.energy_certificate(traj, f, traj.initial, mu, w=w, grid_n=grid_n)
+    cert = estimates.energy_certificate(
+        traj, f, traj.initial, mu, w=w, grid_n=grid_n, norms=table
+    )
     lps_reports = []
-    for s_exp, r_exp in spec.lps_pairs or [(4.0, 6.0)]:
-        rep = estimates.lps_norm(traj, s_exp, r_exp, grid_n)
+    for s_exp, r_exp in spec.lps_pairs:
+        rep = estimates.lps_report(table, traj.times, s_exp, r_exp)
         if spec.admissible_only and not rep.admissible:
             raise ConfigError(
                 f"LPS pair ({s_exp}, {r_exp}) is not admissible (2/s + 3/r != 1)"
             )
         lps_reports.append(rep.to_dict())
     norms = {
-        "l2_max": max(l2_norm_exact(u) for u in traj.fields),
-        "h1_max": max(hs_norm(u, 1) for u in traj.fields),
-        "linf_max": max(lp_norm(u, math.inf, grid_n) for u in traj.fields),
-        "div_max": max(l2_norm_exact(div(u)) for u in traj.fields),
+        "l2_max": max(table.l2),
+        "h1_max": max(table.hs(1)),
+        "linf_max": max(table.linf),
+        "div_max": max(table.div),
     }
     if energy_defect:
         # defect of the nonlinear evolution balance; skipped for the
         # drift-linearized problem, whose balance carries an extra work term
-        norms["energy_defect_max"] = float(np.max(energy_identity_defect(traj, f, mu)))
+        defect = energy_identity_defect(traj, f, mu, norms=table)
+        norms["energy_defect_max"] = float(np.max(defect))
     bochner = []
     for k, s in spec.bochner_pairs:
         bn = estimates.bochner_scale_norm(traj, k, s, mu, f_series=f_series)
@@ -229,10 +229,11 @@ def _emit_run_outputs(
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     save_trajectory(traj, out / "run.traj")
-    grid_n = _norm_grid(spec.grid, traj.cutoff)
-    lps_pair = (spec.lps_pairs or [(4.0, 6.0)])[0]
-    _write_norms_csv(out / "norms.csv", traj, grid_n, lps_pair)
-    payload = _certificate_payload(traj, f, mu, spec, extra_norms, f_series, w, energy_defect)
+    table = _norm_table(traj, spec)
+    _write_norms_csv(out / "norms.csv", traj, table, spec.lps_pairs[0])
+    payload = _certificate_payload(
+        traj, table, f, mu, spec, extra_norms, f_series, w, energy_defect
+    )
     _write_json(out / "certificate.json", payload)
     return payload
 
@@ -375,7 +376,8 @@ def _run_linearized(spec: RunSpec) -> int:
         if spec.u0_path
         else problems.shear_field(spec.ell, cfg.cutoff, spec.amplitude)
     )
-    f = _load_vector(spec.f_path) if spec.f_path else None
+    # the solver reads f truncated to the basis, and so must the closed form
+    f = truncate_vector(_load_vector(spec.f_path), cfg.cutoff) if spec.f_path else None
     basis = build_basis(spec.ell, cfg.cutoff)
     op = assemble_linearized(w, basis, cfg.mu)
     traj = solve_linearized(op, f, u0, cfg)
@@ -425,7 +427,9 @@ def _run_certify(args) -> int:
     f_series = None
     if f is not None:
         f_series = [f] + [None] * max(0, max_s - 1)
-    payload = _certificate_payload(traj, f, args.mu, spec, f_series=f_series)
+    payload = _certificate_payload(
+        traj, _norm_table(traj, spec), f, args.mu, spec, f_series=f_series
+    )
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(spec.out_dir / "certificate.json", payload)
     print(f"certificate pass: {payload['pass']} (ratio {_fmt(payload['ratio'])})")
@@ -716,7 +720,7 @@ def _spec_from_args(args, problem: str, need_config: bool = True) -> RunSpec:
         amplitude=amplitude,
         out_dir=out_dir,
         grid=args.grid,
-        lps_pairs=list(args.lps) if args.lps else [],
+        lps_pairs=list(args.lps or [(4.0, 6.0)]),
         bochner_pairs=list(args.bochner) if args.bochner else [],
         u0_path=getattr(args, "u0", None),
         f_path=getattr(args, "f", None),

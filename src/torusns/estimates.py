@@ -24,14 +24,16 @@ from .galerkin import (
 )
 from .helmholtz import dual_norm, leray_project
 from .operators import (
+    NormTable,
+    convect,
     dj_norm,
     grad_norm,
     l2_norm_exact,
     laplacian,
     lp_norm,
     multi_indices,
+    norm_table,
     self_convection,
-    symmetrized_convection,
     _fast_len,
 )
 
@@ -43,6 +45,7 @@ __all__ = [
     "LpsReport",
     "lps_admissible",
     "lps_norm",
+    "lps_report",
     "BochnerScaleNorm",
     "bochner_scale_norm",
     "gn_report",
@@ -140,6 +143,8 @@ def energy_certificate(
     mu: float,
     w: FieldTrajectory | SpectralVectorField | None = None,
     grid_n: int | None = None,
+    *,
+    norms: NormTable | None = None,
 ) -> EnergyCertificate:
     """Evaluate both sides of the a-priori energy estimate on a trajectory.
 
@@ -147,15 +152,18 @@ def energy_certificate(
         1 + 2 sqrt(2) exp(I/mu) + (4/mu) I exp(2 I/mu),
     I = int_0^T ||w||^2_{L-infinity} dt; with w = None it reduces to
     1 + 2 sqrt(2).  The sup norm of w is a grid maximum on ``grid_n``.
+    ``norms`` is the trajectory's norm table, tabulated here when omitted.
     """
     if u0 is None:
         u0 = traj.initial
+    if norms is None:
+        norms = norm_table(traj.fields)
     times = traj.times
     forcing = _forcing_function(
         f, traj.ell, traj.horizon, partial(truncate_vector, cutoff=traj.cutoff)
     )
-    sup_u = max(l2_norm_exact(u) for u in traj.fields)
-    grad_sq = np.array([grad_norm(u, 1) ** 2 for u in traj.fields])
+    sup_u = max(norms.l2)
+    grad_sq = np.array([g**2 for g in norms.grad[1]])
     lhs2 = sup_u**2 + mu * trapezoid(grad_sq, times)
 
     dual = np.array([dual_norm(forcing(float(t)), 1) for t in times])
@@ -172,7 +180,7 @@ def energy_certificate(
             w = FieldTrajectory(np.array([0.0, traj.horizon]), (w, w))
         if grid_n is None:
             grid_n = _fast_len(max(2 * w.fields[0].bandwidth + 1, 16))
-        sup_sq = np.array([lp_norm(x, math.inf, grid_n) ** 2 for x in w.fields])
+        sup_sq = np.array([x**2 for x in norm_table(w.fields, grid_n).linf])
         integral = trapezoid(sup_sq, w.times)
         try:
             factor = (
@@ -223,20 +231,33 @@ def lps_admissible(s_exponent: float, r_exponent: float) -> bool:
     return abs(2.0 / s_exponent + three_over_r - 1.0) <= 1e-12
 
 
-def lps_norm(
-    traj: FieldTrajectory, s_exponent: float, r_exponent: float, n: int
-) -> LpsReport:
-    """Time-quadrature of the spatial L^r norm to the power s."""
+def _check_lps_exponents(s_exponent: float, r_exponent: float) -> None:
     if not s_exponent >= 1:
         raise ValueError("time exponent must be >= 1 (or infinity)")
     if not r_exponent > 1:
         raise ValueError("space exponent must lie in (1, infinity]")
-    spatial = np.array([lp_norm(u, r_exponent, n) for u in traj.fields])
+
+
+def lps_report(
+    norms: NormTable, times: np.ndarray, s_exponent: float, r_exponent: float
+) -> LpsReport:
+    """Time-quadrature of the tabulated spatial L^r norms to the power s."""
+    _check_lps_exponents(s_exponent, r_exponent)
+    spatial = np.array(norms.lp[r_exponent])
     if math.isinf(s_exponent):
         value = float(np.max(spatial))
     else:
-        value = float(trapezoid(spatial**s_exponent, traj.times) ** (1.0 / s_exponent))
+        value = float(trapezoid(spatial**s_exponent, times) ** (1.0 / s_exponent))
     return LpsReport(s_exponent, r_exponent, lps_admissible(s_exponent, r_exponent), value)
+
+
+def lps_norm(
+    traj: FieldTrajectory, s_exponent: float, r_exponent: float, n: int
+) -> LpsReport:
+    """Time-quadrature of the spatial L^r norm to the power s."""
+    _check_lps_exponents(s_exponent, r_exponent)
+    table = norm_table(traj.fields, n, (r_exponent,))
+    return lps_report(table, traj.times, s_exponent, r_exponent)
 
 
 @dataclass(frozen=True)
@@ -262,7 +283,10 @@ def _time_derivative_chain(
     """Trajectories of d_t^j u for j = 0..s via the evolution equation.
 
     d_t^(j+1) u = mu Lap d_t^j u
-                  + P( d_t^j f - 1/2 sum_l C(j,l) B(d_t^l u, d_t^(j-l) u) ).
+                  + P( d_t^j f - sum_l C(j,l) (d_t^l u . grad) d_t^(j-l) u ),
+
+    one kernel call per term: the sum is symmetric in l <-> j-l, so it equals
+    the symmetrized form 1/2 sum_l C(j,l) B(d_t^l u, d_t^(j-l) u).
     """
     if f_series is None:
         lookups = None
@@ -285,9 +309,7 @@ def _time_derivative_chain(
         for i, t in enumerate(traj.times):
             transport = None
             for l in range(j + 1):
-                term = symmetrized_convection(chain[l][i], chain[j - l][i]) * (
-                    0.5 * math.comb(j, l)
-                )
+                term = convect(chain[l][i], chain[j - l][i]) * float(math.comb(j, l))
                 transport = term if transport is None else transport + term
             fj = lookups[j](float(t)) if lookups is not None else zero
             nxt.append(laplacian(chain[j][i]) * mu + leray_project(fj - transport))

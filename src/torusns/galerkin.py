@@ -49,15 +49,16 @@ from .fields import (
     write_field,
 )
 from .operators import (
+    NormTable,
     _convect_stack,
     _fast_len,
     div,
     grad,
-    grad_norm,
     inner_l2,
     l2_norm_exact,
     laplacian,
     lp_norm,
+    norm_table,
     self_convection,
 )
 from .helmholtz import _project_stack
@@ -752,20 +753,23 @@ def residual(
 
 
 def energy_identity_defect(
-    traj: FieldTrajectory, f: Forcing, mu: float
+    traj: FieldTrajectory, f: Forcing, mu: float, *, norms: NormTable | None = None
 ) -> np.ndarray:
     """Defect of the discrete energy balance at every sample,
 
         | 1/2 ||u(t)||^2 + mu int_0^t ||grad u||^2 - 1/2 ||u0||^2
           - int_0^t (f, u) |,
 
-    with trapezoid time quadrature.
+    with trapezoid time quadrature.  ``norms`` is the trajectory's norm
+    table, tabulated here when omitted.
     """
+    if norms is None:
+        norms = norm_table(traj.fields)
     forcing = _forcing_function(
         f, traj.ell, traj.horizon, partial(truncate_vector, cutoff=traj.cutoff)
     )
-    energy = np.array([0.5 * l2_norm_exact(u) ** 2 for u in traj.fields])
-    enstrophy = np.array([grad_norm(u, 1) ** 2 for u in traj.fields])
+    energy = np.array([0.5 * x**2 for x in norms.l2])
+    enstrophy = np.array([g**2 for g in norms.grad[1]])
     work = np.array(
         [inner_l2(forcing(float(t)), u) for t, u in zip(traj.times, traj.fields)]
     )

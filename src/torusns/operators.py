@@ -23,6 +23,7 @@ is a grid maximum; these are documented sampling approximations.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +53,8 @@ __all__ = [
     "hs_norm",
     "lp_norm",
     "dj_norm",
+    "NormTable",
+    "norm_table",
     "convect",
     "self_convection",
     "symmetrized_convection",
@@ -370,6 +373,18 @@ def _pointwise_magnitude(u: Field, n: int) -> np.ndarray:
     return np.sqrt(np.sum(vals**2, axis=0))
 
 
+def _check_lp_exponent(p: float) -> None:
+    if p < 1:
+        raise ValueError("L^p norms require p >= 1")
+
+
+def _lp_quadrature(mag: np.ndarray, p: float, cell: float) -> float:
+    """L^p norm of the sampled magnitudes ``mag`` on cells of volume ``cell``."""
+    if math.isinf(p):
+        return float(np.max(mag))
+    return float((cell * np.sum(mag**p)) ** (1.0 / p))
+
+
 def lp_norm(u: Field, p: float, n: int) -> float:
     """L^p(Q) norm by rectangle-rule quadrature on the n^3 grid.
 
@@ -378,13 +393,8 @@ def lp_norm(u: Field, p: float, n: int) -> float:
     the quadrature converges to the exact Parseval value) these are sampling
     approximations whose accuracy is controlled by n.
     """
-    if p < 1:
-        raise ValueError("L^p norms require p >= 1")
-    mag = _pointwise_magnitude(u, n)
-    if math.isinf(p):
-        return float(np.max(mag))
-    cell = (u.ell / n) ** 3
-    return float((cell * np.sum(mag**p)) ** (1.0 / p))
+    _check_lp_exponent(p)
+    return _lp_quadrature(_pointwise_magnitude(u, n), p, (u.ell / n) ** 3)
 
 
 def dj_norm(u: Field, j: int, p: float, n: int) -> float:
@@ -392,3 +402,53 @@ def dj_norm(u: Field, j: int, p: float, n: int) -> float:
     if j == 0:
         return lp_norm(u, p, n)
     return max(lp_norm(partial_derivative(u, alpha), p, n) for alpha in multi_indices(j))
+
+
+@dataclass(frozen=True)
+class NormTable:
+    """Norms of every field of a sequence, bitwise those of the one-field
+    functions: ``grad[j][i]`` is ``grad_norm(fields[i], j)``, j = 0, 1, 2
+    (j = 0 is the exact L2 norm), ``div[i]`` is ``l2_norm_exact(div(fields[i]))``
+    and ``lp[r][i]`` is ``lp_norm(fields[i], r, grid_n)``."""
+
+    grad: tuple[tuple[float, ...], ...]
+    div: tuple[float, ...]
+    lp: dict[float, tuple[float, ...]]
+
+    @property
+    def l2(self) -> tuple[float, ...]:
+        return self.grad[0]
+
+    @property
+    def linf(self) -> tuple[float, ...]:
+        return self.lp[math.inf]
+
+    def hs(self, s: int) -> list[float]:
+        """``hs_norm(field, s)`` of every field, s <= 2."""
+        return [math.sqrt(sum(g**2 for g in col[: s + 1])) for col in zip(*self.grad)]
+
+
+def norm_table(fields, grid_n: int | None = None, exponents=()) -> NormTable:
+    """The :class:`NormTable` of fields sharing ell and cutoff.
+
+    The exact norms come from one |c|^2 array per field.  Given ``grid_n``,
+    each field is sampled once on the grid_n^3 grid, and ``lp`` holds the
+    L^r for r = infinity and every r in ``exponents``, from that one sample.
+    """
+    rs = list(dict.fromkeys([*exponents, math.inf])) if grid_n is not None else []
+    for r in rs:
+        _check_lp_exponent(r)
+    u0 = fields[0]
+    lam = wave_cubes(u0.bandwidth)[3].astype(np.float64) * _wavenumber_factor(u0) ** 2
+    weights, volume = (1.0, lam, lam**2), u0.ell**3
+    rows = []
+    for u in fields:
+        power = np.abs(_coeff_stack(u)) ** 2
+        row = [math.sqrt(volume * float(np.sum(w * power))) for w in weights]
+        row.append(l2_norm_exact(div(u)))
+        if rs:
+            mag = _pointwise_magnitude(u, grid_n)
+            row += [_lp_quadrature(mag, r, (u.ell / grid_n) ** 3) for r in rs]
+        rows.append(row)
+    cols = tuple(zip(*rows))
+    return NormTable(cols[:3], cols[3], dict(zip(rs, cols[4:])))

@@ -353,6 +353,51 @@ class TestCertify:
         assert cert["norms"]["bochner"][0]["value"] > 0
 
 
+class TestQuadratureSamplings:
+    """Each stored sample is sampled once on the quadrature grid per run;
+    the solver's CFL check samples once every 25 steps on its own."""
+
+    @pytest.fixture
+    def samplings(self, monkeypatch):
+        from torusns import operators
+
+        calls = []
+        real = operators.sample_values
+
+        def counting(u, n):
+            calls.append(n)
+            return real(u, n)
+
+        monkeypatch.setattr(operators, "sample_values", counting)
+        monkeypatch.delenv("TORUS_NS_OUT", raising=False)
+        return calls
+
+    @pytest.mark.parametrize("lps", [[], ["--lps", "4,6", "--lps", "3,inf"]])
+    def test_custom_run(self, samplings, tmp_path, lps):
+        u0 = leray_project(random_vector_field(ELL, 4, np.random.default_rng(7), amplitude=0.3))
+        save_field(u0, tmp_path / "u0.field")
+        steps = 30
+        argv = [
+            "custom", "--u0", str(tmp_path / "u0.field"), "--M", "4", "--T", "0.03",
+            "--dt", "1e-3", "--scheme", "if_rk4", "--out-dir", str(tmp_path / "out"), *lps,
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        samples = len(load_trajectory(tmp_path / "out" / "run.traj"))
+        assert samples == steps + 1
+        assert len(samplings) == samples + math.ceil(steps / 25)
+
+    def test_certify(self, samplings, decay_dir, tmp_path):
+        out, _ = decay_dir
+        argv = [
+            "certify", "--traj", str(out / "run.traj"), "--mu", "0.1",
+            "--lps", "4,6", "--lps", "3,inf", "--out-dir", str(tmp_path / "cert"),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert len(samplings) == len(load_trajectory(out / "run.traj"))
+
+
 class TestSelftest:
     def test_passes(self, tmp_path):
         r = run_cli("selftest", "--M", "4", cwd=tmp_path)
@@ -410,6 +455,19 @@ class TestLinearized:
 
         loaded = load_field(tmp_path / "u0.field")
         assert l2_norm_exact(traj.initial - leray_project(loaded)) <= 1e-11
+
+    def test_forcing_above_basis_cutoff_is_truncated(self, tmp_path):
+        # the solver truncates --f to the run's cutoff, and so must the
+        # closed-form check
+        f = leray_project(random_vector_field(ELL, 6, np.random.default_rng(5), amplitude=0.2))
+        save_field(f, tmp_path / "f.field")
+        r = run_cli(
+            "linearized", "--M", "4", "--T", "0.01", "--dt", "5e-3", "--f", "f.field",
+            "--out-dir", "lin", cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        cert = json.loads((tmp_path / "lin" / "certificate.json").read_text())
+        assert cert["norms"]["matrix_exponential_agreement"] <= 1e-8
 
 
 class TestStudy:

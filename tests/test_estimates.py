@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusns import estimates
 from torusns.estimates import (
     BochnerScaleNorm,
     PerovInput,
@@ -14,10 +15,32 @@ from torusns.estimates import (
     nonlinear_term_bound_report,
     perov_bound,
 )
-from torusns.fields import random_vector_field, vector_from_modes
-from torusns.galerkin import FieldTrajectory, SolverConfig, solve_navier_stokes, trapezoid
+from torusns.fields import (
+    SpectralVectorField,
+    random_vector_field,
+    truncate_vector,
+    vector_from_modes,
+)
+from torusns.galerkin import (
+    FieldTrajectory,
+    SolverConfig,
+    energy_identity_defect,
+    load_trajectory,
+    save_trajectory,
+    solve_navier_stokes,
+    trapezoid,
+)
 from torusns.helmholtz import leray_project
-from torusns.operators import grad_norm, l2_norm_exact, lp_norm
+from torusns.operators import (
+    div,
+    grad_norm,
+    hs_norm,
+    l2_norm_exact,
+    laplacian,
+    lp_norm,
+    norm_table,
+    symmetrized_convection,
+)
 from torusns.problems import shear_field, two_shell_problem
 
 ELL = 2.0 * math.pi
@@ -235,6 +258,144 @@ class TestLps:
             lps_norm(shear_run, 4.0, math.nan, 16)
         # infinity stays a valid exponent in time and in space
         assert math.isfinite(lps_norm(shear_run, math.inf, math.inf, 16).value)
+
+
+class TestNormTable:
+    EXPONENTS = (3.0, 4.5, 6.0, math.inf)
+
+    @pytest.mark.parametrize("cutoff, grid", [(4, 16), (6, 24), (6, 9), (9, 5)])
+    def test_equals_single_field_norms(self, rng, cutoff, grid):
+        # divergence-carrying random fields, so every column is nonzero
+        fields = [random_vector_field(ELL, cutoff, rng) for _ in range(4)]
+        table = norm_table(fields, grid, self.EXPONENTS)
+        for i, u in enumerate(fields):
+            for r in self.EXPONENTS:
+                assert table.lp[r][i] == lp_norm(u, r, grid)
+            assert table.linf[i] == lp_norm(u, math.inf, grid)
+            assert table.l2[i] == l2_norm_exact(u)
+            for j in range(3):
+                assert table.grad[j][i] == grad_norm(u, j)
+            assert table.hs(1)[i] == hs_norm(u, 1)
+            assert table.hs(2)[i] == hs_norm(u, 2)
+            assert table.div[i] == l2_norm_exact(div(u))
+
+    def test_without_grid_only_exact_norms(self, rng):
+        fields = [random_vector_field(ELL, 4, rng) for _ in range(2)]
+        table = norm_table(fields)
+        assert table.lp == {}
+        assert table.l2 == tuple(l2_norm_exact(u) for u in fields)
+
+    def test_rejects_exponent_below_one(self, rng):
+        with pytest.raises(ValueError, match=">= 1"):
+            norm_table([random_vector_field(ELL, 4, rng)], 16, (0.5,))
+
+    @pytest.mark.parametrize("s_exp", [4.0, 2.0, math.inf])
+    @pytest.mark.parametrize("r_exp", [6.0, math.inf])
+    def test_lps_norm_unchanged(self, shear_run, s_exp, r_exp):
+        # the per-sample loop lps_norm ran before it read the norm table
+        spatial = np.array([lp_norm(u, r_exp, 16) for u in shear_run.fields])
+        if math.isinf(s_exp):
+            expected = float(np.max(spatial))
+        else:
+            expected = float(trapezoid(spatial**s_exp, shear_run.times) ** (1.0 / s_exp))
+        assert lps_norm(shear_run, s_exp, r_exp, 16).value == expected
+
+    def test_energy_consumers_read_the_table(self, shear_run):
+        table = norm_table(shear_run.fields, 16, (6.0,))
+        assert energy_certificate(shear_run, None, None, MU, norms=table) == (
+            energy_certificate(shear_run, None, None, MU)
+        )
+        assert np.array_equal(
+            energy_identity_defect(shear_run, None, MU, norms=table),
+            energy_identity_defect(shear_run, None, MU),
+        )
+        # the lhs as it was summed before the table
+        sup_u = max(l2_norm_exact(u) for u in shear_run.fields)
+        grad_sq = np.array([grad_norm(u, 1) ** 2 for u in shear_run.fields])
+        lhs2 = sup_u**2 + MU * trapezoid(grad_sq, shear_run.times)
+        assert energy_certificate(shear_run, None, None, MU, norms=table).lhs_squared == lhs2
+
+
+def _symmetrized_chain(traj, s, mu, f_series):
+    """The derivative chain as it was built from symmetrized products."""
+    from functools import partial
+
+    from torusns.galerkin import _forcing_function
+
+    lookups = None
+    if f_series is not None:
+        fit = partial(truncate_vector, cutoff=traj.cutoff)
+        lookups = [_forcing_function(fj, traj.ell, traj.horizon, fit) for fj in f_series]
+    chain = [list(traj.fields)]
+    if s >= 1 and traj.rhs is not None and (f_series is None or len(f_series) >= 1):
+        chain.append(list(traj.rhs))
+    zero = SpectralVectorField.zero(traj.ell, traj.cutoff)
+    while len(chain) <= s:
+        j = len(chain) - 1
+        nxt = []
+        for i, t in enumerate(traj.times):
+            transport = None
+            for l in range(j + 1):
+                term = symmetrized_convection(chain[l][i], chain[j - l][i]) * (
+                    0.5 * math.comb(j, l)
+                )
+                transport = term if transport is None else transport + term
+            fj = lookups[j](float(t)) if lookups is not None else zero
+            nxt.append(laplacian(chain[j][i]) * mu + leray_project(fj - transport))
+        chain.append(nxt)
+    return chain[: s + 1]
+
+
+@pytest.fixture(scope="module")
+def manufactured_run():
+    prob = two_shell_problem()
+    cfg = SolverConfig(mu=prob.mu, horizon=0.02, cutoff=4, dt=2e-3, scheme="if_rk4")
+    traj = solve_navier_stokes(prob.forcing, truncate_vector(prob.initial, 4), cfg)
+    return traj, prob.mu, [prob.forcing_derivative(j) for j in range(4)]
+
+
+class TestChainKernelCalls:
+    def _both(self, monkeypatch, traj, k, s, mu, f_series=None):
+        new = bochner_scale_norm(traj, k, s, mu, f_series=f_series).value
+        with monkeypatch.context() as mp:
+            mp.setattr(estimates, "_time_derivative_chain", _symmetrized_chain)
+            old = bochner_scale_norm(traj, k, s, mu, f_series=f_series).value
+        return new, old
+
+    def test_first_order_bitwise_on_loaded_trajectory(self, monkeypatch, rng, tmp_path):
+        u = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.5))
+        traj = FieldTrajectory(np.linspace(0.0, 0.1, 6), tuple(u * (1 - i / 10) for i in range(6)))
+        save_trajectory(traj, tmp_path / "run.traj")
+        loaded = load_trajectory(tmp_path / "run.traj")
+        assert loaded.rhs is None
+        for k in (0, 1):
+            new, old = self._both(monkeypatch, loaded, k, 1, MU)
+            assert new == old
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_higher_orders_within_roundoff(self, monkeypatch, shear_run, manufactured_run, s):
+        short = FieldTrajectory(shear_run.times[:21], shear_run.fields[:21], shear_run.rhs[:21])
+        traj, mu, series = manufactured_run
+        assert short.rhs is not None and traj.rhs is not None
+        for run, run_mu, f_series in ((short, MU, None), (traj, mu, series)):
+            new, old = self._both(monkeypatch, run, 1, s, run_mu, f_series)
+            assert abs(new - old) <= 1e-14 * old
+
+    @pytest.mark.parametrize("stored_rhs, s, generated", [(False, 3, (0, 1, 2)), (True, 3, (1, 2))])
+    def test_one_kernel_call_per_term(self, monkeypatch, manufactured_run, stored_rhs, s, generated):
+        traj, mu, series = manufactured_run
+        if not stored_rhs:
+            traj = FieldTrajectory(traj.times, traj.fields)
+        calls = []
+        real = estimates.convect
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, "convect", counting)
+        estimates._time_derivative_chain(traj, s, mu, series)
+        assert len(calls) == sum(j + 1 for j in generated) * len(traj)
 
 
 class TestBochner:
