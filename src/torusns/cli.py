@@ -37,7 +37,7 @@ from .fields import (
     load_field,
     random_scalar_field,
     random_vector_field,
-    truncate_vector,
+    truncate,
 )
 from .galerkin import (
     FieldTrajectory,
@@ -331,7 +331,7 @@ def _run_manufactured(spec: RunSpec) -> int:
         )
         print(f"observed order: {_fmt(order)}")
         return EXIT_OK
-    u0 = truncate_vector(prob.initial, cfg.cutoff)
+    u0 = truncate(prob.initial, cfg.cutoff)
     traj = solve_navier_stokes(prob.forcing, u0, cfg)
     err = max(
         l2_norm_exact(u - prob.velocity(float(t)))
@@ -377,7 +377,7 @@ def _run_linearized(spec: RunSpec) -> int:
         else problems.shear_field(spec.ell, cfg.cutoff, spec.amplitude)
     )
     # the solver reads f truncated to the basis, and so must the closed form
-    f = truncate_vector(_load_vector(spec.f_path), cfg.cutoff) if spec.f_path else None
+    f = truncate(_load_vector(spec.f_path), cfg.cutoff) if spec.f_path else None
     basis = build_basis(spec.ell, cfg.cutoff)
     op = assemble_linearized(w, basis, cfg.mu)
     traj = solve_linearized(op, f, u0, cfg)
@@ -480,7 +480,7 @@ def _selftest_checks(cutoff: int, basis_path: str | None):
     def check_basis_gram():
         basis = load_basis(basis_path) if basis_path else build_basis(ell, cutoff)
         fields = basis.all_fields()
-        mat = np.stack([f.coeff_stack().ravel() for f in fields])
+        mat = np.stack([f.coeffs.ravel() for f in fields])
         gram = np.real(mat.conj() @ mat.T) * basis.ell**3
         dev = float(np.max(np.abs(gram - np.eye(len(fields)))))
         return dev <= 1e-12, f"Gram deviation {dev:.2e}"
@@ -554,7 +554,7 @@ def _brute_convect(w: SpectralVectorField, u: SpectralVectorField) -> SpectralVe
                         out[i, bw_out + k[0], bw_out + k[1], bw_out + k[2]] += (
                             cw * fac * ku[j] * cu
                         )
-    return SpectralVectorField.from_stack(u.ell, out_cutoff, out)
+    return SpectralVectorField(u.ell, out_cutoff, out)
 
 
 def _run_selftest(args) -> int:
@@ -673,10 +673,12 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
     if not known.config:
         return argv
     path = Path(known.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     injected: list[str] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -692,8 +694,19 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
     return [argv[0]] + injected + argv[1:]
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Reject an output path that cannot become a directory: the path or its
+    nearest existing ancestor is not a directory.  Nothing is created."""
+    for path in (out_dir, *out_dir.parents):
+        if path.is_dir():
+            return
+        if path.exists() or path.is_symlink():
+            raise ConfigError(f"output path {path} exists and is not a directory")
+
+
 def _spec_from_args(args, problem: str, need_config: bool = True) -> RunSpec:
     out_dir = Path(os.environ.get("TORUS_NS_OUT", args.out_dir))
+    _check_out_dir(out_dir)
     config = None
     if need_config:
         try:

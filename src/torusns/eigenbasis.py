@@ -32,7 +32,7 @@ from .fields import (
     SpectralVectorField,
     WaveVector,
     bandwidth_of,
-    embed_vector,
+    embed,
     line_number,
     next_line,
     parse_field_block,
@@ -158,7 +158,7 @@ class DivFreeBasis:
 
 
 def _flat_matrix(fields: list[SpectralVectorField]) -> np.ndarray:
-    return np.stack([f.coeff_stack().ravel() for f in fields])
+    return np.stack([f.coeffs.ravel() for f in fields])
 
 
 def build_basis(ell: float, cutoff: int) -> DivFreeBasis:
@@ -204,7 +204,7 @@ def _coefficients(u: SpectralVectorField, basis: DivFreeBasis, matrix: np.ndarra
         raise ValueError(
             f"field cutoff {u.cutoff} exceeds basis cutoff {basis.cutoff}"
         )
-    flat = embed_vector(u, basis.cutoff).coeff_stack().ravel()
+    flat = embed(u, basis.cutoff).coeffs.ravel()
     # Re(conj(B) x) = Re(B conj(x)) with the same products up to exact sign
     # flips, so the values are those of conj(B) @ x, without copying B
     return np.real(matrix @ flat.conj()) * basis.ell**3
@@ -231,9 +231,7 @@ def reconstruct(basis: DivFreeBasis, coeffs: np.ndarray) -> SpectralVectorField:
         raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
     flat = coeffs @ basis._divfree_matrix
     side = 2 * bandwidth_of(basis.cutoff) + 1
-    return SpectralVectorField.from_stack(
-        basis.ell, basis.cutoff, flat.reshape(3, side, side, side)
-    )
+    return SpectralVectorField(basis.ell, basis.cutoff, flat.reshape(3, side, side, side))
 
 
 def save_basis(basis: DivFreeBasis, path) -> None:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import SpectralVectorField, truncate_vector, wave_cubes
+from .fields import SpectralVectorField, truncate, wave_cubes
 from .galerkin import (
     FieldTrajectory,
     Forcing,
@@ -160,7 +160,7 @@ def energy_certificate(
         norms = norm_table(traj.fields)
     times = traj.times
     forcing = _forcing_function(
-        f, traj.ell, traj.horizon, partial(truncate_vector, cutoff=traj.cutoff)
+        f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff)
     )
     sup_u = max(norms.l2)
     grad_sq = np.array([g**2 for g in norms.grad[1]])
@@ -296,7 +296,7 @@ def _time_derivative_chain(
                 f"requested s={s} exceeds available derivative depth "
                 f"{len(f_series)} of the forcing"
             )
-        fit = partial(truncate_vector, cutoff=traj.cutoff)
+        fit = partial(truncate, cutoff=traj.cutoff)
         lookups = [_forcing_function(fj, traj.ell, traj.horizon, fit) for fj in f_series]
     chain: list[list[SpectralVectorField]] = [list(traj.fields)]
     if s >= 1 and traj.rhs is not None and (f_series is None or len(f_series) >= 1):
@@ -346,7 +346,7 @@ def bochner_scale_norm(
     ]
     # per derivative order: |c|^2 summed over components, per sample
     power = [
-        np.stack([np.sum(np.abs(u.coeff_stack()) ** 2, axis=0).ravel() for u in lst])
+        np.stack([np.sum(np.abs(u.coeffs) ** 2, axis=0).ravel() for u in lst])
         for lst in chain
     ]
     total = 0.0

@@ -15,6 +15,12 @@ B = isqrt(cutoff) (the per-axis bandwidth); entries outside the shell
 (k, k) <= cutoff are identically zero.  Real-valued fields obey the Hermitian
 symmetry c_{-k} = conj(c_k), which every constructor enforces.
 
+Each field holds one read-only coefficient array: shape (2B+1,)*3 for a
+scalar field and (3, 2B+1, 2B+1, 2B+1) for a vector field, whose leading
+axis is the component.  Validation, the shell mask, embedding, truncation
+and arithmetic act on the trailing three axes, so one code path serves both
+ranks; ``coeff_stack()`` of a vector field is that array itself, not a copy.
+
 Fields are immutable values; all operations on them are pure functions.
 """
 
@@ -24,7 +30,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from typing import ClassVar, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -94,23 +100,9 @@ def shell_mask(bandwidth: int, cutoff: int) -> np.ndarray:
     return wave_cubes(bandwidth)[3] <= cutoff
 
 
-def _prepare_coeffs(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
-    bw = bandwidth_of(cutoff)
-    side = 2 * bw + 1
-    arr = np.array(coeffs, dtype=np.complex128)
-    if arr.shape != (side, side, side):
-        raise ValueError(
-            f"coefficient cube must have shape {(side, side, side)} for cutoff {cutoff}, "
-            f"got {arr.shape}"
-        )
-    arr[~shell_mask(bw, cutoff)] = 0.0
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
-class SpectralScalarField:
-    """Real periodic scalar field given by truncated Fourier coefficients.
+class Field:
+    """Real periodic field given by truncated Fourier coefficients.
 
     Attributes
     ----------
@@ -119,29 +111,77 @@ class SpectralScalarField:
     cutoff : int
         Maximal admitted shell (k, k).
     coeffs : np.ndarray
-        Complex cube of shape (2B+1,)*3, centered layout: entry
-        [B + k1, B + k2, B + k3] holds c_k.
+        Read-only complex array of shape ``lead + (2B+1,)*3``, centered
+        layout over the trailing three axes: entry [..., B + k1, B + k2,
+        B + k3] holds c_k.  ``lead`` is () for a scalar field and (3,) for a
+        vector field.
     """
 
     ell: float
     cutoff: int
     coeffs: np.ndarray
 
+    ncomponents: ClassVar[int]
+    lead: ClassVar[tuple[int, ...]]
+
     def __post_init__(self) -> None:
         if not _MIN_ELL <= self.ell <= _MAX_ELL:
             raise ValueError(f"period ell must be finite and lie in [{_MIN_ELL:g}, {_MAX_ELL:g}]")
         if not (isinstance(self.cutoff, (int, np.integer)) and self.cutoff >= 0):
             raise ValueError("cutoff must be a nonnegative integer")
-        object.__setattr__(self, "cutoff", int(self.cutoff))
-        object.__setattr__(self, "coeffs", _prepare_coeffs(self.coeffs, self.cutoff))
+        cutoff = int(self.cutoff)
+        bw = bandwidth_of(cutoff)
+        shape = self.lead + (2 * bw + 1,) * 3
+        arr = np.array(self.coeffs, dtype=np.complex128)
+        if arr.shape != shape:
+            raise ValueError(
+                f"coefficient array must have shape {shape} for cutoff {cutoff}, got {arr.shape}"
+            )
+        np.copyto(arr, 0.0, where=~shell_mask(bw, cutoff))
+        arr.setflags(write=False)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "coeffs", arr)
 
     @property
     def bandwidth(self) -> int:
         return bandwidth_of(self.cutoff)
 
-    @property
-    def ncomponents(self) -> int:
-        return 1
+    def with_coeffs(self, coeffs: np.ndarray):
+        """A field of the same type, ell and cutoff with other coefficients."""
+        return type(self)(self.ell, self.cutoff, coeffs)
+
+    def hermitian_defect(self) -> float:
+        """Max |c_{-k} - conj(c_k)| over the array (0 for real fields)."""
+        flipped = self.coeffs[..., ::-1, ::-1, ::-1]
+        return float(np.max(np.abs(flipped - np.conj(self.coeffs))))
+
+    @classmethod
+    def zero(cls, ell: float, cutoff: int):
+        side = 2 * bandwidth_of(cutoff) + 1
+        return cls(ell, cutoff, np.zeros(cls.lead + (side,) * 3, dtype=np.complex128))
+
+    def __add__(self, other):
+        a, b = align(self, other)
+        return a.with_coeffs(a.coeffs + b.coeffs)
+
+    def __sub__(self, other):
+        a, b = align(self, other)
+        return a.with_coeffs(a.coeffs - b.coeffs)
+
+    def __mul__(self, scalar: float):
+        return self.with_coeffs(self.coeffs * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self.with_coeffs(-self.coeffs)
+
+
+class SpectralScalarField(Field):
+    """Real periodic scalar field; ``coeffs`` has shape (2B+1,)*3."""
+
+    ncomponents = 1
+    lead = ()
 
     @property
     def mean(self) -> float:
@@ -165,131 +205,36 @@ class SpectralScalarField:
                 self.coeffs[i1, i2, i3]
             )
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "SpectralScalarField":
-        return SpectralScalarField(self.ell, self.cutoff, coeffs)
 
-    def hermitian_defect(self) -> float:
-        """Max |c_{-k} - conj(c_k)| over the cube (0 for real fields)."""
-        flipped = self.coeffs[::-1, ::-1, ::-1]
-        return float(np.max(np.abs(flipped - np.conj(self.coeffs))))
+class SpectralVectorField(Field):
+    """Real periodic vector field; ``coeffs`` has shape (3, 2B+1, 2B+1, 2B+1)."""
 
-    @staticmethod
-    def zero(ell: float, cutoff: int) -> "SpectralScalarField":
-        side = 2 * bandwidth_of(cutoff) + 1
-        return SpectralScalarField(ell, cutoff, np.zeros((side,) * 3, dtype=np.complex128))
-
-    def __add__(self, other: "SpectralScalarField") -> "SpectralScalarField":
-        a, b = align_scalar(self, other)
-        return a.with_coeffs(a.coeffs + b.coeffs)
-
-    def __sub__(self, other: "SpectralScalarField") -> "SpectralScalarField":
-        a, b = align_scalar(self, other)
-        return a.with_coeffs(a.coeffs - b.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralScalarField":
-        return self.with_coeffs(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralScalarField":
-        return self.with_coeffs(-self.coeffs)
-
-
-@dataclass(frozen=True)
-class SpectralVectorField:
-    """Real periodic vector field; three scalar components sharing ell and cutoff."""
-
-    components: tuple[SpectralScalarField, SpectralScalarField, SpectralScalarField]
-
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if len(comps) != 3:
-            raise ValueError("a vector field has exactly three components")
-        c0 = comps[0]
-        for c in comps[1:]:
-            if c.ell != c0.ell or c.cutoff != c0.cutoff:
-                raise ValueError("vector components must agree on ell and cutoff")
-        object.__setattr__(self, "components", comps)
+    ncomponents = 3
+    lead = (3,)
 
     @property
-    def ell(self) -> float:
-        return self.components[0].ell
-
-    @property
-    def cutoff(self) -> int:
-        return self.components[0].cutoff
-
-    @property
-    def bandwidth(self) -> int:
-        return self.components[0].bandwidth
-
-    @property
-    def ncomponents(self) -> int:
-        return 3
+    def components(self) -> tuple[SpectralScalarField, ...]:
+        """The three scalar components, each a copy of one slice of ``coeffs``."""
+        return tuple(SpectralScalarField(self.ell, self.cutoff, c) for c in self.coeffs)
 
     def coeff_stack(self) -> np.ndarray:
-        """Stacked coefficient array of shape (3, 2B+1, 2B+1, 2B+1)."""
-        return np.stack([c.coeffs for c in self.components])
+        """The read-only coefficient array itself, not a copy."""
+        return self.coeffs
 
-    def with_stack(self, stack: np.ndarray) -> "SpectralVectorField":
-        return SpectralVectorField(
-            tuple(SpectralScalarField(self.ell, self.cutoff, stack[i]) for i in range(3))
-        )
-
-    @staticmethod
-    def zero(ell: float, cutoff: int) -> "SpectralVectorField":
-        z = SpectralScalarField.zero(ell, cutoff)
-        return SpectralVectorField((z, z, z))
-
-    @staticmethod
-    def from_stack(ell: float, cutoff: int, stack: np.ndarray) -> "SpectralVectorField":
-        return SpectralVectorField(
-            tuple(SpectralScalarField(ell, cutoff, stack[i]) for i in range(3))
-        )
-
-    def hermitian_defect(self) -> float:
-        return max(c.hermitian_defect() for c in self.components)
-
-    def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        a, b = align_vector(self, other)
-        return a.with_stack(a.coeff_stack() + b.coeff_stack())
-
-    def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        a, b = align_vector(self, other)
-        return a.with_stack(a.coeff_stack() - b.coeff_stack())
-
-    def __mul__(self, scalar: float) -> "SpectralVectorField":
-        return SpectralVectorField(tuple(c * scalar for c in self.components))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralVectorField":
-        return SpectralVectorField(tuple(-c for c in self.components))
+    with_stack = Field.with_coeffs
 
 
-Field = SpectralScalarField | SpectralVectorField
-
-
-def align_scalar(
-    a: SpectralScalarField, b: SpectralScalarField
-) -> tuple[SpectralScalarField, SpectralScalarField]:
-    """Embed two scalar fields into a common cutoff (shared ell required)."""
+def align(a: Field, b: Field) -> tuple[Field, Field]:
+    """Embed two fields of one rank into a common cutoff (shared ell required)."""
     if a.ell != b.ell:
         raise ValueError("incompatible domains: fields have different periods")
+    if a.ncomponents != b.ncomponents:
+        raise ValueError("cannot pair fields of different rank")
     cut = max(a.cutoff, b.cutoff)
-    return embed_scalar(a, cut), embed_scalar(b, cut)
+    return embed(a, cut), embed(b, cut)
 
 
-def align_vector(
-    a: SpectralVectorField, b: SpectralVectorField
-) -> tuple[SpectralVectorField, SpectralVectorField]:
-    if a.ell != b.ell:
-        raise ValueError("incompatible domains: fields have different periods")
-    cut = max(a.cutoff, b.cutoff)
-    return embed_vector(a, cut), embed_vector(b, cut)
-
-
-def embed_scalar(u: SpectralScalarField, cutoff: int) -> SpectralScalarField:
+def embed(u: Field, cutoff: int) -> Field:
     """Re-express u on a cube of (larger or equal) cutoff without changing it."""
     if cutoff == u.cutoff:
         return u
@@ -298,35 +243,49 @@ def embed_scalar(u: SpectralScalarField, cutoff: int) -> SpectralScalarField:
     bw_new = bandwidth_of(cutoff)
     bw_old = u.bandwidth
     side = 2 * bw_new + 1
-    out = np.zeros((side,) * 3, dtype=np.complex128)
+    out = np.zeros(u.lead + (side,) * 3, dtype=np.complex128)
     lo, hi = bw_new - bw_old, bw_new + bw_old + 1
-    out[lo:hi, lo:hi, lo:hi] = u.coeffs
-    return SpectralScalarField(u.ell, cutoff, out)
+    out[..., lo:hi, lo:hi, lo:hi] = u.coeffs
+    return type(u)(u.ell, cutoff, out)
 
 
-def embed_vector(u: SpectralVectorField, cutoff: int) -> SpectralVectorField:
-    if cutoff == u.cutoff:
-        return u
-    return SpectralVectorField(tuple(embed_scalar(c, cutoff) for c in u.components))
-
-
-def truncate_scalar(u: SpectralScalarField, cutoff: int) -> SpectralScalarField:
+def truncate(u: Field, cutoff: int) -> Field:
     """Drop modes with (k, k) > cutoff."""
     if cutoff >= u.cutoff:
-        return embed_scalar(u, cutoff) if cutoff > u.cutoff else u
+        return embed(u, cutoff)
     bw_new = bandwidth_of(cutoff)
     bw_old = u.bandwidth
     lo, hi = bw_old - bw_new, bw_old + bw_new + 1
-    return SpectralScalarField(u.ell, cutoff, u.coeffs[lo:hi, lo:hi, lo:hi])
-
-
-def truncate_vector(u: SpectralVectorField, cutoff: int) -> SpectralVectorField:
-    return SpectralVectorField(tuple(truncate_scalar(c, cutoff) for c in u.components))
+    return type(u)(u.ell, cutoff, u.coeffs[..., lo:hi, lo:hi, lo:hi])
 
 
 def hermitianize(coeffs: np.ndarray) -> np.ndarray:
-    """Symmetrize a centered coefficient cube so c_{-k} = conj(c_k) exactly."""
-    return 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1, ::-1]))
+    """Symmetrize a centered coefficient array so c_{-k} = conj(c_k) exactly."""
+    return 0.5 * (coeffs + np.conj(coeffs[..., ::-1, ::-1, ::-1]))
+
+
+def _place_modes(
+    lead: tuple[int, ...], cutoff: int, modes: Mapping, conjugate_pairs: bool
+) -> np.ndarray:
+    """Coefficient array of shape lead + (2B+1,)*3 holding a sparse {k: c_k}
+    map, the conjugate partners filled in when ``conjugate_pairs``."""
+    bw = bandwidth_of(cutoff)
+    out = np.zeros(lead + (2 * bw + 1,) * 3, dtype=np.complex128)
+    explicit = set()
+    for k, c in modes.items():
+        kv = WaveVector(*map(int, k))
+        if kv.shell > cutoff:
+            raise ValueError(f"mode {tuple(kv)} lies outside shell cutoff {cutoff}")
+        out[..., bw + kv.k1, bw + kv.k2, bw + kv.k3] = c
+        explicit.add(tuple(kv))
+    if conjugate_pairs:
+        for k in explicit:
+            neg = (-k[0], -k[1], -k[2])
+            if neg not in explicit:
+                out[..., bw + neg[0], bw + neg[1], bw + neg[2]] = np.conj(
+                    out[..., bw + k[0], bw + k[1], bw + k[2]]
+                )
+    return out
 
 
 def scalar_from_modes(
@@ -341,24 +300,7 @@ def scalar_from_modes(
     conj(c_k) unless the map sets it explicitly, so a real field can be given
     by one representative of each +-k pair.
     """
-    bw = bandwidth_of(cutoff)
-    side = 2 * bw + 1
-    out = np.zeros((side,) * 3, dtype=np.complex128)
-    explicit = set()
-    for k, c in modes.items():
-        kv = WaveVector(*map(int, k))
-        if kv.shell > cutoff:
-            raise ValueError(f"mode {tuple(kv)} lies outside shell cutoff {cutoff}")
-        out[bw + kv.k1, bw + kv.k2, bw + kv.k3] = complex(c)
-        explicit.add(tuple(kv))
-    if conjugate_pairs:
-        for k in list(explicit):
-            neg = (-k[0], -k[1], -k[2])
-            if neg not in explicit:
-                out[bw + neg[0], bw + neg[1], bw + neg[2]] = np.conj(
-                    out[bw + k[0], bw + k[1], bw + k[2]]
-                )
-    return SpectralScalarField(ell, cutoff, out)
+    return SpectralScalarField(ell, cutoff, _place_modes((), cutoff, modes, conjugate_pairs))
 
 
 def vector_from_modes(
@@ -368,14 +310,20 @@ def vector_from_modes(
     conjugate_pairs: bool = True,
 ) -> SpectralVectorField:
     """Vector analogue of :func:`scalar_from_modes` with C^3 amplitudes."""
-    comps = []
-    for i in range(3):
-        comps.append(
-            scalar_from_modes(
-                ell, cutoff, {k: amp[i] for k, amp in modes.items()}, conjugate_pairs
-            )
-        )
-    return SpectralVectorField(tuple(comps))
+    return SpectralVectorField(ell, cutoff, _place_modes((3,), cutoff, modes, conjugate_pairs))
+
+
+def _random_coeffs(
+    lead: tuple[int, ...], cutoff: int, rng: np.random.Generator, amplitude: float, zero_mean: bool
+) -> np.ndarray:
+    bw = bandwidth_of(cutoff)
+    side = 2 * bw + 1
+    # component by component, the real part's cube drawn before the imaginary part's
+    draws = rng.standard_normal(lead + (2,) + (side,) * 3)
+    raw = hermitianize(draws[..., 0, :, :, :] + 1j * draws[..., 1, :, :, :]) * amplitude
+    if zero_mean:
+        raw[..., bw, bw, bw] = 0.0
+    return raw
 
 
 def random_scalar_field(
@@ -386,13 +334,7 @@ def random_scalar_field(
     zero_mean: bool = False,
 ) -> SpectralScalarField:
     """Random real field with iid Gaussian coefficients inside the shell cutoff."""
-    bw = bandwidth_of(cutoff)
-    side = 2 * bw + 1
-    raw = rng.standard_normal((side,) * 3) + 1j * rng.standard_normal((side,) * 3)
-    raw = hermitianize(raw) * amplitude
-    if zero_mean:
-        raw[bw, bw, bw] = 0.0
-    return SpectralScalarField(ell, cutoff, raw)
+    return SpectralScalarField(ell, cutoff, _random_coeffs((), cutoff, rng, amplitude, zero_mean))
 
 
 def random_vector_field(
@@ -402,9 +344,8 @@ def random_vector_field(
     amplitude: float = 1.0,
     zero_mean: bool = False,
 ) -> SpectralVectorField:
-    return SpectralVectorField(
-        tuple(random_scalar_field(ell, cutoff, rng, amplitude, zero_mean) for _ in range(3))
-    )
+    """Three components drawn as by :func:`random_scalar_field`, x then y then z."""
+    return SpectralVectorField(ell, cutoff, _random_coeffs((3,), cutoff, rng, amplitude, zero_mean))
 
 
 # ---------------------------------------------------------------------------
@@ -434,19 +375,19 @@ _BLOCK_END = re.compile(r"\n[ \t]*[^\s0-9+-]")
 
 
 def write_field(u: Field, stream: io.TextIOBase) -> None:
-    comps = [u] if isinstance(u, SpectralScalarField) else u.components
-    stream.write(f"TORUSFIELD 1 {_FMT.format(u.ell)} {u.cutoff} {len(comps)}\n")
+    stream.write(f"TORUSFIELD 1 {_FMT.format(u.ell)} {u.cutoff} {u.ncomponents}\n")
     b = u.bandwidth
-    for ci, comp in enumerate(comps, start=1):
-        # C order over the centered cube is lexicographic in k, so the stored
-        # representatives are the second half of the flattened cube, k = 0 first
-        center = comp.coeffs.size // 2
-        half = comp.coeffs.reshape(-1)[center:]
-        idx = np.flatnonzero(np.abs(half) > 0)
-        k1, k2, k3 = np.unravel_index(center + idx, comp.coeffs.shape)
-        c = half[idx]
-        rows = np.column_stack((k1 - b, k2 - b, k3 - b, np.full(len(idx), ci), c.real, c.imag))
-        stream.write(_ROW * len(rows) % tuple(rows.ravel().tolist()))
+    cube = (2 * b + 1,) * 3
+    # C order over each centered cube is lexicographic in k, so the stored
+    # representatives are the second half of the flattened cube, k = 0 first;
+    # nonzero() walks the components in order, each half in C order
+    center = (2 * b + 1) ** 3 // 2
+    half = u.coeffs.reshape(u.ncomponents, -1)[:, center:]
+    comp, idx = np.nonzero(np.abs(half) > 0)
+    k1, k2, k3 = np.unravel_index(center + idx, cube)
+    c = half[comp, idx]
+    rows = np.column_stack((k1 - b, k2 - b, k3 - b, comp + 1, c.real, c.imag))
+    stream.write(_ROW * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def next_line(text: str, pos: int) -> tuple[list[str], int]:
@@ -513,10 +454,8 @@ def parse_field_block(text: str, pos: int) -> tuple[Field, int]:
     stacks = np.zeros((ncomp, side**3), dtype=np.complex128)
     stacks[comp - 1, mirror] = np.conj(coef)
     stacks[comp - 1, flat] = coef  # last, so k = 0 keeps c
-    stacks = stacks.reshape(ncomp, side, side, side)
-    if ncomp == 1:
-        return SpectralScalarField(ell, cutoff, stacks[0]), end
-    return SpectralVectorField.from_stack(ell, cutoff, stacks), end
+    cls = SpectralScalarField if ncomp == 1 else SpectralVectorField
+    return cls(ell, cutoff, stacks.reshape(cls.lead + (side,) * 3)), end
 
 
 def _reject(bad: np.ndarray, what: str, rows: np.ndarray, text: str, pos: int) -> None:

@@ -40,11 +40,11 @@ from .fields import (
     SpectralScalarField,
     SpectralVectorField,
     bandwidth_of,
-    embed_vector,
+    embed,
     line_number,
     next_line,
     parse_field_block,
-    truncate_vector,
+    truncate,
     wave_cubes,
     write_field,
 )
@@ -354,10 +354,8 @@ def _integrate_ns(
             f"initial field cutoff {u0.cutoff} exceeds solver cutoff {cutoff}"
         )
     _require_divfree(u0, "initial field")
-    u = embed_vector(u0, cutoff)
-    forcing = _forcing_function(
-        f, ell, config.horizon, lambda g: truncate_vector(g, cutoff).coeff_stack()
-    )
+    u = embed(u0, cutoff)
+    forcing = _forcing_function(f, ell, config.horizon, lambda g: truncate(g, cutoff).coeffs)
 
     mu = config.mu
     bw = bandwidth_of(cutoff)
@@ -389,20 +387,17 @@ def _integrate_ns(
         k4 = nonlinear(ef * c + h * eh * k3, t + h)
         return ef * c + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
 
-    def wrap(stack: np.ndarray) -> SpectralVectorField:
-        return SpectralVectorField.from_stack(ell, cutoff, stack)
-
-    c = u.coeff_stack()
+    c = u.coeffs
     # N = nonlinear(c, t) at the current time: the rhs sample's transport
     # part and the next step's k1
     N = nonlinear(c, 0.0)
     times = [0.0]
     fields = [u]
-    rhs_samples = [wrap((c * lapmult) * float(mu) + N)]
+    rhs_samples = [u.with_coeffs((c * lapmult) * float(mu) + N)]
     for n in range(nsteps):
         t = n * dt
         if not warned_cfl and n % 25 == 0:
-            umax = lp_norm(wrap(c), math.inf, cfl_grid)
+            umax = lp_norm(u.with_coeffs(c), math.inf, cfl_grid)
             if umax * dt * (2.0 * math.pi / ell) * bw > 0.5:
                 warnings.warn(
                     f"advective CFL number exceeds 0.5 at t={t:.6g}; "
@@ -430,8 +425,8 @@ def _integrate_ns(
         N = nonlinear(c, tn)
         if (n + 1) % config.store_every == 0 or n + 1 == nsteps:
             times.append(tn)
-            fields.append(wrap(c))
-            rhs_samples.append(wrap((c * lapmult) * float(mu) + N))
+            fields.append(u.with_coeffs(c))
+            rhs_samples.append(u.with_coeffs((c * lapmult) * float(mu) + N))
     return FieldTrajectory(np.array(times), tuple(fields), tuple(rhs_samples))
 
 
@@ -522,7 +517,7 @@ def assemble_linearized(
     fac = -4.0 * math.pi * basis.ell**2
     matrices = np.empty((len(times), basis.dim, basis.dim))
     for it, wt in enumerate(samples):
-        wflat = truncate_vector(wt, w_cutoff).coeff_stack().reshape(3, -1)
+        wflat = truncate(wt, w_cutoff).coeffs.reshape(3, -1)
         w_diff, w_sum = wflat[:, at_diff], wflat[:, at_sum]
         wd_ca = np.einsum("jab,aj->ab", w_diff, conj)
         ws_ca = np.einsum("jab,aj->ab", w_sum, conj)
@@ -568,7 +563,7 @@ def solve_linearized(
         f,
         basis.ell,
         config.horizon,
-        lambda g: project_coefficients(truncate_vector(g, basis.cutoff), basis),
+        lambda g: project_coefficients(truncate(g, basis.cutoff), basis),
     )
     coarse_times, coarse = _integrate_linear(op, gfun, c0, config, config.dt_effective)
     fine_times, fine = _integrate_linear(op, gfun, c0, config, config.dt_effective / 2)
@@ -695,7 +690,7 @@ def _time_derivatives(traj: FieldTrajectory) -> list[SpectralVectorField]:
     times = traj.times
     if len(times) < 3:
         raise ValueError("finite-difference time derivative needs >= 3 samples")
-    stacks = [f.coeff_stack() for f in traj.fields]
+    stacks = [f.coeffs for f in traj.fields]
     out = []
     for i in range(len(times)):
         if i == 0:
@@ -710,7 +705,7 @@ def _time_derivatives(traj: FieldTrajectory) -> list[SpectralVectorField]:
             t0, t1, t2 = times[i - 1], times[i], times[i + 1]
             w0, w1, w2 = _fd_weights(t1, t0, t1, t2)
             d = w0 * stacks[i - 1] + w1 * stacks[i] + w2 * stacks[i + 1]
-        out.append(SpectralVectorField.from_stack(traj.ell, traj.cutoff, d))
+        out.append(traj.fields[i].with_coeffs(d))
     return out
 
 
@@ -737,7 +732,7 @@ def residual(
     ``use_stored_rhs``), otherwise from second-order finite differences.
     """
     forcing = _forcing_function(
-        f, traj.ell, traj.horizon, partial(truncate_vector, cutoff=traj.cutoff)
+        f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff)
     )
     if use_stored_rhs and traj.rhs is not None:
         dtu = list(traj.rhs)
@@ -766,7 +761,7 @@ def energy_identity_defect(
     if norms is None:
         norms = norm_table(traj.fields)
     forcing = _forcing_function(
-        f, traj.ell, traj.horizon, partial(truncate_vector, cutoff=traj.cutoff)
+        f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff)
     )
     energy = np.array([0.5 * x**2 for x in norms.l2])
     enstrophy = np.array([g**2 for g in norms.grad[1]])

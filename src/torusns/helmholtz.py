@@ -44,7 +44,7 @@ def _project_stack(stack: np.ndarray, bandwidth: int) -> np.ndarray:
 
 def leray_project(u: SpectralVectorField) -> SpectralVectorField:
     """Orthogonal projection onto divergence-free fields (mean preserved)."""
-    return u.with_stack(_project_stack(u.coeff_stack(), u.bandwidth))
+    return u.with_coeffs(_project_stack(u.coeffs, u.bandwidth))
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ def gradient_potential(g: SpectralVectorField) -> SpectralScalarField:
     ignored, since constants are not gradients.
     """
     k1, k2, k3, ksq = wave_cubes(g.bandwidth)
-    stack = g.coeff_stack()
-    kdotg = k1 * stack[0] + k2 * stack[1] + k3 * stack[2]
+    g1, g2, g3 = g.coeffs
+    kdotg = k1 * g1 + k2 * g2 + k3 * g3
     coeffs = np.zeros(ksq.shape, dtype=np.complex128)
     nz = ksq > 0
     coeffs[nz] = (g.ell / (2.0j * math.pi)) * kdotg[nz] / ksq[nz]
@@ -111,7 +111,7 @@ def dual_norm(f: SpectralVectorField, s: int) -> float:
     """
     if not (isinstance(s, (int, np.integer)) and s >= 1):
         raise ValueError("dual norm order s must be a positive integer")
-    proj = _project_stack(f.coeff_stack(), f.bandwidth)
+    proj = _project_stack(f.coeffs, f.bandwidth)
     ksq = wave_cubes(f.bandwidth)[3].astype(np.float64)
     weight = (1.0 + ksq * (2.0 * math.pi / f.ell) ** 2) ** (-float(s))
     total = float(np.sum(weight * np.abs(proj) ** 2))

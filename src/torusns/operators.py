@@ -31,8 +31,7 @@ from .fields import (
     Field,
     SpectralScalarField,
     SpectralVectorField,
-    align_scalar,
-    align_vector,
+    align,
     bandwidth_of,
     shell_mask,
     wave_cubes,
@@ -66,36 +65,26 @@ def _wavenumber_factor(u: Field) -> float:
     return 2.0 * math.pi / u.ell
 
 
-def _apply_multiplier(u: SpectralScalarField, mult: np.ndarray) -> SpectralScalarField:
-    return u.with_coeffs(u.coeffs * mult)
-
-
 def grad(p: SpectralScalarField) -> SpectralVectorField:
     """Gradient of a scalar field."""
-    k1, k2, k3, _ = wave_cubes(p.bandwidth)
+    k = np.stack(wave_cubes(p.bandwidth)[:3])
     fac = 1j * _wavenumber_factor(p)
-    return SpectralVectorField(
-        tuple(_apply_multiplier(p, fac * k) for k in (k1, k2, k3))
-    )
+    return SpectralVectorField(p.ell, p.cutoff, p.coeffs * (fac * k))
 
 
 def div(u: SpectralVectorField) -> SpectralScalarField:
     """Divergence of a vector field."""
     k1, k2, k3, _ = wave_cubes(u.bandwidth)
     fac = 1j * _wavenumber_factor(u)
-    out = fac * (
-        k1 * u.components[0].coeffs
-        + k2 * u.components[1].coeffs
-        + k3 * u.components[2].coeffs
-    )
-    return SpectralScalarField(u.ell, u.cutoff, out)
+    c1, c2, c3 = u.coeffs
+    return SpectralScalarField(u.ell, u.cutoff, fac * (k1 * c1 + k2 * c2 + k3 * c3))
 
 
 def rot(u: SpectralVectorField) -> SpectralVectorField:
     """Curl of a vector field."""
     k1, k2, k3, _ = wave_cubes(u.bandwidth)
     fac = 1j * _wavenumber_factor(u)
-    c1, c2, c3 = (c.coeffs for c in u.components)
+    c1, c2, c3 = u.coeffs
     out = np.stack(
         [
             fac * (k2 * c3 - k3 * c2),
@@ -103,16 +92,13 @@ def rot(u: SpectralVectorField) -> SpectralVectorField:
             fac * (k1 * c2 - k2 * c1),
         ]
     )
-    return SpectralVectorField.from_stack(u.ell, u.cutoff, out)
+    return u.with_coeffs(out)
 
 
 def laplacian(u: Field) -> Field:
     """Laplacian, same rank as the input."""
     ksq = wave_cubes(u.bandwidth)[3]
-    mult = -(_wavenumber_factor(u) ** 2) * ksq
-    if isinstance(u, SpectralScalarField):
-        return _apply_multiplier(u, mult)
-    return u.with_stack(u.coeff_stack() * mult)
+    return u.with_coeffs(u.coeffs * (-(_wavenumber_factor(u) ** 2) * ksq))
 
 
 def partial_derivative(u: Field, alpha: tuple[int, int, int]) -> Field:
@@ -120,9 +106,7 @@ def partial_derivative(u: Field, alpha: tuple[int, int, int]) -> Field:
     k1, k2, k3, _ = wave_cubes(u.bandwidth)
     fac = 1j * _wavenumber_factor(u)
     mult = (fac * k1) ** alpha[0] * (fac * k2) ** alpha[1] * (fac * k3) ** alpha[2]
-    if isinstance(u, SpectralScalarField):
-        return _apply_multiplier(u, mult)
-    return u.with_stack(u.coeff_stack() * mult)
+    return u.with_coeffs(u.coeffs * mult)
 
 
 def neg_laplacian_pow(u: Field, r: float) -> Field:
@@ -136,29 +120,18 @@ def neg_laplacian_pow(u: Field, r: float) -> Field:
     ksq = wave_cubes(bw)[3]
     if r == 0:
         return u
-    mean = u.mean if isinstance(u, SpectralScalarField) else max(
-        abs(c.mean) for c in u.components
-    )
-    if r < 0 and abs(mean) > 0:
+    if r < 0 and np.any(np.abs(u.coeffs[..., bw, bw, bw].real) > 0):
         raise ValueError("not invertible on constants: zero mode must vanish for r < 0")
     lam = ksq.astype(np.float64) * _wavenumber_factor(u) ** 2
     mult = np.zeros_like(lam)
     nz = ksq > 0
     mult[nz] = lam[nz] ** r
-    if isinstance(u, SpectralScalarField):
-        return _apply_multiplier(u, mult)
-    return u.with_stack(u.coeff_stack() * mult)
+    return u.with_coeffs(u.coeffs * mult)
 
 
 # ---------------------------------------------------------------------------
 # Exact norms and inner products (Parseval sums).
 # ---------------------------------------------------------------------------
-
-
-def _coeff_stack(u: Field) -> np.ndarray:
-    if isinstance(u, SpectralScalarField):
-        return u.coeffs[None]
-    return u.coeff_stack()
 
 
 def sobolev_norm(u: Field, s: float) -> float:
@@ -170,25 +143,20 @@ def sobolev_norm(u: Field, s: float) -> float:
     """
     ksq = wave_cubes(u.bandwidth)[3]
     weight = (1.0 + ksq.astype(np.float64)) ** s
-    total = float(np.sum(weight * np.abs(_coeff_stack(u)) ** 2))
+    total = float(np.sum(weight * np.abs(u.coeffs) ** 2))
     return math.sqrt(total)
 
 
 def l2_norm_exact(u: Field) -> float:
     """Exact L2(Q) norm, ||u||^2 = ell^3 sum_k |c_k|^2."""
-    total = float(np.sum(np.abs(_coeff_stack(u)) ** 2))
+    total = float(np.sum(np.abs(u.coeffs) ** 2))
     return math.sqrt(u.ell**3 * total)
 
 
 def inner_l2(u: Field, v: Field) -> float:
     """Exact L2(Q) inner product of two real fields of the same rank."""
-    if u.ell != v.ell:
-        raise ValueError("incompatible domains: fields have different periods")
-    if u.ncomponents != v.ncomponents:
-        raise ValueError("cannot pair fields of different rank")
-    if u.cutoff != v.cutoff:
-        u, v = (align_scalar if isinstance(u, SpectralScalarField) else align_vector)(u, v)
-    return float(np.real(np.sum(_coeff_stack(u) * np.conj(_coeff_stack(v))))) * u.ell**3
+    u, v = align(u, v)
+    return float(np.real(np.sum(u.coeffs * np.conj(v.coeffs)))) * u.ell**3
 
 
 def grad_norm(u: Field, j: float) -> float:
@@ -200,7 +168,7 @@ def grad_norm(u: Field, j: float) -> float:
     ksq = wave_cubes(u.bandwidth)[3].astype(np.float64)
     lam = ksq * _wavenumber_factor(u) ** 2
     weight = lam**j if j > 0 else np.ones_like(lam)
-    total = float(np.sum(weight * np.abs(_coeff_stack(u)) ** 2))
+    total = float(np.sum(weight * np.abs(u.coeffs) ** 2))
     return math.sqrt(u.ell**3 * total)
 
 
@@ -282,8 +250,8 @@ def _spectrum_stack(values: np.ndarray, keep: int) -> np.ndarray:
 
 def sample_values(u: Field, n: int) -> np.ndarray:
     """Point samples on the uniform n^3 grid; shape (n,n,n) or (3,n,n,n)."""
-    vals = _sample_stack(_coeff_stack(u), n)
-    return vals[0] if isinstance(u, SpectralScalarField) else vals
+    vals = _sample_stack(u.coeffs.reshape(u.ncomponents, *u.coeffs.shape[-3:]), n)
+    return vals.reshape(u.lead + vals.shape[1:])
 
 
 def _fast_len(n: int) -> int:
@@ -343,8 +311,8 @@ def convect(
         raise ValueError("mismatched ell/cutoff between drift and field")
     if out_cutoff is None:
         out_cutoff = u.cutoff
-    coeffs = _convect_stack(w.coeff_stack(), u.coeff_stack(), u.ell, out_cutoff)
-    return SpectralVectorField.from_stack(u.ell, out_cutoff, coeffs)
+    coeffs = _convect_stack(w.coeffs, u.coeffs, u.ell, out_cutoff)
+    return SpectralVectorField(u.ell, out_cutoff, coeffs)
 
 
 def self_convection(
@@ -368,7 +336,7 @@ def symmetrized_convection(
 
 def _pointwise_magnitude(u: Field, n: int) -> np.ndarray:
     vals = sample_values(u, n)
-    if isinstance(u, SpectralScalarField):
+    if u.ncomponents == 1:  # |x|, which sqrt(x**2) is not for subnormal x
         return np.abs(vals)
     return np.sqrt(np.sum(vals**2, axis=0))
 
@@ -443,7 +411,7 @@ def norm_table(fields, grid_n: int | None = None, exponents=()) -> NormTable:
     weights, volume = (1.0, lam, lam**2), u0.ell**3
     rows = []
     for u in fields:
-        power = np.abs(_coeff_stack(u)) ** 2
+        power = np.abs(u.coeffs) ** 2
         row = [math.sqrt(volume * float(np.sum(w * power))) for w in weights]
         row.append(l2_norm_exact(div(u)))
         if rs:

@@ -23,10 +23,10 @@ import numpy as np
 from .eigenbasis import build_basis, reconstruct
 from .fields import (
     SpectralVectorField,
-    embed_vector,
+    embed,
     random_vector_field,
     scalar_from_modes,
-    truncate_vector,
+    truncate,
     vector_from_modes,
     wave_cubes,
 )
@@ -125,19 +125,11 @@ class _TermGroup:
         self.factors = tuple(f for f, _ in terms)
         fields = [x for _, x in terms]
         self.template = fields[0]
-        if isinstance(self.template, SpectralVectorField):
-            self.stack = np.stack([f.coeff_stack() for f in fields])
-        else:
-            self.stack = np.stack([f.coeffs for f in fields])
+        self.stack = np.stack([f.coeffs for f in fields])
 
     def __call__(self, t: float, order: int = 0):
         weights = np.array([f(t, order) for f in self.factors])
-        combined = np.tensordot(weights, self.stack, axes=1)
-        if isinstance(self.template, SpectralVectorField):
-            return SpectralVectorField.from_stack(
-                self.template.ell, self.template.cutoff, combined
-            )
-        return self.template.with_coeffs(combined)
+        return self.template.with_coeffs(np.tensordot(weights, self.stack, axes=1))
 
 
 @dataclass(frozen=True)
@@ -219,7 +211,7 @@ def two_shell_problem(
     b12 = convect(u1, u2, out_cutoff=full_cut) + convect(u2, u1, out_cutoff=full_cut)
 
     cutoff = full_cut
-    u1e, u2e = embed_vector(u1, cutoff), embed_vector(u2, cutoff)
+    u1e, u2e = embed(u1, cutoff), embed(u2, cutoff)
     lap_fac = -((2.0 * math.pi / ell) ** 2)
     velocity_terms = ((g1, u1e), (g2, u2e))
     pressure_terms = ((h, p0),)
@@ -233,10 +225,10 @@ def two_shell_problem(
         (shifted(g2), u2e),
         (g1, u1e * (-mu * lap_fac * 1.0)),  # -mu Lap U1 = mu (2pi/ell)^2 m U1, m = 1
         (g2, u2e * (-mu * lap_fac * 2.0)),  # m = 2
-        (ProductFactor(g1, g1), embed_vector(d11, cutoff)),
-        (ProductFactor(g1, g2), embed_vector(b12, cutoff)),
-        (ProductFactor(g2, g2), embed_vector(d22, cutoff)),
-        (h, embed_vector(grad(p0), cutoff)),
+        (ProductFactor(g1, g1), embed(d11, cutoff)),
+        (ProductFactor(g1, g2), embed(b12, cutoff)),
+        (ProductFactor(g2, g2), embed(d22, cutoff)),
+        (h, embed(grad(p0), cutoff)),
     )
     return ManufacturedProblem(ell, mu, velocity_terms, pressure_terms, forcing_terms)
 
@@ -272,7 +264,7 @@ def analytic_decay_problem(
         shell_fields[m] = reconstruct(basis, sel)
 
     velocity_terms = tuple(
-        (ExponentialFactor(-lam * m), embed_vector(f, truth_cutoff))
+        (ExponentialFactor(-lam * m), embed(f, truth_cutoff))
         for m, f in shell_fields.items()
     )
     forcing_terms = []
@@ -282,7 +274,7 @@ def analytic_decay_problem(
             if l2_norm_exact(prod) == 0.0:
                 continue
             forcing_terms.append(
-                (ExponentialFactor(-lam * (m1 + m2)), embed_vector(prod, forcing_cutoff))
+                (ExponentialFactor(-lam * (m1 + m2)), embed(prod, forcing_cutoff))
             )
     return ManufacturedProblem(ell, mu, velocity_terms, (), tuple(forcing_terms))
 
@@ -294,7 +286,7 @@ def smooth_random_divfree(
     raw = random_vector_field(ell, cutoff, rng, amplitude=amplitude, zero_mean=True)
     ksq = wave_cubes(raw.bandwidth)[3].astype(np.float64)
     damp = np.exp(-0.5 * ksq)
-    return leray_project(raw.with_stack(raw.coeff_stack() * damp))
+    return leray_project(raw.with_coeffs(raw.coeffs * damp))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,7 @@ def temporal_order_study(
     """Max-in-time L2 error against the manufactured solution per step size."""
     if problem is None:
         problem = two_shell_problem()
-    u0 = truncate_vector(problem.initial, cutoff)
+    u0 = truncate(problem.initial, cutoff)
     out = []
     for dt in dts:
         config = SolverConfig(

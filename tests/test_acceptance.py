@@ -21,7 +21,7 @@ from torusns.estimates import (
 from torusns.fields import (
     random_scalar_field,
     random_vector_field,
-    truncate_vector,
+    truncate,
     vector_from_modes,
 )
 from torusns.galerkin import (
@@ -74,7 +74,7 @@ def spatial_refinement_errors(cutoffs, problem):
     """
     out = {}
     for cutoff in cutoffs:
-        u0 = truncate_vector(problem.initial, cutoff)
+        u0 = truncate(problem.initial, cutoff)
         config = SolverConfig(mu=problem.mu, horizon=0.25, cutoff=cutoff, dt=1e-3)
         traj = solve_navier_stokes(problem.forcing, u0, config)
         out[cutoff] = max(
@@ -186,7 +186,7 @@ def test_criterion_06_energy_identity(shear_run, manufactured):
 
     dt = 1e-3
     cfg = SolverConfig(mu=manufactured.mu, horizon=0.5, cutoff=4, dt=dt, scheme="if_rk4")
-    u0 = truncate_vector(manufactured.initial, 4)
+    u0 = truncate(manufactured.initial, 4)
     traj = solve_navier_stokes(manufactured.forcing, u0, cfg)
     defect = float(np.max(energy_identity_defect(traj, manufactured.forcing, manufactured.mu)))
     enstrophy = np.array([grad_norm(u, 1) ** 2 for u in traj.fields])

@@ -143,6 +143,32 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "configuration error" in r.stderr
 
+    def test_config_path_not_a_file_is_config_error(self, tmp_path):
+        r = run_cli(
+            "decay", "--T", "0.01", "--dt", "1e-3", "--M", "4", "--config", str(tmp_path),
+            "--out-dir", "out", cwd=tmp_path,
+        )
+        assert r.returncode == 2
+        assert "configuration error" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "env", "below_file"])
+    def test_out_dir_not_a_directory_is_config_error(self, decay_dir, tmp_path, where):
+        (tmp_path / "taken").write_text("a file\n")
+        if where == "below_file":  # unchecked, certify failed only after its norms
+            argv = ["certify", "--traj", str(decay_dir[0] / "run.traj"), "--mu", "0.1"]
+            argv += ["--out-dir", "taken/x"]
+        else:
+            argv = ["decay", "--T", "0.01", "--dt", "1e-3", "--M", "4"]
+            argv += ["--out-dir", "taken"] if where == "flag" else []
+        env = {"TORUS_NS_OUT": "taken"} if where == "env" else None
+        r = run_cli(*argv, cwd=tmp_path, env_extra=env)
+        assert r.returncode == 2
+        assert "configuration error" in r.stderr and "not a directory" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert (tmp_path / "taken").read_text() == "a file\n"
+
     @pytest.mark.parametrize("grid", ["0", "3"])
     def test_grid_below_resolution_is_config_error(self, tmp_path, grid):
         # cutoff 4 has axis bandwidth 2, so the grid needs at least 5 points

@@ -16,7 +16,7 @@ from torusns.fields import (
     SpectralVectorField,
     random_scalar_field,
     random_vector_field,
-    truncate_vector,
+    truncate,
 )
 from torusns.helmholtz import leray_project
 from torusns.operators import div, grad, grad_norm, l2_norm_exact, rot
@@ -122,7 +122,7 @@ class TestCoefficients:
         gmat = np.stack([f.coeff_stack().ravel() for f in basis4.gradient_fields()])
         gco = gradient_coefficients(u, basis4)
         side = rec.components[0].coeffs.shape[0]
-        grad_rec = SpectralVectorField.from_stack(
+        grad_rec = SpectralVectorField(
             ELL, 4, (gco @ gmat).reshape(3, side, side, side)
         )
         assert l2_norm_exact(rec + grad_rec - u) <= 1e-12 * l2_norm_exact(u)
@@ -139,9 +139,9 @@ class TestCoefficients:
         u = random_vector_field(ELL, 9, rng)
         with pytest.raises(ValueError, match="exceeds basis cutoff"):
             project_coefficients(u, basis4)
-        c = project_coefficients(truncate_vector(u, 4), basis4)
+        c = project_coefficients(truncate(u, 4), basis4)
         rec = reconstruct(basis4, c)
-        target = truncate_vector(leray_project(u), 4)
+        target = truncate(leray_project(u), 4)
         assert l2_norm_exact(rec - target) <= 1e-12 * l2_norm_exact(u)
 
     @pytest.mark.parametrize("cutoff", [4, 9])
@@ -149,7 +149,7 @@ class TestCoefficients:
         # reference: the conjugated basis matrix times the coefficients
         basis = build_basis(ELL, cutoff)
         for u in (random_vector_field(ELL, cutoff, rng), random_vector_field(ELL, 1, rng)):
-            flat = truncate_vector(u, cutoff).coeff_stack().ravel()
+            flat = truncate(u, cutoff).coeff_stack().ravel()
             for got, matrix in (
                 (project_coefficients(u, basis), basis._divfree_matrix),
                 (gradient_coefficients(u, basis), basis._gradient_matrix),

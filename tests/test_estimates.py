@@ -18,7 +18,7 @@ from torusns.estimates import (
 from torusns.fields import (
     SpectralVectorField,
     random_vector_field,
-    truncate_vector,
+    truncate,
     vector_from_modes,
 )
 from torusns.galerkin import (
@@ -324,7 +324,7 @@ def _symmetrized_chain(traj, s, mu, f_series):
 
     lookups = None
     if f_series is not None:
-        fit = partial(truncate_vector, cutoff=traj.cutoff)
+        fit = partial(truncate, cutoff=traj.cutoff)
         lookups = [_forcing_function(fj, traj.ell, traj.horizon, fit) for fj in f_series]
     chain = [list(traj.fields)]
     if s >= 1 and traj.rhs is not None and (f_series is None or len(f_series) >= 1):
@@ -350,7 +350,7 @@ def _symmetrized_chain(traj, s, mu, f_series):
 def manufactured_run():
     prob = two_shell_problem()
     cfg = SolverConfig(mu=prob.mu, horizon=0.02, cutoff=4, dt=2e-3, scheme="if_rk4")
-    traj = solve_navier_stokes(prob.forcing, truncate_vector(prob.initial, 4), cfg)
+    traj = solve_navier_stokes(prob.forcing, truncate(prob.initial, 4), cfg)
     return traj, prob.mu, [prob.forcing_derivative(j) for j in range(4)]
 
 
@@ -439,9 +439,9 @@ class TestBochner:
 
     def test_forced_run_with_derivatives(self):
         prob = two_shell_problem()
-        from torusns.fields import truncate_vector
+        from torusns.fields import truncate
 
-        u0 = truncate_vector(prob.initial, 4)
+        u0 = truncate(prob.initial, 4)
         cfg = SolverConfig(mu=prob.mu, horizon=0.05, cutoff=4, dt=1e-3)
         traj = solve_navier_stokes(prob.forcing, u0, cfg)
         series = [prob.forcing_derivative(j) for j in range(2)]
@@ -455,10 +455,10 @@ class TestBochner:
         # the binomial recursion through the evolution equation must
         # reproduce the manufactured solution's analytic d_t and d_t^2
         from torusns.estimates import _time_derivative_chain
-        from torusns.fields import truncate_vector
+        from torusns.fields import truncate
 
         prob = two_shell_problem()
-        u0 = truncate_vector(prob.initial, 4)
+        u0 = truncate(prob.initial, 4)
         cfg = SolverConfig(mu=prob.mu, horizon=0.05, cutoff=4, dt=1e-3, scheme="if_rk4")
         traj = solve_navier_stokes(prob.forcing, u0, cfg)
         series = [prob.forcing_derivative(j) for j in range(2)]
@@ -467,7 +467,7 @@ class TestBochner:
             exact_fn = prob.velocity_derivative(order)
             for i in (0, len(traj) // 2, len(traj) - 1):
                 t = float(traj.times[i])
-                exact = truncate_vector(exact_fn(t), 4)
+                exact = truncate(exact_fn(t), 4)
                 scale = l2_norm_exact(exact)
                 assert l2_norm_exact(chain[order][i] - exact) <= 1e-7 * scale
 

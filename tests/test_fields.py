@@ -15,8 +15,8 @@ from torusns.fields import (
     read_field,
     save_field,
     scalar_from_modes,
-    truncate_scalar,
-    embed_scalar,
+    truncate,
+    embed,
     vector_from_modes,
     write_field,
 )
@@ -49,11 +49,35 @@ def test_from_modes_rejects_outside_cutoff(ell):
         scalar_from_modes(ell, 1, {(1, 1, 0): 1.0})
 
 
-def test_vector_components_must_match(ell):
-    a = SpectralScalarField.zero(ell, 4)
-    b = SpectralScalarField.zero(ell, 1)
-    with pytest.raises(ValueError, match="agree on ell and cutoff"):
-        SpectralVectorField((a, a, b))
+def test_constructor_rejects_wrong_shape(ell):
+    # cutoff 4 has bandwidth 2, so a cube side of 5
+    for cls, shape in [
+        (SpectralVectorField, (5, 5, 5)),  # a scalar cube
+        (SpectralVectorField, (2, 5, 5, 5)),  # two components
+        (SpectralVectorField, (3, 3, 3, 3)),  # the cubes of cutoff 1
+        (SpectralScalarField, (3, 5, 5, 5)),  # a vector array
+        (SpectralScalarField, (5, 5, 6)),
+    ]:
+        with pytest.raises(ValueError, match="coefficient array must have shape"):
+            cls(ell, 4, np.zeros(shape, dtype=complex))
+
+
+def test_vector_field_is_one_read_only_array(ell, rng):
+    v = random_vector_field(ell, 5, rng)
+    assert v.coeffs.shape == (3, 5, 5, 5)
+    assert v.coeff_stack() is v.coeffs
+    assert not v.coeffs.flags.writeable
+    for i, comp in enumerate(v.components):
+        assert isinstance(comp, SpectralScalarField)
+        assert (comp.ell, comp.cutoff) == (v.ell, v.cutoff)
+        assert np.array_equal(comp.coeffs, v.coeffs[i])
+
+
+def test_random_vector_field_draws_components_in_order(ell):
+    v = random_vector_field(ell, 6, np.random.default_rng(11), amplitude=0.5, zero_mean=True)
+    rng = np.random.default_rng(11)
+    comps = [random_scalar_field(ell, 6, rng, amplitude=0.5, zero_mean=True) for _ in range(3)]
+    assert np.array_equal(v.coeffs, np.stack([c.coeffs for c in comps]))
 
 
 def test_algebra_aligns_cutoffs(ell):
@@ -73,9 +97,10 @@ def test_mismatched_period_raises(ell):
 
 
 def test_embed_truncate_roundtrip(ell, rng):
-    f = random_scalar_field(ell, 4, rng)
-    g = truncate_scalar(embed_scalar(f, 9), 4)
-    assert np.array_equal(f.coeffs, g.coeffs)
+    for f in (random_scalar_field(ell, 4, rng), random_vector_field(ell, 4, rng)):
+        g = truncate(embed(f, 9), 4)
+        assert type(g) is type(f)
+        assert np.array_equal(f.coeffs, g.coeffs)
 
 
 def test_random_fields_are_real(ell, rng):
@@ -85,11 +110,11 @@ def test_random_fields_are_real(ell, rng):
 
 
 def test_fields_are_immutable(ell, rng):
-    f = random_scalar_field(ell, 4, rng)
-    with pytest.raises((ValueError, RuntimeError)):
-        f.coeffs[0, 0, 0] = 1.0
-    with pytest.raises(Exception):
-        f.ell = 3.0
+    for f in (random_scalar_field(ell, 4, rng), random_vector_field(ell, 4, rng)):
+        with pytest.raises((ValueError, RuntimeError)):
+            f.coeffs[..., 0, 0, 0] = 1.0
+        with pytest.raises(Exception):
+            f.ell = 3.0
 
 
 class TestSerialization:
@@ -201,7 +226,7 @@ def _ragged_field(ell, cutoff, rng, vector):
         ragged.imag = np.where(rng.random(c.shape) < 0.2, -0.0, c.imag)
         stacks.append(ragged)
     if vector:
-        return SpectralVectorField.from_stack(ell, cutoff, np.stack(stacks))
+        return SpectralVectorField(ell, cutoff, np.stack(stacks))
     return SpectralScalarField(ell, cutoff, stacks[0])
 
 

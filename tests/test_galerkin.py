@@ -236,7 +236,7 @@ class TestAssembly:
 
     def test_wide_drift_entries_exact(self, basis4, rng):
         # drift modes above the basis cutoff still couple the basis fields
-        from torusns.fields import embed_vector
+        from torusns.fields import embed
         from torusns.operators import convect, inner_l2
 
         w = leray_project(random_vector_field(ELL, 9, rng, amplitude=0.3))
@@ -245,9 +245,9 @@ class TestAssembly:
         fields = basis4.divfree_fields()
         for i, j in [(3, 10), (0, 5), (20, 21)]:
             row, col = fields[i], fields[j]
-            cole = embed_vector(col, 9)
-            expected = inner_l2(convect(w, cole, out_cutoff=25), embed_vector(row, 25)) + inner_l2(
-                convect(cole, w, out_cutoff=25), embed_vector(row, 25)
+            cole = embed(col, 9)
+            expected = inner_l2(convect(w, cole, out_cutoff=25), embed(row, 25)) + inner_l2(
+                convect(cole, w, out_cutoff=25), embed(row, 25)
             )
             assert wpart[i, j] == pytest.approx(expected, abs=1e-12 + 1e-12 * abs(expected))
 
@@ -549,9 +549,9 @@ class TestNavierStokes:
 
     def test_manufactured_recovery(self):
         prob = two_shell_problem()
-        from torusns.fields import truncate_vector
+        from torusns.fields import truncate
 
-        u0 = truncate_vector(prob.initial, 4)
+        u0 = truncate(prob.initial, 4)
         cfg = SolverConfig(mu=prob.mu, horizon=0.1, cutoff=4, dt=1e-3, scheme="if_rk4")
         traj = solve_navier_stokes(prob.forcing, u0, cfg)
         worst = max(
@@ -562,15 +562,15 @@ class TestNavierStokes:
 
     def test_sampled_forcing_matches_callable(self):
         prob = two_shell_problem()
-        from torusns.fields import truncate_vector
+        from torusns.fields import truncate
 
         dt = 2e-3
-        u0 = truncate_vector(prob.initial, 4)
+        u0 = truncate(prob.initial, 4)
         cfg = SolverConfig(mu=prob.mu, horizon=0.1, cutoff=4, dt=dt, scheme="if_rk4")
         by_callable = solve_navier_stokes(prob.forcing, u0, cfg)
         fine = np.arange(0, round(0.1 / (dt / 2)) + 1) * (dt / 2)
         sampled = FieldTrajectory(
-            fine, tuple(truncate_vector(prob.forcing(float(t)), 4) for t in fine)
+            fine, tuple(truncate(prob.forcing(float(t)), 4) for t in fine)
         )
         by_samples = solve_navier_stokes(sampled, u0, cfg)
         worst = max(
@@ -611,9 +611,9 @@ class TestNavierStokes:
 
     def test_error_estimate_attached(self):
         prob = two_shell_problem()
-        from torusns.fields import truncate_vector
+        from torusns.fields import truncate
 
-        u0 = truncate_vector(prob.initial, 4)
+        u0 = truncate(prob.initial, 4)
         cfg = SolverConfig(
             mu=prob.mu,
             horizon=0.1,
@@ -716,9 +716,9 @@ class TestEnergyIdentity:
 
     def test_imex_defect_scales_linearly(self):
         prob = two_shell_problem()
-        from torusns.fields import truncate_vector
+        from torusns.fields import truncate
 
-        u0 = truncate_vector(prob.initial, 4)
+        u0 = truncate(prob.initial, 4)
         defects = []
         for dt in (2e-3, 1e-3):
             cfg = SolverConfig(mu=prob.mu, horizon=0.1, cutoff=4, dt=dt, scheme="imex_euler")

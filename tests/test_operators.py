@@ -5,14 +5,14 @@ import pytest
 
 from torusns.fields import (
     bandwidth_of,
-    embed_vector as embed,
+    embed,
     hermitianize,
     random_scalar_field,
     random_vector_field,
     scalar_from_modes,
     vector_from_modes,
     SpectralVectorField,
-    truncate_vector,
+    truncate,
 )
 from torusns.operators import (
     _spectrum_stack,
@@ -239,7 +239,7 @@ class TestConvection:
         u = random_vector_field(ell, 9, rng)
         base = convect(w, u).coeff_stack()
         full = convect(w, u, out_cutoff=3 * (2 * bandwidth_of(9)) ** 2)
-        truncated = truncate_vector(full, 9).coeff_stack()
+        truncated = truncate(full, 9).coeff_stack()
         assert np.max(np.abs(truncated - base)) <= 1e-14 * np.max(np.abs(base))
 
     def test_skew_symmetry(self, ell, rng):
@@ -320,7 +320,7 @@ def _brute_convect(w, u, out_cutoff):
                         out[i, bw_out + k[0], bw_out + k[1], bw_out + k[2]] += (
                             cw * fac * ku[j] * cu
                         )
-    return SpectralVectorField.from_stack(u.ell, out_cutoff, out)
+    return SpectralVectorField(u.ell, out_cutoff, out)
 
 
 def test_dj_norm_max_over_multiindices(ell, rng):
