@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimates, problems
-from .eigenbasis import build_basis, load_basis, project_coefficients
+from .eigenbasis import DivFreeBasis, build_basis, load_basis, project_coefficients
 from .fields import (
     _FMT,
     _MAX_COEFFS,
@@ -43,6 +43,7 @@ from .galerkin import (
     FieldTrajectory,
     SolverAbort,
     SolverConfig,
+    _require_divfree,
     assemble_linearized,
     cumulative_trapezoid,
     energy_identity_defect,
@@ -380,8 +381,9 @@ def _run_linearized(spec: RunSpec) -> int:
     f = truncate(_load_vector(spec.f_path), cfg.cutoff) if spec.f_path else None
     basis = build_basis(spec.ell, cfg.cutoff)
     op = assemble_linearized(w, basis, cfg.mu)
-    traj = solve_linearized(op, f, u0, cfg)
+    _require_divfree(u0, "initial field")
     c0 = project_coefficients(u0, basis)
+    traj = solve_linearized(op, f, c0, cfg)
     f_const = None if f is None else project_coefficients(f, basis)
     exact = linearized_closed_form(op, f_const, c0, traj.times)
     numeric = np.stack([project_coefficients(u, basis) for u in traj.fields])
@@ -446,7 +448,7 @@ def _run_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _selftest_checks(cutoff: int, basis_path: str | None):
+def _selftest_checks(cutoff: int, basis: DivFreeBasis):
     ell = 2.0 * math.pi
     rng = np.random.default_rng(2024)
 
@@ -478,7 +480,6 @@ def _selftest_checks(cutoff: int, basis_path: str | None):
         return worst <= 1e-13, f"max relative defect {worst:.2e}"
 
     def check_basis_gram():
-        basis = load_basis(basis_path) if basis_path else build_basis(ell, cutoff)
         fields = basis.all_fields()
         mat = np.stack([f.coeffs.ravel() for f in fields])
         gram = np.real(mat.conj() @ mat.T) * basis.ell**3
@@ -486,7 +487,6 @@ def _selftest_checks(cutoff: int, basis_path: str | None):
         return dev <= 1e-12, f"Gram deviation {dev:.2e}"
 
     def check_eigen_identities():
-        basis = load_basis(basis_path) if basis_path else build_basis(ell, cutoff)
         kappa2 = (2.0 * math.pi / basis.ell) ** 2
         worst = 0.0
         for m, _, f in basis.entries:
@@ -558,8 +558,12 @@ def _brute_convect(w: SpectralVectorField, u: SpectralVectorField) -> SpectralVe
 
 
 def _run_selftest(args) -> int:
+    try:
+        basis = load_basis(args.basis) if args.basis else None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read basis dump {args.basis}: {exc}") from exc
     failures = 0
-    checks = _selftest_checks(args.M, args.basis)
+    checks = _selftest_checks(args.M, basis or build_basis(2.0 * math.pi, args.M))
     width = max(len(name) for name, _ in checks)
     for name, fn in checks:
         try:

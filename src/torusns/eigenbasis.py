@@ -17,14 +17,17 @@ system spanning the whole truncated space, with
 The amplitude frame is deterministic: a1 is the Gram-Schmidt normalization
 of the unit axis least aligned with k, and a2 = k/|k| x a1.  Entries are
 ordered lexicographically in (shell, representative wave vector,
-polarization), so coefficient vectors are reproducible.
+polarization), so coefficient vectors are reproducible.  Each field is one
++-k pair, so the basis is held as (k_b, c_b) arrays: projection is a gather
+at +-k_b, reconstruction a scatter, and no dense field is stored.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .fields import (
 __all__ = [
     "Shell",
     "enumerate_shells",
+    "PairFields",
     "DivFreeBasis",
     "build_basis",
     "project_coefficients",
@@ -62,32 +66,17 @@ class Shell:
 
     def pair_representatives(self) -> list[WaveVector]:
         """Canonical representative of each +-k pair, sorted."""
-        reps = [k for k in self.wave_vectors if tuple(k) > tuple(-k)]
-        reps.sort(key=tuple)
-        return reps
+        return [k for k in self.wave_vectors if k > -k]
 
 
 def enumerate_shells(max_shell: int) -> list[Shell]:
-    """Shells m <= max_shell that are representable as a sum of three squares."""
-    shells = []
-    for m in range(1, max_shell + 1):
-        vectors = []
-        bw = math.isqrt(m)
-        for k1 in range(-bw, bw + 1):
-            for k2 in range(-bw, bw + 1):
-                rem = m - k1 * k1 - k2 * k2
-                if rem < 0:
-                    continue
-                k3 = math.isqrt(rem)
-                if k3 * k3 != rem:
-                    continue
-                vectors.append(WaveVector(k1, k2, k3))
-                if k3 != 0:
-                    vectors.append(WaveVector(k1, k2, -k3))
-        if vectors:
-            vectors.sort(key=tuple)
-            shells.append(Shell(m, tuple(vectors)))
-    return shells
+    """Shells m <= max_shell that are representable as a sum of three squares,
+    each with its wave vectors in lexicographic order."""
+    bw = math.isqrt(max(max_shell, 0))
+    vectors: dict[int, list[WaveVector]] = {}
+    for k in itertools.product(range(-bw, bw + 1), repeat=3):
+        vectors.setdefault(k[0] ** 2 + k[1] ** 2 + k[2] ** 2, []).append(WaveVector(*k))
+    return [Shell(m, tuple(vectors[m])) for m in range(1, max_shell + 1) if m in vectors]
 
 
 def _amplitude_frame(k: WaveVector) -> tuple[np.ndarray, np.ndarray]:
@@ -103,111 +92,123 @@ def _amplitude_frame(k: WaveVector) -> tuple[np.ndarray, np.ndarray]:
     return a1, a2
 
 
-def _pair_field(
-    ell: float, cutoff: int, k: WaveVector, amplitude: np.ndarray, phase: str
-) -> SpectralVectorField:
-    # cos: c_{+-k} = a/2,  sin: c_k = -i a/2, c_{-k} = conj; both scaled to unit L2
-    scale = math.sqrt(2.0 / ell**3) / 2.0
-    if phase == "cos":
-        c = amplitude * scale
-    else:
-        c = -1j * amplitude * scale
-    return vector_from_modes(ell, cutoff, {tuple(k): tuple(c)}, conjugate_pairs=True)
-
-
 @dataclass(frozen=True)
-class DivFreeBasis:
-    """Orthonormal basis of the shell-truncated fields on the torus.
-
-    ``constants`` are the normalized constant fields; ``entries`` hold the
-    divergence-free eigenfields as (m, j, field) with j counting within the
-    shell; ``gradient_entries`` hold the curl-free companions.
+class PairFields:
+    """Real fields c_b e^{i (k_b, x) 2 pi/ell} + conj, one +-k pair each, held
+    as arrays: ``kvec`` (n, 3) holds k_b, the larger of the pair, ``coef``
+    (n, 3) the complex amplitude c_b, ``m`` the shell and ``j`` the index in
+    the shell.  A field at k_b = 0 is a pair of one mode, so its c_b is
+    halved: every sum over both signs of k_b then counts that mode once.
     """
 
     ell: float
     cutoff: int
-    constants: tuple[SpectralVectorField, ...]
-    entries: tuple[tuple[int, int, SpectralVectorField], ...]
-    gradient_entries: tuple[tuple[int, int, SpectralVectorField], ...]
+    kvec: np.ndarray
+    coef: np.ndarray
+    m: np.ndarray
+    j: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.kvec)
+
+    def fields(self) -> Iterator[SpectralVectorField]:
+        """The fields themselves, built one at a time (c_b doubled back at k_b = 0)."""
+        full = np.where(self.kvec.any(axis=1)[:, None], self.coef, 2 * self.coef)
+        for k, c in zip(self.kvec.tolist(), full):
+            yield vector_from_modes(self.ell, self.cutoff, {tuple(k): tuple(c)})
+
+    def indexed(self) -> Iterator[tuple[int, int, SpectralVectorField]]:
+        """(m, j, field) of every field, built one at a time."""
+        return zip(self.m.tolist(), self.j.tolist(), self.fields())
+
+
+@dataclass(frozen=True)
+class DivFreeBasis(PairFields):
+    """Orthonormal basis of the shell-truncated fields on the torus.
+
+    Its own rows are the constant fields (rows 0-2, k_b = 0, m = 0) and the
+    divergence-free eigenfields; ``gradient`` holds the curl-free companions.
+    """
+
+    gradient: PairFields
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, SpectralVectorField], ...]:
+        return tuple(self.indexed())[3:]
+
+    @property
+    def gradient_entries(self) -> tuple[tuple[int, int, SpectralVectorField], ...]:
+        return tuple(self.gradient.indexed())
 
     def divfree_fields(self) -> list[SpectralVectorField]:
         """Constants followed by the divergence-free eigenfields, in order."""
-        return list(self.constants) + [f for _, _, f in self.entries]
+        return list(self.fields())
 
     def gradient_fields(self) -> list[SpectralVectorField]:
-        return [f for _, _, f in self.gradient_entries]
+        return list(self.gradient.fields())
 
     def all_fields(self) -> list[SpectralVectorField]:
         return self.divfree_fields() + self.gradient_fields()
 
     def shell_values(self) -> np.ndarray:
         """Shell value m per divergence-free index (0 for the constants)."""
-        return np.array([0, 0, 0] + [m for m, _, _ in self.entries], dtype=np.float64)
-
-    @property
-    def dim(self) -> int:
-        return 3 + len(self.entries)
-
-    @cached_property
-    def _divfree_matrix(self) -> np.ndarray:
-        return _flat_matrix(self.divfree_fields())
-
-    @cached_property
-    def _gradient_matrix(self) -> np.ndarray:
-        return _flat_matrix(self.gradient_fields())
+        return self.m.astype(np.float64)
 
 
-def _flat_matrix(fields: list[SpectralVectorField]) -> np.ndarray:
-    return np.stack([f.coeffs.ravel() for f in fields])
+def _columns(rows: list) -> tuple[np.ndarray, ...]:
+    """Read-only kvec, coef, m and j arrays of (k, c, m, j) rows."""
+    k, c, m, j = zip(*rows) if rows else ((), (), (), ())
+    arrays = (
+        np.array(k, dtype=np.int64).reshape(-1, 3),
+        np.array(c, dtype=np.complex128).reshape(-1, 3),
+        np.array(m, dtype=np.int64),
+        np.array(j, dtype=np.int64),
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def build_basis(ell: float, cutoff: int) -> DivFreeBasis:
     """Construct the orthonormal basis through shell ``cutoff``."""
     if cutoff < 1:
         raise ValueError("basis cutoff must be at least 1")
-    norm_const = ell ** (-1.5)
-    constants = tuple(
-        vector_from_modes(
-            ell,
-            cutoff,
-            {(0, 0, 0): tuple(norm_const if i == j else 0.0 for i in range(3))},
-        )
-        for j in range(3)
-    )
-    entries = []
-    gradient_entries = []
+    # cos: c_{+-k} = a/2,  sin: c_k = -i a/2, c_{-k} = conj; both scaled to unit L2
+    scale = math.sqrt(2.0 / ell**3) / 2.0
+    # the constants e_j ell^(-3/2) are pairs of one mode, at k = 0: c_b is halved
+    halved = ell ** (-1.5) / 2.0
+    div = [((0, 0, 0), np.eye(3)[j] * halved, 0, j + 1) for j in range(3)]
+    grad = []
     for shell in enumerate_shells(cutoff):
-        j_div = 0
-        j_grad = 0
-        for k in shell.pair_representatives():
+        for n, k in enumerate(shell.pair_representatives()):
             a1, a2 = _amplitude_frame(k)
             khat = np.array(k, dtype=np.float64)
             khat /= np.linalg.norm(khat)
-            for amp in (a1, a2):
-                for phase in ("cos", "sin"):
-                    j_div += 1
-                    entries.append(
-                        (shell.m, j_div, _pair_field(ell, cutoff, k, amp, phase))
-                    )
-            for phase in ("cos", "sin"):
-                j_grad += 1
-                gradient_entries.append(
-                    (shell.m, j_grad, _pair_field(ell, cutoff, k, khat, phase))
-                )
-    return DivFreeBasis(ell, cutoff, constants, tuple(entries), tuple(gradient_entries))
+            amps = (a1 * scale, -1j * a1 * scale, a2 * scale, -1j * a2 * scale)
+            div += [(k, c, shell.m, 4 * n + i) for i, c in enumerate(amps, start=1)]
+            amps = (khat * scale, -1j * khat * scale)
+            grad += [(k, c, shell.m, 2 * n + i) for i, c in enumerate(amps, start=1)]
+    return DivFreeBasis(ell, cutoff, *_columns(div), PairFields(ell, cutoff, *_columns(grad)))
 
 
-def _coefficients(u: SpectralVectorField, basis: DivFreeBasis, matrix: np.ndarray) -> np.ndarray:
-    if u.ell != basis.ell:
+def _positions(kvec: np.ndarray, cutoff: int) -> np.ndarray:
+    """Flat index of each k in the centered cube of ``cutoff``; -1 - index
+    is that of -k."""
+    side = 2 * bandwidth_of(cutoff) + 1
+    return side**3 // 2 + kvec @ np.array([side * side, side, 1])
+
+
+def _gather(u: SpectralVectorField, modes: PairFields) -> np.ndarray:
+    if u.ell != modes.ell:
         raise ValueError("incompatible domains: field and basis periods differ")
-    if u.cutoff > basis.cutoff:
-        raise ValueError(
-            f"field cutoff {u.cutoff} exceeds basis cutoff {basis.cutoff}"
-        )
-    flat = embed(u, basis.cutoff).coeffs.ravel()
-    # Re(conj(B) x) = Re(B conj(x)) with the same products up to exact sign
-    # flips, so the values are those of conj(B) @ x, without copying B
-    return np.real(matrix @ flat.conj()) * basis.ell**3
+    if u.cutoff > modes.cutoff:
+        raise ValueError(f"field cutoff {u.cutoff} exceeds basis cutoff {modes.cutoff}")
+    flat = embed(u, modes.cutoff).coeffs.reshape(3, -1)
+    at = _positions(modes.kvec, modes.cutoff)
+    # (u, b) = ell^3 Re sum over +-k_b of conj(b_k) . u_k
+    terms = np.conj(modes.coef) * flat[:, at].T + modes.coef * flat[:, -1 - at].T
+    return np.real(terms.sum(axis=1)) * modes.ell**3
 
 
 def project_coefficients(u: SpectralVectorField, basis: DivFreeBasis) -> np.ndarray:
@@ -216,12 +217,12 @@ def project_coefficients(u: SpectralVectorField, basis: DivFreeBasis) -> np.ndar
     Reconstructing from these coefficients gives the Leray projection of u
     truncated to the basis cutoff.
     """
-    return _coefficients(u, basis, basis._divfree_matrix)
+    return _gather(u, basis)
 
 
 def gradient_coefficients(u: SpectralVectorField, basis: DivFreeBasis) -> np.ndarray:
     """Coefficients of u against the curl-free fields w_{m,j}."""
-    return _coefficients(u, basis, basis._gradient_matrix)
+    return _gather(u, basis.gradient)
 
 
 def reconstruct(basis: DivFreeBasis, coeffs: np.ndarray) -> SpectralVectorField:
@@ -229,51 +230,66 @@ def reconstruct(basis: DivFreeBasis, coeffs: np.ndarray) -> SpectralVectorField:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
-    flat = coeffs @ basis._divfree_matrix
     side = 2 * bandwidth_of(basis.cutoff) + 1
-    return SpectralVectorField(basis.ell, basis.cutoff, flat.reshape(3, side, side, side))
+    out = np.zeros((3, side**3), dtype=np.complex128)
+    at = _positions(basis.kvec, basis.cutoff)
+    terms = coeffs[:, None] * basis.coef
+    np.add.at(out.T, at, terms)
+    np.add.at(out.T, -1 - at, np.conj(terms))
+    return SpectralVectorField(basis.ell, basis.cutoff, out.reshape(3, side, side, side))
 
 
 def save_basis(basis: DivFreeBasis, path) -> None:
     """Dump the basis: 'BASIS m j' index lines (m = 0 for the constants) and
     'BASIS-GRAD m j' lines, each followed by a TORUSFIELD block."""
     with open(path, "w", encoding="ascii") as fh:
-        for j, f in enumerate(basis.constants, start=1):
-            fh.write(f"BASIS 0 {j}\n")
-            write_field(f, fh)
-        for m, j, f in basis.entries:
-            fh.write(f"BASIS {m} {j}\n")
-            write_field(f, fh)
-        for m, j, f in basis.gradient_entries:
-            fh.write(f"BASIS-GRAD {m} {j}\n")
-            write_field(f, fh)
+        for tag, modes in (("BASIS", basis), ("BASIS-GRAD", basis.gradient)):
+            for m, j, f in modes.indexed():
+                fh.write(f"{tag} {m} {j}\n")
+                write_field(f, fh)
+
+
+def _pair_of(field: SpectralVectorField) -> tuple[np.ndarray, np.ndarray] | None:
+    """k_b and c_b of a field that is one +-k pair (c_b halved at k_b = 0)."""
+    side = 2 * field.bandwidth + 1
+    center = side**3 // 2
+    half = field.coeffs.reshape(3, -1)[:, center:]
+    support = np.flatnonzero(np.any(half != 0, axis=0))
+    if len(support) != 1:
+        return None
+    rep = int(support[0])
+    k = np.array(np.unravel_index(center + rep, (side,) * 3)) - side // 2
+    return k, (half[:, rep] if rep else half[:, rep] / 2)
 
 
 def load_basis(path) -> DivFreeBasis:
+    """Read a :func:`save_basis` dump.  Every block must be one +-k pair with
+    the ell and cutoff of the first block, and the three constants must be
+    there; they become rows 0-2 in the order of the dump."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    constants = []
-    entries = []
-    gradient_entries = []
-    pos = 0
+    rows = {"BASIS": [], "BASIS-GRAD": []}
+    pos, shape = 0, None
     while True:
         parts, end = next_line(text, pos)
         if not parts:
             break
-        if len(parts) != 3 or parts[0] not in ("BASIS", "BASIS-GRAD"):
+        if len(parts) != 3 or parts[0] not in rows:
             raise ValueError(f"expected BASIS index line at line {line_number(text, pos)}")
-        kind, m, j = parts[0], int(parts[1]), int(parts[2])
         field, pos = parse_field_block(text, end)
         if not isinstance(field, SpectralVectorField):
             raise ValueError("basis entries must be vector fields")
-        if kind == "BASIS" and m == 0:
-            constants.append(field)
-        elif kind == "BASIS":
-            entries.append((m, j, field))
-        else:
-            gradient_entries.append((m, j, field))
-    if len(constants) != 3:
+        shape = shape or (field.ell, field.cutoff)
+        if (field.ell, field.cutoff) != shape:
+            raise ValueError(
+                f"the basis block at line {line_number(text, end)} has ell {field.ell!r} "
+                f"and cutoff {field.cutoff}, the first block {shape[0]!r} and {shape[1]}"
+            )
+        pair = _pair_of(field)
+        if pair is None:
+            raise ValueError(f"basis block at line {line_number(text, end)}: not a single +-k pair")
+        rows[parts[0]].append((*pair, int(parts[1]), int(parts[2])))
+    div = sorted(rows["BASIS"], key=lambda row: row[2] != 0)
+    if sum(row[2] == 0 for row in div) != 3:
         raise ValueError("basis dump must contain the three constant fields")
-    ell = constants[0].ell
-    cutoff = constants[0].cutoff
-    return DivFreeBasis(ell, cutoff, tuple(constants), tuple(entries), tuple(gradient_entries))
+    return DivFreeBasis(*shape, *_columns(div), PairFields(*shape, *_columns(rows["BASIS-GRAD"])))

@@ -458,23 +458,6 @@ class LinearizedOperator:
         return _interpolate(self.times, self.matrices, t)
 
 
-def _basis_modes(basis: DivFreeBasis) -> tuple[np.ndarray, np.ndarray]:
-    """k_b and c_b = c_{k_b} of every divergence-free basis field, k_b the
-    larger of its +-k pair; c_b is halved at k_b = 0, a pair of one mode,
-    so that a sum over both signs of k_b counts that mode once."""
-    side = 2 * bandwidth_of(basis.cutoff) + 1
-    center = side**3 // 2
-    half = basis._divfree_matrix.reshape(basis.dim, 3, side**3)[:, :, center:]
-    support = np.any(half != 0, axis=1)
-    if np.any(support.sum(axis=1) != 1):
-        raise ValueError("every basis field must be a single +-k pair")
-    rep = np.argmax(support, axis=1)
-    kvec = np.stack(np.unravel_index(center + rep, (side,) * 3), axis=1) - side // 2
-    coef = half[np.arange(basis.dim), :, rep]
-    coef[rep == 0] /= 2
-    return kvec.astype(np.float64), coef
-
-
 def assemble_linearized(
     w: FieldTrajectory | SpectralVectorField,
     basis: DivFreeBasis,
@@ -499,13 +482,13 @@ def assemble_linearized(
             raise ValueError("incompatible domains: drift period differs from basis")
         _require_divfree(s, "drift field")
 
-    kvec, coef = _basis_modes(basis)
+    kvec, coef = basis.kvec, basis.coef
     conj = coef.conj()
     # |k_a +- k_b|^2 <= 4 M: drift modes beyond that never couple the basis
     w_cutoff = 4 * basis.cutoff
     side = 2 * bandwidth_of(w_cutoff) + 1
     # flat position in the centered cube is linear in k (mixed radix)
-    lin = (kvec @ np.array([side * side, side, 1.0])).astype(np.intp)
+    lin = kvec @ np.array([side * side, side, 1])
     at_diff = side**3 // 2 + lin[:, None] - lin[None, :]
     at_sum = side**3 // 2 + lin[:, None] + lin[None, :]
     # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a; and c_b . k_b
@@ -518,14 +501,19 @@ def assemble_linearized(
     matrices = np.empty((len(times), basis.dim, basis.dim))
     for it, wt in enumerate(samples):
         wflat = truncate(wt, w_cutoff).coeffs.reshape(3, -1)
-        w_diff, w_sum = wflat[:, at_diff], wflat[:, at_sum]
-        wd_ca = np.einsum("jab,aj->ab", w_diff, conj)
-        ws_ca = np.einsum("jab,aj->ab", w_sum, conj)
+        # the drift modes w_p at p = k_a - k_b and k_a + k_b, contracted one
+        # component at a time with k_b and with conj c_a; each (dim, dim)
+        # array is dropped once used, which bounds the peak memory
+        wd_kb, ws_kb, wd_ca, ws_ca = (np.zeros_like(gram) for _ in range(4))
+        for j in range(3):
+            for at, to_kb, to_ca in ((at_diff, wd_kb, wd_ca), (at_sum, ws_kb, ws_ca)):
+                w_p = wflat[j, at]
+                to_kb += w_p * kvec[:, j]
+                to_ca += w_p * conj[:, j, None]
+        del w_p
         # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a)
-        t1 = fac * np.imag(
-            np.einsum("jab,bj->ab", w_diff, kvec) * gram
-            - np.einsum("jab,bj->ab", w_sum, kvec) * gram_bar
-        )
+        t1 = fac * np.imag(wd_kb * gram - ws_kb * gram_bar)
+        del wd_kb, ws_kb
         # (v_b . grad w, v_a): (c_q . p)(w_p . conj c_a)
         t2 = fac * np.imag((ka_cb - kb_cb) * wd_ca + np.conj(ka_cb + kb_cb) * ws_ca)
         # (w, v_b . grad v_a): -(c_q . r)(w_p . conj c_a)
@@ -546,19 +534,22 @@ def assemble_linearized(
 def solve_linearized(
     op: LinearizedOperator,
     f: Forcing,
-    u0: SpectralVectorField,
+    u0: SpectralVectorField | np.ndarray,
     config: SolverConfig,
 ) -> FieldTrajectory:
     """Integrate dc/dt + A(t) c = f(t) over the eigenbasis coefficients.
 
-    A step-halving convergence estimate is attached to the trajectory.  For
+    ``u0`` is the initial field or its coefficients over ``op.basis``.  A
+    step-halving convergence estimate is attached to the trajectory.  For
     autonomous operators compare against :func:`linearized_closed_form`.
     A drift sampled at several times must cover the horizon.
     """
     basis = op.basis
     _require_cover(op.times, config.horizon, "drift")
-    _require_divfree(u0, "initial field")
-    c0 = project_coefficients(u0, basis)
+    if isinstance(u0, SpectralVectorField):
+        _require_divfree(u0, "initial field")
+        u0 = project_coefficients(u0, basis)
+    c0 = np.asarray(u0, dtype=np.float64)
     gfun = _forcing_function(
         f,
         basis.ell,
@@ -693,18 +684,10 @@ def _time_derivatives(traj: FieldTrajectory) -> list[SpectralVectorField]:
     stacks = [f.coeffs for f in traj.fields]
     out = []
     for i in range(len(times)):
-        if i == 0:
-            t0, t1, t2 = times[0], times[1], times[2]
-            w0, w1, w2 = _fd_weights(t0, t0, t1, t2)
-            d = w0 * stacks[0] + w1 * stacks[1] + w2 * stacks[2]
-        elif i == len(times) - 1:
-            t0, t1, t2 = times[-3], times[-2], times[-1]
-            w0, w1, w2 = _fd_weights(t2, t0, t1, t2)
-            d = w0 * stacks[-3] + w1 * stacks[-2] + w2 * stacks[-1]
-        else:
-            t0, t1, t2 = times[i - 1], times[i], times[i + 1]
-            w0, w1, w2 = _fd_weights(t1, t0, t1, t2)
-            d = w0 * stacks[i - 1] + w1 * stacks[i] + w2 * stacks[i + 1]
+        # the three samples centred on i, shifted inwards at the two ends
+        lo = min(max(i - 1, 0), len(times) - 3)
+        w0, w1, w2 = _fd_weights(times[i], *times[lo : lo + 3])
+        d = w0 * stacks[lo] + w1 * stacks[lo + 1] + w2 * stacks[lo + 2]
         out.append(traj.fields[i].with_coeffs(d))
     return out
 

@@ -250,18 +250,15 @@ def analytic_decay_problem(
     its own exponential time factor, and kept up to ``forcing_cutoff``.
     """
     basis = build_basis(ell, truth_cutoff)
-    coeffs = np.zeros(basis.dim)
-    for i, (m, j, _) in enumerate(basis.entries):
-        coeffs[3 + i] = amplitude * math.exp(-decay * m) * math.cos(1.7 * j + 0.3 * m)
-    shells = sorted({m for m, _, _ in basis.entries})
+    ms, js = basis.m.tolist(), basis.j.tolist()
+    coeffs = np.array([
+        amplitude * math.exp(-decay * m) * math.cos(1.7 * j + 0.3 * m) if m else 0.0
+        for m, j in zip(ms, js)
+    ])
     lam = mu * (2.0 * math.pi / ell) ** 2
-    shell_fields = {}
-    for m in shells:
-        sel = np.zeros_like(coeffs)
-        for i, (mm, _, _) in enumerate(basis.entries):
-            if mm == m:
-                sel[3 + i] = coeffs[3 + i]
-        shell_fields[m] = reconstruct(basis, sel)
+    shell_fields = {
+        m: reconstruct(basis, np.where(basis.m == m, coeffs, 0.0)) for m in sorted(set(ms) - {0})
+    }
 
     velocity_terms = tuple(
         (ExponentialFactor(-lam * m), embed(f, truth_cutoff))

@@ -454,6 +454,21 @@ class TestSelftest:
         assert r.returncode == 4
         assert any("eigenbasis_gram" in l and "FAIL" in l for l in r.stdout.splitlines())
 
+    @pytest.mark.parametrize("defect", ["ell", "unparsable", "missing"])
+    def test_unloadable_basis_is_config_error(self, tmp_path, defect):
+        save_basis(build_basis(ELL, 4), tmp_path / "basis.txt")
+        text = (tmp_path / "basis.txt").read_text()
+        header = "TORUSFIELD 1 6.2831853071795862 4 3\n0 0 1 1"
+        assert header in text
+        if defect == "ell":
+            # one block of another period
+            (tmp_path / "bad.txt").write_text(text.replace(header, "TORUSFIELD 1 3.0 4 3\n0 0 1 1"))
+        elif defect == "unparsable":
+            (tmp_path / "bad.txt").write_text(text.replace("BASIS 1 1\n", "BASIS one 1\n"))
+        r = run_cli("selftest", "--M", "4", "--basis", "bad.txt", cwd=tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "cannot read basis dump bad.txt" in r.stderr
+
 
 class TestLinearized:
     def test_default_run_and_expm_check(self, tmp_path):

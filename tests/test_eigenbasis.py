@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from torusns.eigenbasis import (
     save_basis,
 )
 from torusns.fields import (
+    Field,
     SpectralVectorField,
     random_scalar_field,
     random_vector_field,
@@ -145,16 +148,19 @@ class TestCoefficients:
         assert l2_norm_exact(rec - target) <= 1e-12 * l2_norm_exact(u)
 
     @pytest.mark.parametrize("cutoff", [4, 9])
-    def test_match_conjugated_matrix_product_bitwise(self, rng, cutoff):
-        # reference: the conjugated basis matrix times the coefficients
+    def test_match_conjugated_matrix_product(self, rng, cutoff):
+        # oracle: the conjugated matrix of the dense basis fields times the
+        # coefficients; the gather sums the same nonzero products, in another order
         basis = build_basis(ELL, cutoff)
         for u in (random_vector_field(ELL, cutoff, rng), random_vector_field(ELL, 1, rng)):
             flat = truncate(u, cutoff).coeff_stack().ravel()
-            for got, matrix in (
-                (project_coefficients(u, basis), basis._divfree_matrix),
-                (gradient_coefficients(u, basis), basis._gradient_matrix),
+            for got, fields in (
+                (project_coefficients(u, basis), basis.divfree_fields()),
+                (gradient_coefficients(u, basis), basis.gradient_fields()),
             ):
-                assert np.array_equal(got, np.real(matrix.conj() @ flat) * ELL**3)
+                matrix = np.stack([f.coeffs.ravel() for f in fields])
+                expected = np.real(matrix.conj() @ flat) * ELL**3
+                assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_divfree_iff_gradient_coefficients_vanish(self, basis4, rng):
         u = leray_project(random_vector_field(ELL, 4, rng))
@@ -162,6 +168,46 @@ class TestCoefficients:
         g = grad(random_scalar_field(ELL, 4, rng, zero_mean=True))
         mixed = u + g
         assert np.max(np.abs(gradient_coefficients(mixed, basis4))) > 1e-6 * l2_norm_exact(g)
+
+
+class TestModeArrays:
+    """The basis is held as (k_b, c_b) arrays; its fields are derived."""
+
+    # sha256 of the dump and of the fields' coefficient bytes at ell = 2 pi,
+    # M = 4, taken from the dense-field construction this replaced
+    DUMP = "f63e48269264a4f0c221164cb3963f6658a03defe2e7496caca7b97d05c46948"
+    DIVFREE = "580715512d914f5a8162a1c2f77746445c7c21936bed5675005088736066b50c"
+    GRADIENT = "7c0a9ad289b4528634ba3fb23ac6450f6475111ae92663f0e3f45fb313fb58e4"
+
+    def test_dump_bytes_pinned(self, basis4, tmp_path):
+        save_basis(basis4, tmp_path / "basis.txt")
+        digest = hashlib.sha256((tmp_path / "basis.txt").read_bytes()).hexdigest()
+        assert digest == self.DUMP
+
+    def test_derived_fields_pinned(self, basis4):
+        for fields, expected in (
+            (basis4.divfree_fields(), self.DIVFREE),
+            (basis4.gradient_fields(), self.GRADIENT),
+        ):
+            digest = hashlib.sha256()
+            for f in fields:
+                digest.update(f.coeffs.tobytes())
+            assert digest.hexdigest() == expected
+
+    def test_small_and_builds_no_field(self, monkeypatch):
+        built = []
+        init = Field.__post_init__
+        monkeypatch.setattr(Field, "__post_init__", lambda f: built.append(f) or init(f))
+        basis = build_basis(ELL, 16)
+        assert built == []
+        held = [getattr(m, f.name) for m in (basis, basis.gradient) for f in dataclasses.fields(m)]
+        assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) < 2**20
+        # the fields are built on demand, and the count sees them
+        assert len(basis.divfree_fields()) == len(built) == basis.dim == 515
+
+    def test_arrays_read_only(self, basis4):
+        with pytest.raises(ValueError):
+            basis4.coef[3, 0] = 1.0
 
 
 class TestDump:
@@ -183,3 +229,21 @@ class TestDump:
         assert lines[0] == "BASIS 0 1"
         assert any(line.startswith("BASIS 1 ") for line in lines)
         assert any(line.startswith("BASIS-GRAD ") for line in lines)
+
+    @pytest.mark.parametrize("defect", ["ell", "two_pairs"])
+    def test_inconsistent_block_rejected(self, basis4, tmp_path, defect):
+        path = tmp_path / "basis.txt"
+        save_basis(basis4, path)
+        lines = path.read_text().splitlines()
+        if defect == "ell":
+            # the last block gets another period
+            last = max(i for i, line in enumerate(lines) if line.startswith("TORUSFIELD"))
+            lines[last] = "TORUSFIELD 1 3.0 4 3"
+            message = "has ell 3.0 and cutoff 4"
+        else:
+            # a second mode joins the first constant
+            lines.insert(2, "1 0 0 1 0.25 0")
+            message = r"not a single \+-k pair"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_basis(path)

@@ -1,17 +1,19 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
 import torusns.galerkin as galerkin
-from torusns.eigenbasis import build_basis, project_coefficients
+from torusns.eigenbasis import build_basis, load_basis, project_coefficients, save_basis
 from torusns.fields import (
     SpectralVectorField,
     bandwidth_of,
     random_vector_field,
     vector_from_modes,
     wave_cubes,
+    write_field,
 )
 from torusns.galerkin import (
     FieldTrajectory,
@@ -204,18 +206,26 @@ class TestAssembly:
             ("two_pairs", r"single \+-k pair"),
         ],
     )
-    def test_malformed_basis_field_rejected(self, basis4, rng, swap, message):
+    def test_malformed_basis_field_rejected(self, basis4, rng, tmp_path, swap, message):
         w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
-        entries = list(basis4.entries)
-        m, j, field = entries[5]
+        # entry 5 is row 8, after the three constants
         if swap == "curl_free":
-            field = basis4.gradient_entries[0][2]
+            # its mode is swapped for the first curl-free one: amplitude parallel to k
+            kvec, coef = basis4.kvec.copy(), basis4.coef.copy()
+            kvec[8], coef[8] = basis4.gradient.kvec[0], basis4.gradient.coef[0]
+            bad = lambda: dataclasses.replace(basis4, kvec=kvec, coef=coef)
         else:
-            field = (field + entries[9][2]) * math.sqrt(0.5)
-        entries[5] = (m, j, field)
-        bad = dataclasses.replace(basis4, entries=tuple(entries))
+            # a basis dump whose block of entry 5 holds two +-k pairs
+            fields = basis4.divfree_fields()
+            block = io.StringIO()
+            write_field((fields[8] + fields[12]) * math.sqrt(0.5), block)
+            save_basis(basis4, tmp_path / "basis.txt")
+            parts = (tmp_path / "basis.txt").read_text().split("BASIS ")
+            parts[9] = parts[9].split("\n", 1)[0] + "\n" + block.getvalue()
+            (tmp_path / "mixed.txt").write_text("BASIS ".join(parts))
+            bad = lambda: load_basis(tmp_path / "mixed.txt")
         with pytest.raises(ValueError, match=message):
-            assemble_linearized(w, bad, MU)
+            assemble_linearized(w, bad(), MU)
 
     @pytest.mark.parametrize("drift", ["cutoff4", "cutoff9", "wide", "trajectory", "zero"])
     def test_matches_grid_assembly(self, rng, drift):
