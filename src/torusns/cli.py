@@ -367,6 +367,9 @@ def _run_taylor_green(spec: RunSpec) -> int:
 
 def _run_linearized(spec: RunSpec) -> int:
     cfg = spec.config
+    # the Bochner chain builds d_t^j u, j >= 2, from the Navier-Stokes equation
+    if any(s >= 2 for _, s in spec.bochner_pairs):
+        raise ConfigError("linearized runs take --bochner k,s with s <= 1")
     w = (
         _load_vector(spec.w_path)
         if spec.w_path

@@ -10,13 +10,13 @@ Two problems are integrated:
 
   * the nonlinear equation in evolution form,
     du/dt = mu Lap u + P(f - (u . grad) u),
-    advanced in coefficient space with the diffusion handled exactly by an
-    integrating factor (IF_RK4) or implicitly (IMEX_EULER), the transport
-    term dealiased and the Leray projection applied at every stage.  The
-    loop works on coefficient stacks and evaluates the transport kernel
-    4 times per IF_RK4 step and once per IMEX_EULER step, plus once for
-    the t = 0 rhs sample: N(u_{n+1}) = P(f(t_{n+1}) - (u_{n+1} . grad) u_{n+1})
-    is the stored rhs sample (when stored) and the next step's k1.
+    on coefficient stacks, the transport term dealiased and the Leray
+    projection applied at every stage.
+
+Both are dc/dt = -rate c + stage(c, t) with a diagonal rate, advanced by one
+stepper, :func:`_march`, with IF_RK4 or IMEX_EULER: 4 stage evaluations per
+IF_RK4 step and 1 per IMEX_EULER step, plus 1 at t = 0, as stage(c_n, t_n) is
+both step n's k1 and the stored rhs sample's source.
 
 Forcing may be supplied as a steady field, a time-sampled trajectory
 (mid-step values by linear interpolation), or a callable t -> field
@@ -30,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,7 +85,7 @@ SCHEMES = ("imex_euler", "if_rk4")
 
 
 class SolverAbort(RuntimeError):
-    """Raised when an integration cannot continue (blow-up, rejected step)."""
+    """Raised when an integration cannot continue (suspected blow-up)."""
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,17 @@ class SolverConfig:
     dt : time step, positive and finite (the actual step is T/N with
         N = round(T/dt), which must be a finite number).
     scheme : 'imex_euler' or 'if_rk4'.
-    step_tolerance : when set, every step is checked by step doubling and
-        the run aborts if the local error estimate exceeds this value.
-    attach_error_estimate : when True the integration is repeated at dt/2
-        and the maximal L2 deviation is attached to the trajectory.
-    store_every : keep every n-th step in the returned trajectory.
+    attach_error_estimate : when True :func:`solve_navier_stokes` repeats
+        the integration at dt/2 and attaches the maximal L2 deviation to
+        the trajectory.
+    store_every : :func:`solve_navier_stokes` keeps every n-th step in the
+        returned trajectory.
 
-    The transport products always use the smallest alias-free grid, and a
-    run warns once (RuntimeWarning) when the advective CFL number
-    ||u||_inf dt (2 pi/ell) max|k| exceeds 0.5.
+    :func:`solve_linearized` stores every step, always attaches its
+    step-halving estimate and takes mu from the operator.  The transport
+    products always use the smallest alias-free grid, and a run warns once
+    (RuntimeWarning) when the advective CFL number ||u||_inf dt (2 pi/ell)
+    max|k| exceeds 0.5.
     """
 
     mu: float
@@ -116,7 +118,6 @@ class SolverConfig:
     cutoff: int
     dt: float
     scheme: str = "if_rk4"
-    step_tolerance: float | None = None
     attach_error_estimate: bool = False
     store_every: int = 1
 
@@ -325,29 +326,53 @@ def solve_navier_stokes(
     The returned trajectory is divergence-free at every sample and carries
     the evolution right-hand side as rhs samples.  Aborts with
     :class:`SolverAbort` on suspected blow-up (non-finite or exploding
-    coefficients) and, when ``step_tolerance`` is set, on step rejection.
+    coefficients).
     """
     traj = _integrate_ns(f, u0, config)
     if config.attach_error_estimate:
         fine = _integrate_ns(
             f, u0, replace(config, dt=config.dt_effective / 2, attach_error_estimate=False)
         )
-        est = _trajectory_deviation(traj, fine)
+        stride = (len(fine) - 1) // (len(traj) - 1) if len(traj) > 1 else 1
+        est = max(l2_norm_exact(a - b) for a, b in zip(traj.fields, fine.fields[::stride]))
         traj = FieldTrajectory(traj.times, traj.fields, traj.rhs, error_estimate=est)
     return traj
 
 
-def _trajectory_deviation(coarse: FieldTrajectory, fine: FieldTrajectory) -> float:
-    stride = (len(fine) - 1) // (len(coarse) - 1) if len(coarse) > 1 else 1
-    return max(
-        l2_norm_exact(coarse.fields[i] - fine.fields[i * stride])
-        for i in range(len(coarse))
-    )
+def _march(
+    mu: float, lam: np.ndarray, stage: Callable, c0: np.ndarray, dt: float, nsteps: int, scheme: str
+) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Advance dc/dt = -mu lam c + stage(c, t) from c(0) = c0 by nsteps steps of dt.
+
+    IF_RK4 is the integrating-factor RK4 of Cox & Matthews (2002, J. Comput.
+    Phys. 176:430), exact in the diagonal term; IMEX_EULER takes that term
+    implicitly.  Yields (t_n, c_n, stage(c_n, t_n)) for n = 0..nsteps, the
+    stage value being step n's k1; raises :class:`SolverAbort` on a
+    non-finite coefficient.  mu and lam stay apart so that 1 + dt mu lam
+    rounds as the Navier-Stokes loop always has; a ready rate passes mu = 1.
+    """
+    denom = 1.0 + dt * mu * lam
+    eh = np.exp(-mu * lam * dt / 2.0)
+    ef = eh * eh
+    c = c0
+    for n in range(nsteps + 1):
+        t = n * dt
+        k1 = stage(c, t)
+        yield t, c, k1
+        if n == nsteps:
+            return
+        if scheme == "imex_euler":
+            c = (c + dt * k1) / denom
+        else:
+            k2 = stage(eh * (c + 0.5 * dt * k1), t + 0.5 * dt)
+            k3 = stage(eh * c + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = stage(ef * c + dt * eh * k3, t + dt)
+            c = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        if not np.all(np.isfinite(c)):
+            raise SolverAbort(f"blow-up suspected at t={(n + 1) * dt:.6g}")
 
 
-def _integrate_ns(
-    f: Forcing, u0: SpectralVectorField, config: SolverConfig
-) -> FieldTrajectory:
+def _integrate_ns(f: Forcing, u0: SpectralVectorField, config: SolverConfig) -> FieldTrajectory:
     ell, cutoff = u0.ell, config.cutoff
     if u0.cutoff > cutoff:
         raise ValueError(
@@ -359,15 +384,11 @@ def _integrate_ns(
 
     mu = config.mu
     bw = bandwidth_of(cutoff)
-    ksq = wave_cubes(bw)[3].astype(np.float64)
-    lam = ksq * (2.0 * math.pi / ell) ** 2
+    lam = wave_cubes(bw)[3].astype(np.float64) * (2.0 * math.pi / ell) ** 2
     # the multiplier of operators.laplacian, for the stored rhs samples
     lapmult = -((2.0 * math.pi / ell) ** 2) * wave_cubes(bw)[3]
     dt = config.dt_effective
     nsteps = config.nsteps
-    e_half = np.exp(-mu * lam * dt / 2.0)
-    e_full = e_half * e_half
-    imex_denom = 1.0 + dt * mu * lam
     blowup_scale = 1e8 * (l2_norm_exact(u) + 1.0)
     cfl_grid = _fast_len(max(2 * bw + 1, 8))
     warned_cfl = False
@@ -376,27 +397,17 @@ def _integrate_ns(
         """P(f(t) - (u . grad) u) for the coefficient stack c of u."""
         return _project_stack(forcing(t) - _convect_stack(c, c, ell, cutoff), bw)
 
-    def step(c: np.ndarray, k1: np.ndarray, t: float, h: float) -> np.ndarray:
-        """Advance c from t by h; k1 is nonlinear(c, t)."""
-        if config.scheme == "imex_euler":
-            return (c + h * k1) / (imex_denom if h == dt else 1.0 + h * mu * lam)
-        eh = e_half if h == dt else np.exp(-mu * lam * h / 2.0)
-        ef = e_full if h == dt else eh * eh
-        k2 = nonlinear(eh * (c + 0.5 * h * k1), t + 0.5 * h)
-        k3 = nonlinear(eh * c + 0.5 * h * k2, t + 0.5 * h)
-        k4 = nonlinear(ef * c + h * eh * k3, t + h)
-        return ef * c + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
-
-    c = u.coeffs
-    # N = nonlinear(c, t) at the current time: the rhs sample's transport
-    # part and the next step's k1
-    N = nonlinear(c, 0.0)
-    times = [0.0]
-    fields = [u]
-    rhs_samples = [u.with_coeffs((c * lapmult) * float(mu) + N)]
-    for n in range(nsteps):
-        t = n * dt
-        if not warned_cfl and n % 25 == 0:
+    times, fields, rhs_samples = [], [], []
+    steps = _march(mu, lam, nonlinear, u.coeffs, dt, nsteps, config.scheme)
+    # N = nonlinear(c, t) is the rhs sample's transport part
+    for n, (t, c, N) in enumerate(steps):
+        if math.sqrt(ell**3 * float(np.sum(np.abs(c) ** 2))) > blowup_scale:  # l2_norm_exact
+            raise SolverAbort(f"blow-up suspected at t={t:.6g}")
+        if n % config.store_every == 0 or n == nsteps:
+            times.append(t)
+            fields.append(u.with_coeffs(c))
+            rhs_samples.append(u.with_coeffs((c * lapmult) * float(mu) + N))
+        if not warned_cfl and n % 25 == 0 and n < nsteps:
             umax = lp_norm(u.with_coeffs(c), math.inf, cfl_grid)
             if umax * dt * (2.0 * math.pi / ell) * bw > 0.5:
                 warnings.warn(
@@ -406,27 +417,6 @@ def _integrate_ns(
                     stacklevel=2,
                 )
                 warned_cfl = True
-        c_next = step(c, N, t, dt)
-        if config.step_tolerance is not None:
-            h = dt / 2.0
-            mid = step(c, N, t, h)
-            half = step(mid, nonlinear(mid, t + h), t + h, h)
-            est = float(np.max(np.abs(c_next - half)))
-            if est > config.step_tolerance:
-                raise SolverAbort(
-                    f"step rejected at t={t:.6g}: local error estimate "
-                    f"{est:.3e} exceeds tolerance {config.step_tolerance:.3e}"
-                )
-        c = c_next
-        norm = math.sqrt(ell**3 * float(np.sum(np.abs(c) ** 2)))  # l2_norm_exact
-        if not np.all(np.isfinite(c)) or norm > blowup_scale:
-            raise SolverAbort(f"blow-up suspected at t={(n + 1) * dt:.6g}")
-        tn = (n + 1) * dt
-        N = nonlinear(c, tn)
-        if (n + 1) % config.store_every == 0 or n + 1 == nsteps:
-            times.append(tn)
-            fields.append(u.with_coeffs(c))
-            rhs_samples.append(u.with_coeffs((c * lapmult) * float(mu) + N))
     return FieldTrajectory(np.array(times), tuple(fields), tuple(rhs_samples))
 
 
@@ -556,52 +546,28 @@ def solve_linearized(
         config.horizon,
         lambda g: project_coefficients(truncate(g, basis.cutoff), basis),
     )
-    coarse_times, coarse = _integrate_linear(op, gfun, c0, config, config.dt_effective)
-    fine_times, fine = _integrate_linear(op, gfun, c0, config, config.dt_effective / 2)
+    times, coarse, rhs = _integrate_linear(op, gfun, c0, config, config.dt_effective)
+    fine = _integrate_linear(op, gfun, c0, config, config.dt_effective / 2)[1]
     est = float(np.max(np.abs(coarse - fine[::2])))
-
     fields = tuple(reconstruct(basis, c) for c in coarse)
-    rhs = tuple(
-        reconstruct(basis, gfun(t) - op.at(t) @ c) for t, c in zip(coarse_times, coarse)
-    )
-    return FieldTrajectory(coarse_times, fields, rhs, error_estimate=est)
+    rhs = tuple(reconstruct(basis, r) for r in rhs)
+    return FieldTrajectory(times, fields, rhs, error_estimate=est)
 
 
 def _integrate_linear(
-    op: LinearizedOperator,
-    gfun: Callable[[float], np.ndarray],
-    c0: np.ndarray,
-    config: SolverConfig,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
+    op: LinearizedOperator, gfun: Callable, c0: np.ndarray, config: SolverConfig, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, coefficients and rhs samples g(t) - A(t) c at the steps T/round(T/dt)."""
     nsteps = max(1, round(config.horizon / dt))
-    dt = config.horizon / nsteps
     diff = op.diffusion
-    eh = np.exp(-diff * dt / 2.0)
-    ef = eh * eh
 
     def gee(c: np.ndarray, t: float) -> np.ndarray:
-        # the drift part (A(t) - diag(diff)) c, without forming the matrix
+        # g minus the drift part (A(t) - diag(diff)) c, without forming it
         return gfun(t) - op.at(t) @ c + diff * c
 
-    c = c0.copy()
-    out = [c0.copy()]
-    times = [0.0]
-    for nstep in range(nsteps):
-        t = nstep * dt
-        if config.scheme == "imex_euler":
-            c = (c + dt * gee(c, t)) / (1.0 + dt * diff)
-        else:
-            k1 = gee(c, t)
-            k2 = gee(eh * (c + 0.5 * dt * k1), t + 0.5 * dt)
-            k3 = gee(eh * c + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = gee(ef * c + dt * eh * k3, t + dt)
-            c = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
-        if not np.all(np.isfinite(c)):
-            raise SolverAbort(f"blow-up suspected at t={(nstep + 1) * dt:.6g}")
-        times.append((nstep + 1) * dt)
-        out.append(c.copy())
-    return np.array(times), np.stack(out)
+    steps = _march(1.0, diff, gee, c0, config.horizon / nsteps, nsteps, config.scheme)
+    times, coeffs, stages = (np.array(x) for x in zip(*steps))
+    return times, coeffs, stages - diff * coeffs
 
 
 def matrix_exponential(a: np.ndarray, tol: float = 1e-16) -> np.ndarray:

@@ -511,6 +511,19 @@ class TestLinearized:
         assert cert["norms"]["matrix_exponential_agreement"] <= 1e-8
 
 
+    @pytest.mark.parametrize("pair", ["0,2", "1,3"])
+    def test_bochner_beyond_first_time_derivative_rejected(self, tmp_path, pair):
+        # the chain's d_t^2 u follows the Navier-Stokes equation, not the
+        # linearized one, so its norm would be wrong
+        r = run_cli(
+            "linearized", "--M", "4", "--T", "0.01", "--dt", "5e-3", "--bochner", "1,1",
+            "--bochner", pair, "--out-dir", "lin", cwd=tmp_path,
+        )
+        assert r.returncode == 2, r.stderr
+        assert "--bochner k,s with s <= 1" in r.stderr
+        assert not (tmp_path / "lin").exists()
+
+
 class TestStudy:
     def test_dt_study_csv(self, tmp_path):
         r = run_cli(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import math
 
@@ -380,6 +381,51 @@ class TestLinearizedSolve:
         # a lone drift sample is constant in time and needs no cover
         solve_linearized(assemble_linearized(w0, basis4, MU), None, u0, cfg)
 
+    @staticmethod
+    def _sampled_problem(basis):
+        rng = np.random.default_rng(43)
+        w0, w1 = (leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3)) for _ in range(2))
+        drift = FieldTrajectory(np.array([0.0, 0.03, 0.1]), (w0, w1, w0 * -0.5))
+        g = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
+        forcing = FieldTrajectory(np.array([0.0, 0.05, 0.1]), (g, g * -0.5, g * 0.25))
+        return assemble_linearized(drift, basis, MU), forcing, rng.standard_normal(basis.dim)
+
+    @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
+    def test_rhs_samples_are_the_ode_rhs(self, basis4, scheme):
+        from torusns.eigenbasis import reconstruct
+        from torusns.galerkin import _forcing_function, _integrate_linear
+
+        op, forcing, c0 = self._sampled_problem(basis4)
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
+        traj = solve_linearized(op, forcing, c0, cfg)
+        gfun = _forcing_function(forcing, ELL, 0.1, lambda g: project_coefficients(g, basis4))
+        coeffs = _integrate_linear(op, gfun, c0, cfg, cfg.dt_effective)[1]
+        rhs = np.stack([r.coeffs for r in traj.rhs])
+        ref = np.stack(
+            [reconstruct(basis4, gfun(t) - op.at(t) @ c).coeffs for t, c in zip(traj.times, coeffs)]
+        )
+        for u, c in zip(traj.fields, coeffs):
+            assert np.array_equal(u.coeffs, reconstruct(basis4, c).coeffs)
+        assert np.max(np.abs(rhs - ref)) <= 1e-15 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("scheme, per_step", [("if_rk4", 4), ("imex_euler", 1)])
+    def test_operator_evaluations_per_solve(self, basis4, monkeypatch, scheme, per_step):
+        calls = []
+        at = galerkin.LinearizedOperator.at
+
+        def counted(self, t):
+            calls.append(t)
+            return at(self, t)
+
+        monkeypatch.setattr(galerkin.LinearizedOperator, "at", counted)
+        op, forcing, c0 = self._sampled_problem(basis4)
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
+        solve_linearized(op, forcing, c0, cfg)
+        n_coarse, n_fine = cfg.nsteps, 2 * cfg.nsteps
+        # per run the stages of every step plus k1 at the final time; the
+        # stored rhs samples reuse the k1 values
+        assert len(calls) == 2 + per_step * (n_coarse + n_fine)
+
     def test_closed_form_requires_autonomous(self, basis4, rng):
         w0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.2))
         drift = FieldTrajectory(np.array([0.0, 1.0]), (w0, w0 * 0.5))
@@ -522,7 +568,7 @@ class TestMatrixFreeStages:
         gfun = _forcing_function(forcing, ELL, 0.1, lambda g: project_coefficients(g, basis4))
         cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
         ref = _integrate_linear_dense(op, gfun, c0, cfg, cfg.dt_effective)
-        times, got = _integrate_linear(op, gfun, c0, cfg, cfg.dt_effective)
+        times, got, _ = _integrate_linear(op, gfun, c0, cfg, cfg.dt_effective)
         assert np.array_equal(times, _solver_times(0.1, 4e-3))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -600,13 +646,6 @@ class TestNavierStokes:
         u0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=3.0))
         cfg = SolverConfig(mu=5.0, horizon=0.02, cutoff=4, dt=0.02, scheme="imex_euler")
         with pytest.warns(RuntimeWarning, match="CFL"):
-            solve_navier_stokes(None, u0, cfg)
-
-    @pytest.mark.filterwarnings("ignore:advective CFL:RuntimeWarning")
-    def test_step_rejection(self, rng):
-        u0 = smooth_random_divfree(ELL, 4, rng, amplitude=1.0)
-        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=1e-2, step_tolerance=1e-18)
-        with pytest.raises(SolverAbort, match="step rejected"):
             solve_navier_stokes(None, u0, cfg)
 
     def test_store_every(self, rng):
@@ -694,7 +733,7 @@ class TestArrayLoop:
 
     @pytest.mark.parametrize(
         "scheme, tolerance, per_step",
-        [("if_rk4", None, 4), ("imex_euler", None, 1), ("if_rk4", 1.0, 11), ("imex_euler", 1.0, 2)],
+        [("if_rk4", None, 4), ("imex_euler", None, 1)],
     )
     @pytest.mark.parametrize("store_every", [1, 3])
     def test_kernel_calls_per_solve(
@@ -711,7 +750,7 @@ class TestArrayLoop:
         u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.5)
         cfg = SolverConfig(
             mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme,
-            step_tolerance=tolerance, store_every=store_every,
+            store_every=store_every,
         )
         solve_navier_stokes(None, u0, cfg)
         # one for the t = 0 rhs sample, then per step the stages after k1
@@ -794,3 +833,56 @@ class TestTwoSchemeAgreement:
             + (16.0 / 15.0) * runs["if_rk4"].error_estimate
         )
         assert diff <= bound
+
+
+def _digest(arrays, *floats):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    for x in floats:
+        h.update(np.float64(x).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenDigests:
+    """sha256 of the coefficient bytes of seeded runs, pinned to the values
+    of the step loops that each solver carried before they shared one
+    stepper.  The digests assume numpy's pocketfft and an IEEE double BLAS
+    with deterministic dot products, as in the tier-1 environment."""
+
+    NS = {
+        "if_rk4": "2e03060230921dd45075c7d8165a6514e9911f87550b6ae65e56602cdf68e2e8",
+        "imex_euler": "5f2c5d23dccab4e377ebffe6efe245b33378f3ce2ba9cda2a22e71c52b2d085e",
+    }
+    LINEAR = {
+        "if_rk4": "9f9ee59b12a0d78f844c5de85578c6a800ae040ea02b07ed680ef221a6aa4522",
+        "imex_euler": "dedc6c45ad55192ecbd5b00313083eb6555665673b0e194c9003f6242e591cc6",
+    }
+
+    @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
+    def test_navier_stokes_run(self, scheme):
+        ell = 3.3
+        rng = np.random.default_rng(4409)
+        u0 = smooth_random_divfree(ell, 5, rng, amplitude=0.6)
+        f = leray_project(random_vector_field(ell, 3, rng, amplitude=0.3))
+        # at this mu and dt, 1 + (dt mu) lam and 1 + dt (mu lam) differ in 8 modes
+        cfg = SolverConfig(mu=0.37, horizon=0.03, cutoff=5, dt=3e-3, scheme=scheme)
+        traj = solve_navier_stokes(f, u0, cfg)
+        got = _digest(
+            [traj.times] + [u.coeffs for u in traj.fields] + [r.coeffs for r in traj.rhs]
+        )
+        assert got == self.NS[scheme]
+
+    @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
+    def test_linearized_run(self, basis4, scheme):
+        rng = np.random.default_rng(4421)
+        w0, w1 = (leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3)) for _ in range(2))
+        drift = FieldTrajectory(np.array([0.0, 0.04, 0.1]), (w0, w1, w0 * -0.5))
+        op = assemble_linearized(drift, basis4, MU)
+        g = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
+        forcing = FieldTrajectory(np.array([0.0, 0.1]), (g, g * 0.25))
+        c0 = rng.standard_normal(basis4.dim)
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
+        traj = solve_linearized(op, forcing, c0, cfg)
+        got = _digest([traj.times] + [u.coeffs for u in traj.fields], traj.error_estimate)
+        assert got == self.LINEAR[scheme]
