@@ -339,11 +339,7 @@ def bochner_scale_norm(
     k1, k2, k3, ksq = wave_cubes(bw)
     kappa2 = (2.0 * math.pi / ell) ** 2
     lam = (ksq * kappa2).ravel().astype(np.float64)
-    axis_sq = [
-        (k1.astype(np.float64) ** 2 * kappa2).ravel(),
-        (k2.astype(np.float64) ** 2 * kappa2).ravel(),
-        (k3.astype(np.float64) ** 2 * kappa2).ravel(),
-    ]
+    axis_sq = [(k.astype(np.float64) ** 2 * kappa2).ravel() for k in (k1, k2, k3)]
     # per derivative order: |c|^2 summed over components, per sample
     power = [
         np.stack([np.sum(np.abs(u.coeffs) ** 2, axis=0).ravel() for u in lst])
@@ -353,11 +349,8 @@ def bochner_scale_norm(
     for j in range(s + 1):
         for order in range(0, 2 * s - 2 * j + 1):
             for alpha in multi_indices(order):
-                mult = (
-                    axis_sq[0] ** alpha[0]
-                    * axis_sq[1] ** alpha[1]
-                    * axis_sq[2] ** alpha[2]
-                )
+                a1, a2, a3 = (x**a for x, a in zip(axis_sq, alpha))
+                mult = a1 * a2 * a3
                 for i in range(k + 1):
                     w_sup = lam**i * mult  # 0^0 = 1 keeps the mean at i = 0
                     sup_val = float(np.max(power[j] @ w_sup))

@@ -10,8 +10,8 @@ Two problems are integrated:
 
   * the nonlinear equation in evolution form,
     du/dt = mu Lap u + P(f - (u . grad) u),
-    on coefficient stacks, the transport term dealiased and the Leray
-    projection applied at every stage.
+    on coefficient stacks, the transport term dealiased in divergence form
+    div(u (x) u) and the Leray projection applied at every stage.
 
 Both are dc/dt = -rate c + stage(c, t) with a diagonal rate, advanced by one
 stepper, :func:`_march`, with IF_RK4 or IMEX_EULER: 4 stage evaluations per
@@ -50,8 +50,8 @@ from .fields import (
 )
 from .operators import (
     NormTable,
-    _convect_stack,
     _fast_len,
+    _self_convect_stack,
     div,
     grad,
     inner_l2,
@@ -323,6 +323,8 @@ def solve_navier_stokes(
 ) -> FieldTrajectory:
     """Integrate du/dt = mu Lap u + P(f - (u . grad) u) on shells <= cutoff.
 
+    The transport term is taken as div(u (x) u), which differs from
+    (u . grad) u by u div u, at roundoff: every stage input is solenoidal.
     The returned trajectory is divergence-free at every sample and carries
     the evolution right-hand side as rhs samples.  Aborts with
     :class:`SolverAbort` on suspected blow-up (non-finite or exploding
@@ -394,8 +396,8 @@ def _integrate_ns(f: Forcing, u0: SpectralVectorField, config: SolverConfig) -> 
     warned_cfl = False
 
     def nonlinear(c: np.ndarray, t: float) -> np.ndarray:
-        """P(f(t) - (u . grad) u) for the coefficient stack c of u."""
-        return _project_stack(forcing(t) - _convect_stack(c, c, ell, cutoff), bw)
+        """P(f(t) - div(u (x) u)) for the coefficient stack c of u."""
+        return _project_stack(forcing(t) - _self_convect_stack(c, ell, cutoff), bw)
 
     times, fields, rhs_samples = [], [], []
     steps = _march(mu, lam, nonlinear, u.coeffs, dt, nsteps, config.scheme)
@@ -439,9 +441,6 @@ class LinearizedOperator:
     times: np.ndarray
     matrices: np.ndarray
     diffusion: np.ndarray
-
-    def drift_part(self, i: int) -> np.ndarray:
-        return self.matrices[i] - np.diag(self.diffusion)
 
     def at(self, t: float) -> np.ndarray:
         """Full matrix at time t (rule of :func:`_interpolate`)."""

@@ -15,6 +15,11 @@ grid has n >= 2B + K + 1 points per axis: 3B+1 for the Galerkin projection
 transforms are real FFTs (``rfftn``/``irfftn``) over the k3 >= 0 half of the
 coefficient cube; the other half is its conjugate reflection.
 
+:func:`convect` keeps the advective form (w . grad) u: 12 inverse real FFTs
+(w and the nine derivatives of u), 3 forward.  The solver's u is solenoidal,
+so it takes div(u (x) u) (Zang 1991, Appl. Numer. Math. 7:27): 3 inverse, 6
+forward, and the advective form where u_i u_j overflows.
+
 L2 norms and inner products are exact Parseval sums.  L^p norms for p != 2
 are rectangle-rule quadrature on a user-chosen grid, and the L^infinity norm
 is a grid maximum; these are documented sampling approximations.
@@ -33,6 +38,7 @@ from .fields import (
     SpectralVectorField,
     align,
     bandwidth_of,
+    hermitianize,
     shell_mask,
     wave_cubes,
     wave_index_axes,
@@ -191,10 +197,6 @@ def multi_indices(order: int) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _fft_indices(bandwidth: int, n: int) -> np.ndarray:
-    return wave_index_axes(bandwidth) % n
-
-
 def _axis_slices(bw: int, n: int) -> tuple[tuple[slice, slice], ...]:
     """(FFT-axis, centered-axis) slice pairs of wavenumbers 0..bw and -bw..-1.
 
@@ -222,11 +224,9 @@ def _sample_stack(stack: np.ndarray, n: int) -> np.ndarray:
             for dst2, src2 in _axis_slices(bw, n):
                 buf[:, dst1, dst2, : bw + 1] = stack[:, src1, src2, bw:]
         return np.fft.irfftn(buf, s=(n, n, n), axes=(1, 2, 3), norm="forward")
-    idx = _fft_indices(bw, n)
+    idx = wave_index_axes(bw) % n
     bufs = np.zeros((stack.shape[0], n, n, n), dtype=np.complex128)
-    i1, i2, i3 = np.meshgrid(idx, idx, idx, indexing="ij")
-    for c in range(stack.shape[0]):
-        np.add.at(bufs[c], (i1, i2, i3), stack[c])
+    np.add.at(bufs, (slice(None), *np.ix_(idx, idx, idx)), stack)
     return np.real(np.fft.ifftn(bufs, axes=(1, 2, 3), norm="forward"))
 
 
@@ -266,13 +266,31 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _convect_stack(w: np.ndarray, u: np.ndarray, ell: float, out_cutoff: int) -> np.ndarray:
-    """Array kernel of :func:`convect` on (3, 2B+1, 2B+1, 2B+1) coefficient
-    stacks; returns the symmetrized, shell-masked stack at ``out_cutoff``."""
+def _dealias_grid(u: np.ndarray, out_cutoff: int) -> tuple[int, int, int, int]:
+    """(B, out_bw, K, n) for products of the bandwidth-B stack u kept at
+    ``out_cutoff``: K = min(out_bw, 2B), n the smallest 5-smooth n >= 2B + K + 1."""
     bw = (u.shape[1] - 1) // 2
     out_bw = bandwidth_of(out_cutoff)
     keep = min(out_bw, 2 * bw)
-    n = _fast_len(max(2 * bw + keep + 1, 4))
+    return bw, out_bw, keep, _fast_len(max(2 * bw + keep + 1, 4))
+
+
+def _to_shell(spectrum: np.ndarray, out_bw: int, out_cutoff: int) -> np.ndarray:
+    """The (3, 2K+1, 2K+1, 2K+1) ``spectrum`` of a product in the
+    ``out_cutoff`` cube, Hermitian-symmetrized and shell-masked."""
+    keep = (spectrum.shape[1] - 1) // 2
+    coeffs = np.zeros((3,) + (2 * out_bw + 1,) * 3, dtype=np.complex128)
+    lo, hi = out_bw - keep, out_bw + keep + 1
+    coeffs[:, lo:hi, lo:hi, lo:hi] = spectrum
+    coeffs = hermitianize(coeffs)
+    np.copyto(coeffs, 0.0, where=~shell_mask(out_bw, out_cutoff))
+    return coeffs
+
+
+def _convect_stack(w: np.ndarray, u: np.ndarray, ell: float, out_cutoff: int) -> np.ndarray:
+    """Array kernel of :func:`convect` on (3, 2B+1, 2B+1, 2B+1) coefficient
+    stacks; returns the symmetrized, shell-masked stack at ``out_cutoff``."""
+    bw, out_bw, keep, n = _dealias_grid(u, out_cutoff)
     k1, k2, k3, _ = wave_cubes(bw)
     grad_mult = 1j * (2.0 * math.pi / ell) * np.stack((k1, k2, k3))
     # w and the nine derivatives of u, built in place: no copy of du
@@ -281,12 +299,31 @@ def _convect_stack(w: np.ndarray, u: np.ndarray, ell: float, out_cutoff: int) ->
     np.multiply(u[:, None], grad_mult[None], out=src[3:].reshape(3, 3, *k1.shape))
     vals = _sample_stack(src, n)
     prod = np.einsum("jxyz,ijxyz->ixyz", vals[:3], vals[3:].reshape(3, 3, n, n, n))
-    side = 2 * out_bw + 1
-    coeffs = np.zeros((3, side, side, side), dtype=np.complex128)
-    lo, hi = out_bw - keep, out_bw + keep + 1
-    coeffs[:, lo:hi, lo:hi, lo:hi] = _spectrum_stack(prod, keep)
-    coeffs = 0.5 * (coeffs + np.conj(coeffs[:, ::-1, ::-1, ::-1]))
-    np.copyto(coeffs, 0.0, where=~shell_mask(out_bw, out_cutoff))
+    return _to_shell(_spectrum_stack(prod, keep), out_bw, out_cutoff)
+
+
+# u (x) u is held as its six entries i <= j; row i of it is _ROWS[i]
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+
+
+def _self_convect_stack(u: np.ndarray, ell: float, out_cutoff: int) -> np.ndarray:
+    """div(u (x) u), which is ``_convect_stack(u, u, ell, out_cutoff)`` for
+    solenoidal u, with 3 inverse and 6 forward real FFTs on the same grid.
+    Where u_i u_j overflows it is nan, and it falls back to that kernel."""
+    _, out_bw, keep, n = _dealias_grid(u, out_cutoff)
+    vals = _sample_stack(u, n)
+    prod = np.empty((6, n, n, n))
+    k1, k2, k3, _ = wave_cubes(keep)
+    fac = 1j * (2.0 * math.pi / ell)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        for p, (i, j) in enumerate(_PAIRS):
+            np.multiply(vals[i], vals[j], out=prod[p])
+        spec = _spectrum_stack(prod, keep)
+        div_uu = np.stack([fac * (k1 * spec[a] + k2 * spec[b] + k3 * spec[c]) for a, b, c in _ROWS])
+        coeffs = _to_shell(div_uu, out_bw, out_cutoff)
+    if not np.all(np.isfinite(coeffs)):
+        return _convect_stack(u, u, ell, out_cutoff)
     return coeffs
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import torusns.galerkin as galerkin
+import torusns.operators as operators
 from torusns.eigenbasis import build_basis, load_basis, project_coefficients, save_basis
 from torusns.fields import (
     SpectralVectorField,
@@ -32,8 +33,10 @@ from torusns.galerkin import (
 )
 from torusns.helmholtz import leray_project, recover_pressure
 from torusns.operators import (
+    _convect_stack,
     _fast_len,
     _sample_stack,
+    _self_convect_stack,
     div,
     l2_norm_exact,
     laplacian,
@@ -242,7 +245,7 @@ class TestAssembly:
         ref = _grid_coupling(w, basis)
         assert len(op.matrices) == len(ref)
         for i, expected in enumerate(ref):
-            err = np.max(np.abs(op.drift_part(i) - expected))
+            err = np.max(np.abs(op.matrices[i] - np.diag(op.diffusion) - expected))
             assert err <= 1e-13 * np.max(np.abs(expected))
 
     def test_wide_drift_entries_exact(self, basis4, rng):
@@ -681,14 +684,19 @@ class TestNavierStokes:
         assert err <= 3.0 * traj.error_estimate
 
 
-def _field_loop(force, u0, cfg):
+def _solver_transport(v):
+    """The solver's transport term div(v (x) v), as a field."""
+    return v.with_coeffs(_self_convect_stack(v.coeffs, v.ell, v.cutoff))
+
+
+def _field_loop(force, u0, cfg, transport=_solver_transport):
     """Every step of the field-at-a-time loop the array loop replaced, with
     the same arithmetic; steady forcing, no CFL check, no step doubling."""
     lam = wave_cubes(bandwidth_of(cfg.cutoff))[3] * (2.0 * math.pi / u0.ell) ** 2
     h = cfg.dt_effective
 
     def nonlinear(v):
-        return leray_project(force - self_convection(v)).coeff_stack()
+        return leray_project(force - transport(v)).coeff_stack()
 
     def step(v):
         c = v.coeff_stack()
@@ -723,13 +731,23 @@ class TestArrayLoop:
         )
         traj = solve_navier_stokes(f, u0, cfg)
         force = f if forced else SpectralVectorField.zero(ELL, 4)
-        steps = _field_loop(force, u0, cfg)
-        stored = steps[::store_every] + ([steps[-1]] if cfg.nsteps % store_every else [])
+
+        def stored_of(steps):
+            return steps[::store_every] + ([steps[-1]] if cfg.nsteps % store_every else [])
+
+        stored = stored_of(_field_loop(force, u0, cfg))
+        # the advective reference: the same loop on (u . grad) u
+        advective = stored_of(_field_loop(force, u0, cfg, transport=self_convection))
         assert len(traj) == len(stored)
-        for u, rhs, ref in zip(traj.fields, traj.rhs, stored):
+        for u, rhs, ref, adv in zip(traj.fields, traj.rhs, stored, advective):
             assert np.array_equal(u.coeff_stack(), ref.coeff_stack())
-            expected = laplacian(u) * MU + leray_project(force - self_convection(u))
+            expected = laplacian(u) * MU + leray_project(force - _solver_transport(u))
             assert np.array_equal(rhs.coeff_stack(), expected.coeff_stack())
+            assert np.max(np.abs(u.coeffs - adv.coeffs)) <= 1e-14 * np.max(np.abs(adv.coeffs))
+            old_rhs = laplacian(u) * MU + leray_project(force - self_convection(u))
+            assert np.max(np.abs(rhs.coeffs - old_rhs.coeffs)) <= 1e-14 * np.max(
+                np.abs(old_rhs.coeffs)
+            )
 
     @pytest.mark.parametrize(
         "scheme, tolerance, per_step",
@@ -739,14 +757,20 @@ class TestArrayLoop:
     def test_kernel_calls_per_solve(
         self, rng, monkeypatch, scheme, tolerance, per_step, store_every
     ):
-        calls = []
-        kernel = galerkin._convect_stack
+        calls, advective = [], []
+        kernel = galerkin._self_convect_stack
+        advective_kernel = operators._convect_stack
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(galerkin, "_convect_stack", counted)
+        def counted_advective(*args):
+            advective.append(args)
+            return advective_kernel(*args)
+
+        monkeypatch.setattr(galerkin, "_self_convect_stack", counted)
+        monkeypatch.setattr(operators, "_convect_stack", counted_advective)
         u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.5)
         cfg = SolverConfig(
             mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme,
@@ -756,6 +780,8 @@ class TestArrayLoop:
         # one for the t = 0 rhs sample, then per step the stages after k1
         # and N(u_{n+1}), which is also the next step's k1
         assert len(calls) == 1 + per_step * cfg.nsteps
+        # the divergence form never falls back to the advective kernel here
+        assert len(advective) == 0
 
 
 class TestEnergyIdentity:
@@ -848,11 +874,19 @@ class TestGoldenDigests:
     """sha256 of the coefficient bytes of seeded runs, pinned to the values
     of the step loops that each solver carried before they shared one
     stepper.  The digests assume numpy's pocketfft and an IEEE double BLAS
-    with deterministic dot products, as in the tier-1 environment."""
+    with deterministic dot products, as in the tier-1 environment.
+
+    ``NS`` is the Navier-Stokes run on the advective kernel (u . grad) u,
+    which the loop used before the divergence form; ``NS_DIV`` is the same
+    run on the solver's kernel div(u (x) u)."""
 
     NS = {
         "if_rk4": "2e03060230921dd45075c7d8165a6514e9911f87550b6ae65e56602cdf68e2e8",
         "imex_euler": "5f2c5d23dccab4e377ebffe6efe245b33378f3ce2ba9cda2a22e71c52b2d085e",
+    }
+    NS_DIV = {
+        "if_rk4": "f2d188fcf21e2b24da09493b508419f6302d86f5ff068e342a705b7e0e0b9dfe",
+        "imex_euler": "c73ea3e28299dd55af151109c621d4af1b8b58ed023ee70f830d349c4dec24eb",
     }
     LINEAR = {
         "if_rk4": "9f9ee59b12a0d78f844c5de85578c6a800ae040ea02b07ed680ef221a6aa4522",
@@ -860,18 +894,30 @@ class TestGoldenDigests:
     }
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
-    def test_navier_stokes_run(self, scheme):
+    def test_navier_stokes_run(self, monkeypatch, scheme):
         ell = 3.3
         rng = np.random.default_rng(4409)
         u0 = smooth_random_divfree(ell, 5, rng, amplitude=0.6)
         f = leray_project(random_vector_field(ell, 3, rng, amplitude=0.3))
         # at this mu and dt, 1 + (dt mu) lam and 1 + dt (mu lam) differ in 8 modes
         cfg = SolverConfig(mu=0.37, horizon=0.03, cutoff=5, dt=3e-3, scheme=scheme)
+
+        def digest(traj):
+            return _digest(
+                [traj.times] + [u.coeffs for u in traj.fields] + [r.coeffs for r in traj.rhs]
+            )
+
         traj = solve_navier_stokes(f, u0, cfg)
-        got = _digest(
-            [traj.times] + [u.coeffs for u in traj.fields] + [r.coeffs for r in traj.rhs]
-        )
-        assert got == self.NS[scheme]
+        assert digest(traj) == self.NS_DIV[scheme]
+        # on the advective kernel nothing else in the loop moved
+        with monkeypatch.context() as m:
+            m.setattr(
+                galerkin, "_self_convect_stack", lambda c, ell, cut: _convect_stack(c, c, ell, cut)
+            )
+            advective = solve_navier_stokes(f, u0, cfg)
+        assert digest(advective) == self.NS[scheme]
+        for a, b in zip(traj.fields + traj.rhs, advective.fields + advective.rhs):
+            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-14 * np.max(np.abs(b.coeffs))
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
     def test_linearized_run(self, basis4, scheme):

@@ -14,7 +14,11 @@ from torusns.fields import (
     SpectralVectorField,
     truncate,
 )
+import torusns.operators as operators
+from torusns import cli
 from torusns.operators import (
+    _convect_stack,
+    _self_convect_stack,
     _spectrum_stack,
     convect,
     div,
@@ -35,7 +39,8 @@ from torusns.operators import (
     sobolev_norm,
     symmetrized_convection,
 )
-from torusns.helmholtz import leray_project
+from torusns.helmholtz import _project_stack, leray_project
+from torusns.problems import shear_field, taylor_green_field
 
 
 class TestSobolevNorm:
@@ -286,6 +291,40 @@ class TestConvection:
         w = leray_project(random_vector_field(ell, 6, rng))
         u = random_vector_field(ell, 6, rng)
         assert convect(w, u).hermitian_defect() == 0.0
+
+
+class TestDivergenceForm:
+    """The solver's kernel div(u (x) u) against the advective kernel and the
+    brute-force convolution, on solenoidal u."""
+
+    @pytest.mark.parametrize("ell", [2.0 * math.pi, 3.3])
+    @pytest.mark.parametrize("cutoff", [4, 9, 16, 36])
+    def test_matches_oracles_on_solenoidal_fields(self, rng, ell, cutoff):
+        # sparse at M = 36, where the full brute-force loop takes seconds; the
+        # axis extremes +-B e_i are kept, so the product reaches |k_i| = 2B
+        density = 0.2 if cutoff == 36 else 1.0
+        u = leray_project(_sparse_vector_field(ell, cutoff, rng, density))
+        bw = bandwidth_of(cutoff)
+        fast = _project_stack(_self_convect_stack(u.coeffs, ell, cutoff), bw)
+        slow = leray_project(cli._brute_convect(u, u)).coeffs
+        advective = _project_stack(_convect_stack(u.coeffs, u.coeffs, ell, cutoff), bw)
+        assert np.linalg.norm(fast - slow) <= 1e-13 * np.linalg.norm(slow)
+        assert np.linalg.norm(fast - advective) <= 1e-15 * np.linalg.norm(advective)
+
+    @pytest.mark.parametrize("field", [shear_field, taylor_green_field])
+    def test_overflow_falls_back_to_advective_kernel(self, monkeypatch, ell, field):
+        # u_i u_j overflows, so the divergence form is nan, while the
+        # advective product of these fields on the M = 3 grid is exactly 0
+        u = field(ell, 3, 1e300).coeffs
+        expected = _convect_stack(u, u, ell, 3)
+        assert np.all(np.isfinite(expected))
+        calls = []
+        monkeypatch.setattr(
+            operators, "_convect_stack", lambda *a: calls.append(a) or _convect_stack(*a)
+        )
+        got = _self_convect_stack(u, ell, 3)
+        assert len(calls) == 1
+        assert got.tobytes() == expected.tobytes()
 
 
 def _sparse_vector_field(ell, cutoff, rng, density=0.1):
