@@ -34,7 +34,7 @@ from .operators import (
     multi_indices,
     norm_table,
     self_convection,
-    _fast_len,
+    _quadrature_grid,
 )
 
 __all__ = [
@@ -179,7 +179,7 @@ def energy_certificate(
         if isinstance(w, SpectralVectorField):
             w = FieldTrajectory(np.array([0.0, traj.horizon]), (w, w))
         if grid_n is None:
-            grid_n = _fast_len(max(2 * w.fields[0].bandwidth + 1, 16))
+            grid_n = _quadrature_grid(w.fields[0].bandwidth)
         sup_sq = np.array([x**2 for x in norm_table(w.fields, grid_n).linf])
         integral = trapezoid(sup_sq, w.times)
         try:

@@ -266,6 +266,12 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
+def _quadrature_grid(bw: int) -> int:
+    """Default points per axis of the L^p and L^inf quadrature grid for
+    fields of axis bandwidth ``bw``."""
+    return _fast_len(max(2 * bw + 1, 16))
+
+
 def _dealias_grid(u: np.ndarray, out_cutoff: int) -> tuple[int, int, int, int]:
     """(B, out_bw, K, n) for products of the bandwidth-B stack u kept at
     ``out_cutoff``: K = min(out_bw, 2B), n the smallest 5-smooth n >= 2B + K + 1."""

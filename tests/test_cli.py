@@ -88,6 +88,29 @@ class TestDecay:
         assert "certificate pass: True" in r.stdout
 
 
+# Flags a subcommand does not read, each with a value that would parse.
+UNREAD_FLAGS = [
+    ("manufactured", "--amplitude", "nan"),
+    ("custom", "--amplitude", "nan"),
+    ("certify", "--amplitude", "nan"),
+    ("selftest", "--mu", "7"),
+    ("selftest", "--ell", "3"),
+    ("selftest", "--out-dir", "."),
+    ("selftest", "--grid", "9"),
+    ("selftest", "--lps", "4,6"),
+    ("selftest", "--bochner", "0,1"),
+    ("selftest", "--admissible-only", None),
+    ("selftest", "--jobs", "5"),
+    ("certify", "--ell", "99"),
+    ("certify", "--jobs", "5"),
+    ("custom", "--ell", "3"),
+    ("custom", "--jobs", "2"),
+    ("decay", "--jobs", "2"),
+    ("taylor_green", "--jobs", "2"),
+    ("linearized", "--jobs", "2"),
+]
+
+
 class TestExitCodes:
     def test_bad_flag_value(self, tmp_path):
         r = run_cli("decay", "--mu", "-1", cwd=tmp_path)
@@ -125,6 +148,7 @@ class TestExitCodes:
         assert "certificate pass: False" in r.stdout
         cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
         assert cert["pass"] is False
+        assert "encountered" not in r.stderr  # no numpy overflow warnings
 
     def test_inadmissible_lps_rejected_when_strict(self, decay_dir, tmp_path):
         out, _ = decay_dir
@@ -273,7 +297,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["decay", "--jobs", "0"], "--jobs must be at least 1"),
+            (["manufactured", "--jobs", "0"], "--jobs must be at least 1"),
             (["decay", "--grid", "257"], "points"),
             (["decay", "--ell", "1e300"], "period ell"),
             (["linearized", "--ell", "1e-300"], "period ell"),
@@ -304,9 +328,15 @@ class TestExitCodes:
         assert "configuration error" in err.getvalue() and message in err.getvalue()
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["manufactured", "custom", "certify"])
-    def test_amplitude_only_on_subcommands_that_read_it(self, decay_dir, tmp_path, command):
-        argv = [command, "--amplitude", "nan", "--out-dir", str(tmp_path / "out")]
+    @pytest.mark.parametrize(
+        "command, flag, value", UNREAD_FLAGS, ids=[f"{c}-{f[2:]}" for c, f, _ in UNREAD_FLAGS]
+    )
+    def test_flag_only_on_subcommands_that_read_it(
+        self, decay_dir, tmp_path, command, flag, value
+    ):
+        argv = [command, flag] + ([] if value is None else [value])
+        if command != "selftest":
+            argv += ["--out-dir", str(tmp_path / "out")]
         if command == "certify":
             argv += ["--traj", str(decay_dir[0] / "run.traj")]
         err = io.StringIO()
@@ -314,7 +344,7 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --amplitude" in err.getvalue()
+        assert f"unrecognized arguments: {flag}" in err.getvalue()
         assert not (tmp_path / "out").exists()
 
 

@@ -11,7 +11,6 @@ from torusns.fields import (
     random_vector_field,
     scalar_from_modes,
     vector_from_modes,
-    SpectralVectorField,
     truncate,
 )
 import torusns.operators as operators
@@ -222,7 +221,7 @@ class TestConvection:
         w = random_vector_field(ell, 8, rng, amplitude=0.7)
         u = random_vector_field(ell, 8, rng, amplitude=0.9)
         fast = convect(w, u)
-        slow = _brute_convect(w, u, 8)
+        slow = cli._brute_convect(w, u, 8)
         assert l2_norm_exact(fast - slow) <= 1e-12 * l2_norm_exact(slow)
 
     @pytest.mark.parametrize("cutoff,out_cutoff", [(9, None), (25, None), (16, 49)])
@@ -234,7 +233,7 @@ class TestConvection:
         u = _sparse_vector_field(ell, cutoff, rng)
         assert l2_norm_exact(div(w)) > 0.0 and l2_norm_exact(div(u)) > 0.0
         fast = convect(w, u, out_cutoff=out_cutoff)
-        slow = _brute_convect(w, u, out_cutoff or cutoff)
+        slow = cli._brute_convect(w, u, out_cutoff or cutoff)
         assert l2_norm_exact(fast - slow) <= 1e-12 * l2_norm_exact(slow)
 
     def test_larger_grid_changes_nothing(self, ell, rng):
@@ -340,26 +339,6 @@ def _sparse_vector_field(ell, cutoff, rng, density=0.1):
     mask |= mask[::-1, ::-1, ::-1]
     v = random_vector_field(ell, cutoff, rng)
     return v.with_stack(v.coeff_stack() * mask)
-
-
-def _brute_convect(w, u, out_cutoff):
-    """Independent oracle: triple loop over stored modes."""
-    bw_out = bandwidth_of(out_cutoff)
-    side = 2 * bw_out + 1
-    out = np.zeros((3, side, side, side), dtype=complex)
-    fac = 2j * np.pi / u.ell
-    wmodes = [list(c.modes()) for c in w.components]
-    for i, comp in enumerate(u.components):
-        umodes = list(comp.modes())
-        for j in range(3):
-            for kw, cw in wmodes[j]:
-                for ku, cu in umodes:
-                    k = (kw[0] + ku[0], kw[1] + ku[1], kw[2] + ku[2])
-                    if k[0] ** 2 + k[1] ** 2 + k[2] ** 2 <= out_cutoff:
-                        out[i, bw_out + k[0], bw_out + k[1], bw_out + k[2]] += (
-                            cw * fac * ku[j] * cu
-                        )
-    return SpectralVectorField(u.ell, out_cutoff, out)
 
 
 def test_dj_norm_max_over_multiindices(ell, rng):
