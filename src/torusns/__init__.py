@@ -44,9 +44,7 @@ from .helmholtz import (
 )
 from .eigenbasis import (
     DivFreeBasis,
-    Shell,
     build_basis,
-    enumerate_shells,
     gradient_coefficients,
     load_basis,
     project_coefficients,

@@ -164,14 +164,9 @@ def _certificate_payload(
     cert = estimates.energy_certificate(
         traj, f, traj.initial, args.mu, w=w, grid_n=grid_n, norms=table
     )
-    lps_reports = []
-    for s_exp, r_exp in args.lps:
-        rep = estimates.lps_report(table, traj.times, s_exp, r_exp)
-        if args.admissible_only and not rep.admissible:
-            raise ConfigError(
-                f"LPS pair ({s_exp}, {r_exp}) is not admissible (2/s + 3/r != 1)"
-            )
-        lps_reports.append(rep.to_dict())
+    lps_reports = [
+        estimates.lps_report(table, traj.times, s_exp, r_exp).to_dict() for s_exp, r_exp in args.lps
+    ]
     norms = {
         "l2_max": max(table.l2),
         "h1_max": max(table.hs(1)),
@@ -217,6 +212,16 @@ def _report_certificate(payload: dict, converged: str | None = None) -> None:
     print(f"certificate pass: {payload['pass']} (ratio {_fmt(payload['ratio'])})")
     if converged and not payload["pass"]:
         raise InvariantFailure(f"energy certificate failed on a converged {converged}")
+
+
+def _bochner_depth(args) -> int:
+    """Time derivatives of the forcing that the --bochner norms read."""
+    return max((s for _, s in args.bochner), default=0)
+
+
+def _steady_series(f: SpectralVectorField | None, args) -> list | None:
+    """A steady forcing and its time derivatives, all zero (None)."""
+    return None if f is None else [f] + [None] * max(0, _bochner_depth(args) - 1)
 
 
 def _load_vector(path: str) -> SpectralVectorField:
@@ -300,7 +305,7 @@ def _run_manufactured(args) -> None:
         l2_norm_exact(u - prob.velocity(float(t)))
         for t, u in zip(traj.times, traj.fields)
     )
-    f_series = [prob.forcing_derivative(j) for j in range(4)]
+    f_series = [prob.forcing_derivative(j) for j in range(_bochner_depth(args))]
     payload = _emit_run_outputs(
         args,
         traj,
@@ -365,8 +370,7 @@ def _run_custom(args) -> None:
     u0 = _load_vector(args.u0)
     f = _load_vector(args.f) if args.f else None
     traj = solve_navier_stokes(f, u0, args.solver)
-    f_series = None if f is None else [f]
-    payload = _emit_run_outputs(args, traj, f, f_series=f_series)
+    payload = _emit_run_outputs(args, traj, f, f_series=_steady_series(f, args))
     _report_certificate(payload)
 
 
@@ -378,12 +382,8 @@ def _run_certify(args) -> None:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read trajectory {args.traj}: {exc}") from exc
     f = _load_vector(args.f) if args.f else None
-    max_s = max((s for _, s in args.bochner), default=0)
-    f_series = None
-    if f is not None:
-        f_series = [f] + [None] * max(0, max_s - 1)
     payload = _certificate_payload(
-        traj, _norm_table(traj, args), f, args, f_series=f_series
+        traj, _norm_table(traj, args), f, args, f_series=_steady_series(f, args)
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(args.out_dir / "certificate.json", payload)
@@ -432,7 +432,7 @@ def _selftest_checks(cutoff: int, basis: DivFreeBasis):
         return worst <= 1e-13, f"max relative defect {worst:.2e}"
 
     def check_basis_gram():
-        fields = basis.all_fields()
+        fields = [*basis.fields(), *basis.gradient.fields()]
         mat = np.stack([f.coeffs.ravel() for f in fields])
         gram = np.real(mat.conj() @ mat.T) * basis.ell**3
         dev = float(np.max(np.abs(gram - np.eye(len(fields)))))
@@ -618,13 +618,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Load key=value defaults from --config; explicit flags still win."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return argv
+    if argv[0].startswith("-"):
+        raise ConfigError("--config goes after the subcommand, as in: torus-ns decay --config FILE")
     path = Path(known.config)
     try:
         text = path.read_text()
@@ -642,8 +644,6 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
         for token in value.split():
             injected.extend([flag, token])
     # injected defaults go right after the subcommand so later flags override
-    if not argv:
-        return argv
     return [argv[0]] + injected + argv[1:]
 
 
@@ -667,6 +667,12 @@ def _check_args(args) -> None:
     _check_out_dir(args.out_dir)
     # the first pair also gives the lps_partial column of norms.csv
     args.lps = args.lps or [(4.0, 6.0)]
+    for s_exp, r_exp in args.lps:
+        estimates._check_lps_exponents(s_exp, r_exp)
+        if args.admissible_only and not estimates.lps_admissible(s_exp, r_exp):
+            raise ConfigError(f"LPS pair ({s_exp}, {r_exp}) is not admissible (2/s + 3/r != 1)")
+    if any(k < 0 or s < 0 for k, s in args.bochner):
+        raise ConfigError("indices k and s must be nonnegative")
     if "scheme" in args:
         try:
             args.solver = SolverConfig(
@@ -686,7 +692,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         _check_args(args)
         # A run whose values overflow fails its certificate, which reports

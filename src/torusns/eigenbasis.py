@@ -24,7 +24,6 @@ at +-k_b, reconstruction a scatter, and no dense field is stored.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -33,19 +32,17 @@ import numpy as np
 
 from .fields import (
     SpectralVectorField,
-    WaveVector,
     bandwidth_of,
     embed,
     line_number,
     next_line,
     parse_field_block,
     vector_from_modes,
+    wave_cubes,
     write_field,
 )
 
 __all__ = [
-    "Shell",
-    "enumerate_shells",
     "PairFields",
     "DivFreeBasis",
     "build_basis",
@@ -55,41 +52,6 @@ __all__ = [
     "save_basis",
     "load_basis",
 ]
-
-
-@dataclass(frozen=True)
-class Shell:
-    """All wave vectors of a fixed shell value m = (k, k) > 0."""
-
-    m: int
-    wave_vectors: tuple[WaveVector, ...]
-
-    def pair_representatives(self) -> list[WaveVector]:
-        """Canonical representative of each +-k pair, sorted."""
-        return [k for k in self.wave_vectors if k > -k]
-
-
-def enumerate_shells(max_shell: int) -> list[Shell]:
-    """Shells m <= max_shell that are representable as a sum of three squares,
-    each with its wave vectors in lexicographic order."""
-    bw = math.isqrt(max(max_shell, 0))
-    vectors: dict[int, list[WaveVector]] = {}
-    for k in itertools.product(range(-bw, bw + 1), repeat=3):
-        vectors.setdefault(k[0] ** 2 + k[1] ** 2 + k[2] ** 2, []).append(WaveVector(*k))
-    return [Shell(m, tuple(vectors[m])) for m in range(1, max_shell + 1) if m in vectors]
-
-
-def _amplitude_frame(k: WaveVector) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal real amplitude vectors spanning the plane normal to k."""
-    kv = np.array(k, dtype=np.float64)
-    khat = kv / np.linalg.norm(kv)
-    seed_axis = int(np.argmin(np.abs(kv)))
-    seed = np.zeros(3)
-    seed[seed_axis] = 1.0
-    a1 = seed - np.dot(seed, khat) * khat
-    a1 /= np.linalg.norm(a1)
-    a2 = np.cross(khat, a1)
-    return a1, a2
 
 
 @dataclass(frozen=True)
@@ -141,55 +103,63 @@ class DivFreeBasis(PairFields):
     def gradient_entries(self) -> tuple[tuple[int, int, SpectralVectorField], ...]:
         return tuple(self.gradient.indexed())
 
-    def divfree_fields(self) -> list[SpectralVectorField]:
-        """Constants followed by the divergence-free eigenfields, in order."""
-        return list(self.fields())
 
-    def gradient_fields(self) -> list[SpectralVectorField]:
-        return list(self.gradient.fields())
-
-    def all_fields(self) -> list[SpectralVectorField]:
-        return self.divfree_fields() + self.gradient_fields()
-
-    def shell_values(self) -> np.ndarray:
-        """Shell value m per divergence-free index (0 for the constants)."""
-        return self.m.astype(np.float64)
-
-
-def _columns(rows: list) -> tuple[np.ndarray, ...]:
-    """Read-only kvec, coef, m and j arrays of (k, c, m, j) rows."""
-    k, c, m, j = zip(*rows) if rows else ((), (), (), ())
+def _frozen(kvec, coef, m, j) -> tuple[np.ndarray, ...]:
+    """Read-only kvec (n, 3), coef (n, 3), m and j arrays."""
     arrays = (
-        np.array(k, dtype=np.int64).reshape(-1, 3),
-        np.array(c, dtype=np.complex128).reshape(-1, 3),
-        np.array(m, dtype=np.int64),
-        np.array(j, dtype=np.int64),
+        np.asarray(kvec, dtype=np.int64).reshape(-1, 3),
+        np.asarray(coef, dtype=np.complex128).reshape(-1, 3),
+        np.asarray(m, dtype=np.int64),
+        np.asarray(j, dtype=np.int64),
     )
     for a in arrays:
         a.setflags(write=False)
     return arrays
 
 
+def _columns(rows: list) -> tuple[np.ndarray, ...]:
+    """Read-only kvec, coef, m and j arrays of (k, c, m, j) rows."""
+    return _frozen(*zip(*rows)) if rows else _frozen((), (), (), ())
+
+
+def _polarized(k: np.ndarray, m: np.ndarray, n: np.ndarray, amps: np.ndarray) -> tuple:
+    """kvec, coef, m and j of the fields amps[i, p], polarization p of pair
+    i; n is the index of pair i in its shell."""
+    p = amps.shape[1]
+    j = p * n[:, None] + np.arange(1, p + 1)
+    return np.repeat(k, p, axis=0), amps.reshape(-1, 3), np.repeat(m, p), j.ravel()
+
+
 def build_basis(ell: float, cutoff: int) -> DivFreeBasis:
     """Construct the orthonormal basis through shell ``cutoff``."""
     if cutoff < 1:
         raise ValueError("basis cutoff must be at least 1")
+    # C order over the centered cube is lexicographic in k, so the larger of
+    # each +-k pair is in the second half past k = 0; sorted stably by shell
+    k1, k2, k3, ksq = (a.ravel()[a.size // 2 + 1 :] for a in wave_cubes(bandwidth_of(cutoff)))
+    order = np.argsort(ksq, kind="stable")
+    order = order[ksq[order] <= cutoff]
+    k, m = np.column_stack((k1, k2, k3))[order], ksq[order]
+    n = np.arange(len(m)) - np.searchsorted(m, m)  # index of each pair in its shell
+    khat = k / np.sqrt(m)[:, None]
+    # a1: the unit axis least aligned with k, made orthogonal to k; a2 = khat x a1.
+    # a1 is normalized row by row with np.linalg.norm's own sum v.dot(v):
+    # np.sum, einsum and norm(axis=1) round differently in the last bit
+    axis = np.argmin(np.abs(k), axis=1)
+    a1 = np.eye(3)[axis] - khat[np.arange(len(k)), axis][:, None] * khat
+    a1 /= np.array([math.sqrt(v.dot(v)) for v in a1])[:, None]
+    a2 = np.cross(khat, a1)
     # cos: c_{+-k} = a/2,  sin: c_k = -i a/2, c_{-k} = conj; both scaled to unit L2
     scale = math.sqrt(2.0 / ell**3) / 2.0
+    div = np.stack((a1 * scale, -1j * a1 * scale, a2 * scale, -1j * a2 * scale), axis=1)
+    grad = np.stack((khat * scale, -1j * khat * scale), axis=1)
     # the constants e_j ell^(-3/2) are pairs of one mode, at k = 0: c_b is halved
     halved = ell ** (-1.5) / 2.0
-    div = [((0, 0, 0), np.eye(3)[j] * halved, 0, j + 1) for j in range(3)]
-    grad = []
-    for shell in enumerate_shells(cutoff):
-        for n, k in enumerate(shell.pair_representatives()):
-            a1, a2 = _amplitude_frame(k)
-            khat = np.array(k, dtype=np.float64)
-            khat /= np.linalg.norm(khat)
-            amps = (a1 * scale, -1j * a1 * scale, a2 * scale, -1j * a2 * scale)
-            div += [(k, c, shell.m, 4 * n + i) for i, c in enumerate(amps, start=1)]
-            amps = (khat * scale, -1j * khat * scale)
-            grad += [(k, c, shell.m, 2 * n + i) for i, c in enumerate(amps, start=1)]
-    return DivFreeBasis(ell, cutoff, *_columns(div), PairFields(ell, cutoff, *_columns(grad)))
+    constants = (np.zeros((3, 3), int), np.eye(3) * halved, np.zeros(3, int), [1, 2, 3])
+    div_rows = map(np.concatenate, zip(constants, _polarized(k, m, n, div)))
+    grad_rows = _polarized(k, m, n, grad)
+    gradient = PairFields(ell, cutoff, *_frozen(*grad_rows))
+    return DivFreeBasis(ell, cutoff, *_frozen(*div_rows), gradient)
 
 
 def _positions(kvec: np.ndarray, cutoff: int) -> np.ndarray:

@@ -13,7 +13,9 @@ basis exponentials have squared L2(Q) norm ell^3, so Parseval reads
 Coefficients live on a dense centered cube of side 2*B + 1 with
 B = isqrt(cutoff) (the per-axis bandwidth); entries outside the shell
 (k, k) <= cutoff are identically zero.  Real-valued fields obey the Hermitian
-symmetry c_{-k} = conj(c_k), which every constructor enforces.
+symmetry c_{-k} = conj(c_k).  The builders ``*_from_modes`` and ``random_*``,
+the reader and the kernels produce it; the class constructors take a
+coefficient array as given, and ``hermitian_defect()`` measures it.
 
 Each field holds one read-only coefficient array: shape (2B+1,)*3 for a
 scalar field and (3, 2B+1, 2B+1, 2B+1) for a vector field, whose leading
@@ -196,10 +198,10 @@ class SpectralScalarField(Field):
             return 0.0 + 0.0j
         return complex(self.coeffs[b + k[0], b + k[1], b + k[2]])
 
-    def modes(self, tol: float = 0.0) -> Iterator[tuple[WaveVector, complex]]:
-        """Iterate over (k, c_k) with |c_k| > tol."""
+    def modes(self) -> Iterator[tuple[WaveVector, complex]]:
+        """Iterate over (k, c_k) with c_k != 0."""
         b = self.bandwidth
-        idx = np.argwhere(np.abs(self.coeffs) > tol)
+        idx = np.argwhere(np.abs(self.coeffs) > 0.0)
         for i1, i2, i3 in idx:
             yield WaveVector(int(i1 - b), int(i2 - b), int(i3 - b)), complex(
                 self.coeffs[i1, i2, i3]
@@ -264,11 +266,9 @@ def hermitianize(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + np.conj(coeffs[..., ::-1, ::-1, ::-1]))
 
 
-def _place_modes(
-    lead: tuple[int, ...], cutoff: int, modes: Mapping, conjugate_pairs: bool
-) -> np.ndarray:
+def _place_modes(lead: tuple[int, ...], cutoff: int, modes: Mapping) -> np.ndarray:
     """Coefficient array of shape lead + (2B+1,)*3 holding a sparse {k: c_k}
-    map, the conjugate partners filled in when ``conjugate_pairs``."""
+    map, the conjugate partners filled in."""
     bw = bandwidth_of(cutoff)
     out = np.zeros(lead + (2 * bw + 1,) * 3, dtype=np.complex128)
     explicit = set()
@@ -278,39 +278,32 @@ def _place_modes(
             raise ValueError(f"mode {tuple(kv)} lies outside shell cutoff {cutoff}")
         out[..., bw + kv.k1, bw + kv.k2, bw + kv.k3] = c
         explicit.add(tuple(kv))
-    if conjugate_pairs:
-        for k in explicit:
-            neg = (-k[0], -k[1], -k[2])
-            if neg not in explicit:
-                out[..., bw + neg[0], bw + neg[1], bw + neg[2]] = np.conj(
-                    out[..., bw + k[0], bw + k[1], bw + k[2]]
-                )
+    for k in explicit:
+        neg = (-k[0], -k[1], -k[2])
+        if neg not in explicit:
+            out[..., bw + neg[0], bw + neg[1], bw + neg[2]] = np.conj(
+                out[..., bw + k[0], bw + k[1], bw + k[2]]
+            )
     return out
 
 
 def scalar_from_modes(
-    ell: float,
-    cutoff: int,
-    modes: Mapping[tuple[int, int, int], complex],
-    conjugate_pairs: bool = True,
+    ell: float, cutoff: int, modes: Mapping[tuple[int, int, int], complex]
 ) -> SpectralScalarField:
     """Build a scalar field from a sparse {k: c_k} map.
 
-    With ``conjugate_pairs`` (default) the coefficient at -k is filled in as
-    conj(c_k) unless the map sets it explicitly, so a real field can be given
-    by one representative of each +-k pair.
+    The coefficient at -k is filled in as conj(c_k) unless the map sets it
+    explicitly, so a real field can be given by one representative of each
+    +-k pair.
     """
-    return SpectralScalarField(ell, cutoff, _place_modes((), cutoff, modes, conjugate_pairs))
+    return SpectralScalarField(ell, cutoff, _place_modes((), cutoff, modes))
 
 
 def vector_from_modes(
-    ell: float,
-    cutoff: int,
-    modes: Mapping[tuple[int, int, int], tuple[complex, complex, complex]],
-    conjugate_pairs: bool = True,
+    ell: float, cutoff: int, modes: Mapping[tuple[int, int, int], tuple[complex, complex, complex]]
 ) -> SpectralVectorField:
     """Vector analogue of :func:`scalar_from_modes` with C^3 amplitudes."""
-    return SpectralVectorField(ell, cutoff, _place_modes((3,), cutoff, modes, conjugate_pairs))
+    return SpectralVectorField(ell, cutoff, _place_modes((3,), cutoff, modes))
 
 
 def _random_coeffs(

@@ -437,7 +437,6 @@ class LinearizedOperator:
     """
 
     basis: DivFreeBasis
-    mu: float
     times: np.ndarray
     matrices: np.ndarray
     diffusion: np.ndarray
@@ -451,7 +450,6 @@ def assemble_linearized(
     w: FieldTrajectory | SpectralVectorField,
     basis: DivFreeBasis,
     mu: float,
-    check_tol: float = 1e-11,
 ) -> LinearizedOperator:
     """Galerkin matrices of the drift coupling plus diagonal diffusion.
 
@@ -459,8 +457,8 @@ def assemble_linearized(
     summed in Fourier space over the triads r = p + q, r = +-k_a, q = +-k_b:
     each basis field is one +-k pair, so only the drift modes k_a -+ k_b
     enter.  The identity (v_b . grad w, v_a) + (w, v_b . grad v_a) =
-    -((div v_b) w, v_a) = 0 is checked, which rejects a basis field that is
-    not solenoidal; a drift that is not solenoidal is rejected by its
+    -((div v_b) w, v_a) = 0 is checked to 1e-11, which rejects a basis field
+    that is not solenoidal; a drift that is not solenoidal is rejected by its
     divergence.
     """
     if isinstance(w, SpectralVectorField):
@@ -509,15 +507,15 @@ def assemble_linearized(
         s2 = -fac * np.imag(ka_cb * wd_ca + np.conj(ka_cb) * ws_ca)
         scale = max(1.0, float(np.max(np.abs(t1)) + np.max(np.abs(t2))))
         defect = float(np.max(np.abs(t2 + s2)))
-        if defect > check_tol * scale:
+        if defect > 1e-11 * scale:
             raise ValueError(
                 f"coupling-form identity violated (defect {defect:.3e}); "
                 "a basis field is not solenoidal"
             )
         matrices[it] = t1 + t2
-    diffusion = mu * basis.shell_values() * (2.0 * math.pi / basis.ell) ** 2
+    diffusion = mu * basis.m * (2.0 * math.pi / basis.ell) ** 2
     matrices += np.diag(diffusion)[None, :, :]
-    return LinearizedOperator(basis, mu, times, matrices, diffusion)
+    return LinearizedOperator(basis, times, matrices, diffusion)
 
 
 def solve_linearized(
@@ -569,10 +567,10 @@ def _integrate_linear(
     return times, coeffs, stages - diff * coeffs
 
 
-def matrix_exponential(a: np.ndarray, tol: float = 1e-16) -> np.ndarray:
+def matrix_exponential(a: np.ndarray) -> np.ndarray:
     """exp(a) by scaling and squaring with a truncated Taylor series.
 
-    The series is summed until the term norm falls below ``tol`` relative to
+    The series is summed until the term norm falls below 1e-16 relative to
     the partial sum (well beyond 1e-12 accuracy for the scaled matrix).
     """
     a = np.asarray(a, dtype=np.float64)
@@ -585,7 +583,7 @@ def matrix_exponential(a: np.ndarray, tol: float = 1e-16) -> np.ndarray:
     for k in range(1, 60):
         term = term @ scaled / k
         result = result + term
-        if np.linalg.norm(term, 1) <= tol * max(1.0, np.linalg.norm(result, 1)):
+        if np.linalg.norm(term, 1) <= 1e-16 * max(1.0, np.linalg.norm(result, 1)):
             break
     for _ in range(nsq):
         result = result @ result
@@ -670,22 +668,18 @@ def residual(
     pressure: Sequence[SpectralScalarField] | None,
     f: Forcing,
     mu: float,
-    use_stored_rhs: bool = True,
 ) -> np.ndarray:
     """Momentum-equation residual per sample,
 
         || du/dt - mu Lap u + (u . grad) u + grad p - f ||_{L2}.
 
-    du/dt comes from the stored rhs samples when present (and
-    ``use_stored_rhs``), otherwise from second-order finite differences.
+    du/dt comes from the stored rhs samples when present, otherwise from
+    second-order finite differences.
     """
     forcing = _forcing_function(
         f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff)
     )
-    if use_stored_rhs and traj.rhs is not None:
-        dtu = list(traj.rhs)
-    else:
-        dtu = _time_derivatives(traj)
+    dtu = list(traj.rhs) if traj.rhs is not None else _time_derivatives(traj)
     out = np.empty(len(traj))
     for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
         r = dtu[i] - laplacian(u) * mu + self_convection(u) - forcing(float(t))

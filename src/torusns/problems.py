@@ -72,7 +72,7 @@ def taylor_green_field(ell: float, cutoff: int, amplitude: float = 1.0) -> Spect
             c1 = amplitude / 8.0 * (-1j)  # sin in x1, cos elsewhere
             c2 = -amplitude / 8.0 * (-1j) * s2  # -cos sin cos pattern
             modes[k] = (c1, c2, 0.0)
-    return vector_from_modes(ell, cutoff, modes, conjugate_pairs=True)
+    return vector_from_modes(ell, cutoff, modes)
 
 
 class SinusoidalFactor:
@@ -177,12 +177,7 @@ class ManufacturedProblem:
         return self.velocity(0.0)
 
 
-def two_shell_problem(
-    ell: float = 2.0 * math.pi,
-    mu: float = 0.1,
-    omega: float = 20.0,
-    amplitudes: tuple[float, float, float] = (0.5, 0.35, 0.2),
-) -> ManufacturedProblem:
+def two_shell_problem(ell: float = 2.0 * math.pi, mu: float = 0.1) -> ManufacturedProblem:
     """Two-shell manufactured solution with sinusoidal time factors.
 
     u* = g1(t) U1 + g2(t) U2 with U1 the shear mode (shell 1) and U2 a
@@ -191,13 +186,11 @@ def two_shell_problem(
     form, so a solver at any cutoff >= 2 reproduces u* up to time
     discretization error.
     """
-    a1, a2, ap = amplitudes
+    a1, a2, ap, omega = 0.5, 0.35, 0.2, 20.0
     cutoff_u = 2
     u1 = shear_field(ell, cutoff_u, a1)
     amp = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    u2 = vector_from_modes(
-        ell, cutoff_u, {(1, 1, 0): tuple(0.5 * a2 * amp)}, conjugate_pairs=True
-    )
+    u2 = vector_from_modes(ell, cutoff_u, {(1, 1, 0): tuple(0.5 * a2 * amp)})
     p0 = scalar_from_modes(ell, cutoff_u, {(1, 0, 0): 0.5 * ap})
 
     g1 = SinusoidalFactor(const=1.0, amp=0.5, omega=omega)
@@ -237,13 +230,12 @@ def analytic_decay_problem(
     ell: float = 2.0 * math.pi,
     mu: float = 0.2,
     truth_cutoff: int = 16,
-    decay: float = 1.0,
     amplitude: float = 0.15,
     forcing_cutoff: int = 12,
 ) -> ManufacturedProblem:
     """Shell-wise heat decay of an exponentially decaying coefficient field.
 
-    With V = sum_m V_m (V_m supported on shell m, weights ~ exp(-decay m))
+    With V = sum_m V_m (V_m supported on shell m, weights ~ exp(-m))
     the field u*(t) = sum_m exp(-mu m (2 pi/ell)^2 t) V_m satisfies
     du*/dt = mu Lap u*, so (u*, p* = 0) solves the nonlinear equations with
     f = (u* . grad) u*.  The forcing is expanded over shell pairs, each with
@@ -252,7 +244,7 @@ def analytic_decay_problem(
     basis = build_basis(ell, truth_cutoff)
     ms, js = basis.m.tolist(), basis.j.tolist()
     coeffs = np.array([
-        amplitude * math.exp(-decay * m) * math.cos(1.7 * j + 0.3 * m) if m else 0.0
+        amplitude * math.exp(-m) * math.cos(1.7 * j + 0.3 * m) if m else 0.0
         for m, j in zip(ms, js)
     ])
     lam = mu * (2.0 * math.pi / ell) ** 2
@@ -300,13 +292,11 @@ def _max_l2_deviation(traj: FieldTrajectory, target: Callable[[float], SpectralV
 def temporal_order_study(
     scheme: str,
     dts: Sequence[float],
-    problem: ManufacturedProblem | None = None,
+    problem: ManufacturedProblem,
     cutoff: int = 4,
     horizon: float = 0.5,
 ) -> list[tuple[float, float]]:
     """Max-in-time L2 error against the manufactured solution per step size."""
-    if problem is None:
-        problem = two_shell_problem()
     u0 = truncate(problem.initial, cutoff)
     out = []
     for dt in dts:

@@ -140,7 +140,7 @@ def test_criterion_02_helmholtz_projection():
 
 def test_criterion_03_eigenbasis():
     basis = build_basis(ELL, 6)
-    fields = basis.all_fields()
+    fields = [*basis.fields(), *basis.gradient.fields()]
     mat = np.stack([f.coeff_stack().ravel() for f in fields])
     gram_dev = float(np.max(np.abs(np.real(mat.conj() @ mat.T) * ELL**3 - np.eye(len(fields)))))
     kappa2 = (2 * math.pi / ELL) ** 2

@@ -4,13 +4,14 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torusns.cli import _apply_config_file, build_parser, main
 from torusns.fields import load_field, random_vector_field, save_field
@@ -307,10 +308,19 @@ class TestExitCodes:
             (["decay", "--amplitude", "nan"], "--amplitude must be finite"),
             (["taylor_green", "--amplitude", "inf"], "--amplitude must be finite"),
             (["linearized", "--amplitude=-inf"], "--amplitude must be finite"),
+            (["decay", "--lps", "2,6", "--admissible-only"], "(2.0, 6.0) is not admissible"),
+            (["decay", "--lps", "0.5,6"], "time exponent must be >= 1"),
+            (["decay", "--lps", "nan,4"], "time exponent must be >= 1"),
+            (["decay", "--lps", "2,1"], "space exponent must lie in (1, infinity]"),
+            (["decay", "--lps", "4,nan"], "space exponent must lie in (1, infinity]"),
+            (["decay", "--lps", "4,0.5"], "space exponent must lie in (1, infinity]"),
+            (["decay", "--bochner", "0,-1"], "indices k and s must be nonnegative"),
         ],
         ids=[
             "jobs", "grid", "huge_ell", "tiny_ell", "inf_mu", "certify_zero_mu", "certify_nan_mu",
             "decay_nan_amplitude", "taylor_green_inf_amplitude", "linearized_inf_amplitude",
+            "decay_inadmissible_lps", "decay_lps_s_below_1", "decay_lps_nan_s", "decay_lps_r_1",
+            "decay_lps_nan_r", "decay_lps_r_below_1", "decay_negative_bochner",
         ],
     )
     def test_flag_value_out_of_range_is_config_error(
@@ -391,6 +401,14 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         r = run_cli("decay", "--config", "nope.cfg", cwd=tmp_path)
         assert r.returncode == 2
+
+    def test_config_before_subcommand_is_config_error(self, tmp_path):
+        # the file's values must not be read as the subcommand
+        (tmp_path / "c.cfg").write_text("T = 0.01\n")
+        r = run_cli("--config", "c.cfg", "decay", cwd=tmp_path)
+        assert r.returncode == 2
+        assert "--config goes after the subcommand" in r.stderr
+        assert "invalid choice" not in r.stderr
 
 
 class TestCertify:
@@ -554,6 +572,40 @@ class TestLinearized:
         assert not (tmp_path / "lin").exists()
 
 
+class TestForcingSeries:
+    """The Bochner chain reads d_t^j f for j < s: exact derivatives of the
+    manufactured forcing, and zeros for a steady --f."""
+
+    def test_manufactured_takes_deep_bochner_orders(self, tmp_path):
+        r = run_cli(
+            "manufactured", "--T", "0.01", "--dt", "1e-3", "--M", "4", "--bochner", "0,5",
+            "--out-dir", "out", cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
+        [bochner] = cert["norms"]["bochner"]
+        assert (bochner["k"], bochner["s"]) == (0, 5) and math.isfinite(bochner["value"])
+
+    def test_steady_forcing_custom_matches_certify(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("TORUS_NS_OUT", raising=False)
+        rng = np.random.default_rng(3)
+        save_field(leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3)), tmp_path / "u0")
+        save_field(leray_project(random_vector_field(ELL, 4, rng, amplitude=0.5)), tmp_path / "f")
+        bochner = ["--f", str(tmp_path / "f"), "--bochner", "0,2", "--bochner", "1,3"]
+        runs = (
+            ["custom", "--u0", str(tmp_path / "u0"), "--T", "0.02", "--dt", "1e-3", "--M", "4"],
+            ["certify", "--traj", str(tmp_path / "custom" / "run.traj"), "--mu", "0.1"],
+        )
+        values = []
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv + bochner + ["--out-dir", str(tmp_path / argv[0])]) == 0
+            cert = json.loads((tmp_path / argv[0] / "certificate.json").read_text())
+            values.append(cert["norms"]["bochner"])
+        assert [(b["k"], b["s"]) for b in values[0]] == [(0, 2), (1, 3)]
+        assert values[0] == values[1]
+
+
 class TestStudy:
     def test_dt_study_csv(self, tmp_path):
         r = run_cli(
@@ -667,7 +719,7 @@ FLAG_VALUES = {
     "--ell": ["1", "6.25", "1e-300", "1e300"],
     "--grid": ["5", "7", "16", "257", "99999999999999999999"],
     "--lps": ["4,6", "inf,2", "2,inf", "nan,4", "4,nan", "0.5,6", "2,1", "x,6", "4,6,8"],
-    "--bochner": ["0,1", "1,0", "1,1", "-1,0", "0,-1", "x,1", "0"],
+    "--bochner": ["0,1", "1,0", "1,1", "0,2", "1,5", "-1,0", "0,-1", "x,1", "0"],
     "--jobs": ["1", "2", "99999999999999999999"],
     "--amplitude": ["0.5", "-2", "1e-300", "1e300"],
 }
@@ -703,8 +755,15 @@ class TestFlagValues:
         drawn=st.lists(_flag_value, min_size=1, max_size=3),
         via_config=st.booleans(),
         noise=st.sampled_from(CONFIG_NOISE),
+        admissible_only=st.booleans(),
     )
-    def test_exit_code_is_documented(self, fuzz_dir, command, drawn, via_config, noise):
+    # a bad and an inadmissible LPS pair exit 2 before the solve; a deep Bochner order runs
+    @example("decay", [("--lps", "2,1")], False, "", False)
+    @example("taylor_green", [("--lps", "inf,2")], True, "", True)
+    @example("manufactured", [("--bochner", "1,5")], False, "", False)
+    def test_exit_code_is_documented(
+        self, fuzz_dir, command, drawn, via_config, noise, admissible_only
+    ):
         if command == "certify":  # it takes no solver flags, so only drawn ones are passed
             flags, base = dict(drawn), ["certify", "--traj", str(fuzz_dir / "run.traj")]
         else:
@@ -715,7 +774,8 @@ class TestFlagValues:
             argv = base + ["--config", str(fuzz_dir / "flags.cfg")]
         else:
             argv = base + [tok for flag, value in flags.items() for tok in (flag, value)]
-        argv += ["--out-dir", str(fuzz_dir / "flags_out")]
+        argv += ["--admissible-only"] * admissible_only + ["--out-dir", str(fuzz_dir / "flags_out")]
+        shutil.rmtree(fuzz_dir / "flags_out", ignore_errors=True)
         # --jobs starts a pool only with --dt-study, which is never passed here
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -725,6 +785,7 @@ class TestFlagValues:
                 code = exc.code
         assert code in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        if code == 2:  # every flag value is checked before anything is written
+            assert not (fuzz_dir / "flags_out").exists(), err.getvalue()
         if code == 0 and "--jobs" in flags:
-            args = build_parser().parse_args(_apply_config_file(argv, build_parser()))
-            assert args.jobs >= 1
+            assert build_parser().parse_args(_apply_config_file(argv)).jobs >= 1

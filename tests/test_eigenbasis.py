@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from torusns.eigenbasis import (
     build_basis,
-    enumerate_shells,
     gradient_coefficients,
     load_basis,
     project_coefficients,
@@ -32,31 +32,46 @@ def basis4():
     return build_basis(ELL, 4)
 
 
+def _pairs_per_shell(basis) -> dict[int, int]:
+    """Shell -> number of +-k pairs, read from the curl-free part (two
+    fields per pair)."""
+    shells, counts = np.unique(basis.gradient.m, return_counts=True)
+    return dict(zip(shells.tolist(), (counts // 2).tolist()))
+
+
 class TestShells:
     def test_small_shells(self):
-        shells = enumerate_shells(2)
-        assert [(s.m, len(s.wave_vectors)) for s in shells] == [(1, 6), (2, 12)]
+        assert _pairs_per_shell(build_basis(ELL, 2)) == {1: 3, 2: 6}
 
     def test_seven_not_representable(self):
-        assert [s.m for s in enumerate_shells(8)] == [1, 2, 3, 4, 5, 6, 8]
+        assert list(_pairs_per_shell(build_basis(ELL, 8))) == [1, 2, 3, 4, 5, 6, 8]
 
     def test_empty_below_one(self):
-        assert enumerate_shells(0) == []
+        with pytest.raises(ValueError, match="at least 1"):
+            build_basis(ELL, 0)
 
     def test_closed_under_negation(self):
-        for shell in enumerate_shells(6):
-            vectors = set(map(tuple, shell.wave_vectors))
-            assert {(-a, -b, -c) for a, b, c in vectors} == vectors
-            assert all(a * a + b * b + c * c == shell.m for a, b, c in vectors)
+        # the representatives and their negatives make up each shell exactly
+        basis = build_basis(ELL, 6)
+        cube = itertools.product(range(-2, 3), repeat=3)
+        shells: dict[int, set] = {}
+        for k in cube:
+            shells.setdefault(k[0] ** 2 + k[1] ** 2 + k[2] ** 2, set()).add(k)
+        for m in range(1, 7):
+            reps = [tuple(k) for k in basis.gradient.kvec[basis.gradient.m == m].tolist()]
+            assert len(reps) == 2 * len(set(reps))  # cos and sin of each pair
+            reps = set(reps)
+            negs = {(-a, -b, -c) for a, b, c in reps}
+            assert not reps & negs
+            assert reps | negs == shells[m]
 
     def test_pair_counts(self):
-        shells = {s.m: len(s.pair_representatives()) for s in enumerate_shells(6)}
-        assert shells == {1: 3, 2: 6, 3: 4, 4: 3, 5: 12, 6: 12}
+        assert _pairs_per_shell(build_basis(ELL, 6)) == {1: 3, 2: 6, 3: 4, 4: 3, 5: 12, 6: 12}
 
 
 class TestBasisConstruction:
     def test_counts_per_shell(self, basis4):
-        pairs = {s.m: len(s.pair_representatives()) for s in enumerate_shells(4)}
+        pairs = _pairs_per_shell(basis4)
         div_counts: dict[int, int] = {}
         grad_counts: dict[int, int] = {}
         for m, _, _ in basis4.entries:
@@ -68,7 +83,7 @@ class TestBasisConstruction:
             assert grad_counts[m] == 2 * p
 
     def test_gram_identity(self, basis4):
-        fields = basis4.all_fields()
+        fields = [*basis4.fields(), *basis4.gradient.fields()]
         mat = np.stack([f.coeff_stack().ravel() for f in fields])
         gram = np.real(mat.conj() @ mat.T) * ELL**3
         assert np.max(np.abs(gram - np.eye(len(fields)))) <= 1e-12
@@ -122,7 +137,7 @@ class TestCoefficients:
     def test_completeness_with_gradient_entries(self, basis4, rng):
         u = random_vector_field(ELL, 4, rng)
         rec = reconstruct(basis4, project_coefficients(u, basis4))
-        gmat = np.stack([f.coeff_stack().ravel() for f in basis4.gradient_fields()])
+        gmat = np.stack([f.coeff_stack().ravel() for f in basis4.gradient.fields()])
         gco = gradient_coefficients(u, basis4)
         side = rec.components[0].coeffs.shape[0]
         grad_rec = SpectralVectorField(
@@ -155,8 +170,8 @@ class TestCoefficients:
         for u in (random_vector_field(ELL, cutoff, rng), random_vector_field(ELL, 1, rng)):
             flat = truncate(u, cutoff).coeff_stack().ravel()
             for got, fields in (
-                (project_coefficients(u, basis), basis.divfree_fields()),
-                (gradient_coefficients(u, basis), basis.gradient_fields()),
+                (project_coefficients(u, basis), basis.fields()),
+                (gradient_coefficients(u, basis), basis.gradient.fields()),
             ):
                 matrix = np.stack([f.coeffs.ravel() for f in fields])
                 expected = np.real(matrix.conj() @ flat) * ELL**3
@@ -178,6 +193,19 @@ class TestModeArrays:
     DUMP = "f63e48269264a4f0c221164cb3963f6658a03defe2e7496caca7b97d05c46948"
     DIVFREE = "580715512d914f5a8162a1c2f77746445c7c21936bed5675005088736066b50c"
     GRADIENT = "7c0a9ad289b4528634ba3fb23ac6450f6475111ae92663f0e3f45fb313fb58e4"
+    # sha256 of the kvec, coef, m and j bytes of the basis and of its
+    # gradient part at ell = 2 pi, taken from the per-pair construction this
+    # replaced
+    ARRAYS = {
+        16: (
+            "b17cb3c43d76b913b344c53f0b18416f3d0669d82fdb6f818e195a2057e6804f",
+            "8007004868015afb1b629bfad3ff23a3d6699c1aac414f0d5bc46c7aa042d1ee",
+        ),
+        36: (
+            "b11e47525b6aebe00d5dab9fbdea2e10566b0e2309c70e82f7ae85a8f3edc5af",
+            "7b7c0375d275e325cbbde55e0b726948911307648cf42368ffdfad0ea281b74c",
+        ),
+    }
 
     def test_dump_bytes_pinned(self, basis4, tmp_path):
         save_basis(basis4, tmp_path / "basis.txt")
@@ -186,12 +214,21 @@ class TestModeArrays:
 
     def test_derived_fields_pinned(self, basis4):
         for fields, expected in (
-            (basis4.divfree_fields(), self.DIVFREE),
-            (basis4.gradient_fields(), self.GRADIENT),
+            (basis4.fields(), self.DIVFREE),
+            (basis4.gradient.fields(), self.GRADIENT),
         ):
             digest = hashlib.sha256()
             for f in fields:
                 digest.update(f.coeffs.tobytes())
+            assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("cutoff", sorted(ARRAYS))
+    def test_arrays_pinned(self, cutoff):
+        basis = build_basis(ELL, cutoff)
+        for part, expected in zip((basis, basis.gradient), self.ARRAYS[cutoff]):
+            digest = hashlib.sha256()
+            for a in (part.kvec, part.coef, part.m, part.j):
+                digest.update(a.tobytes())
             assert digest.hexdigest() == expected
 
     def test_small_and_builds_no_field(self, monkeypatch):
@@ -203,7 +240,7 @@ class TestModeArrays:
         held = [getattr(m, f.name) for m in (basis, basis.gradient) for f in dataclasses.fields(m)]
         assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) < 2**20
         # the fields are built on demand, and the count sees them
-        assert len(basis.divfree_fields()) == len(built) == basis.dim == 515
+        assert len(list(basis.fields())) == len(built) == basis.dim == 515
 
     def test_arrays_read_only(self, basis4):
         with pytest.raises(ValueError):

@@ -164,7 +164,7 @@ class TestAssembly:
     def test_zero_drift_is_diagonal_diffusion(self, basis4):
         op = assemble_linearized(SpectralZero(), basis4, MU)
         kappa2 = (2 * math.pi / ELL) ** 2
-        expected = MU * kappa2 * basis4.shell_values()
+        expected = MU * kappa2 * basis4.m
         assert np.max(np.abs(op.matrices[0] - np.diag(expected))) == 0.0
 
     def test_constant_drift_transport_blocks(self):
@@ -220,7 +220,7 @@ class TestAssembly:
             bad = lambda: dataclasses.replace(basis4, kvec=kvec, coef=coef)
         else:
             # a basis dump whose block of entry 5 holds two +-k pairs
-            fields = basis4.divfree_fields()
+            fields = list(basis4.fields())
             block = io.StringIO()
             write_field((fields[8] + fields[12]) * math.sqrt(0.5), block)
             save_basis(basis4, tmp_path / "basis.txt")
@@ -256,7 +256,7 @@ class TestAssembly:
         w = leray_project(random_vector_field(ELL, 9, rng, amplitude=0.3))
         op = assemble_linearized(w, basis4, MU)
         wpart = op.matrices[0] - np.diag(op.diffusion)
-        fields = basis4.divfree_fields()
+        fields = list(basis4.fields())
         for i, j in [(3, 10), (0, 5), (20, 21)]:
             row, col = fields[i], fields[j]
             cole = embed(col, 9)
@@ -294,7 +294,7 @@ def _grid_coupling(w, basis):
     # triple products w * grad v_b * v_a have per-axis bandwidth bw_w + 2 bw
     n = _fast_len(max(3 * bw, bw_w + 2 * bw) + 1)
     cell = (basis.ell / n) ** 3
-    fields = basis.divfree_fields()
+    fields = list(basis.fields())
     dim = len(fields)
     vsamp = np.stack([_sample_stack(f.coeff_stack(), n) for f in fields])
     dsamp = np.stack([_sample_stack(derivatives(f), n) for f in fields])
@@ -313,7 +313,7 @@ def _grid_coupling(w, basis):
 def _transport_matrix(w, basis):
     from torusns.operators import convect, inner_l2
 
-    fields = basis.divfree_fields()
+    fields = list(basis.fields())
     out = np.zeros((len(fields), len(fields)))
     for j, col in enumerate(fields):
         moved = convect(w, col)
@@ -820,7 +820,7 @@ class TestResidual:
 
     def test_solver_output_with_recovered_pressure(self, shear_run):
         pressures = [recover_pressure(None, u) for u in shear_run.fields]
-        res = residual(shear_run, pressures, None, MU, use_stored_rhs=True)
+        res = residual(shear_run, pressures, None, MU)
         assert float(np.max(res)) <= 1e-10
 
     def test_fd_residual_second_order(self):
@@ -831,7 +831,7 @@ class TestResidual:
             fields = tuple(prob.velocity(float(t)) for t in times)
             pressures = [prob.pressure(float(t)) for t in times]
             traj = FieldTrajectory(times, fields)
-            res = residual(traj, pressures, prob.forcing, prob.mu, use_stored_rhs=False)
+            res = residual(traj, pressures, prob.forcing, prob.mu)
             values.append(float(np.max(res)))
         assert 3.0 <= values[0] / values[1] <= 5.5
 
