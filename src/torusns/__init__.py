@@ -16,7 +16,6 @@ from .fields import (
 from .operators import (
     convect,
     div,
-    dj_norm,
     grad,
     grad_norm,
     hs_norm,
@@ -25,12 +24,10 @@ from .operators import (
     laplacian,
     lp_norm,
     NormTable,
-    neg_laplacian_pow,
     norm_table,
     partial_derivative,
     rot,
     self_convection,
-    sobolev_norm,
     symmetrized_convection,
 )
 from .helmholtz import (
@@ -73,11 +70,9 @@ from .estimates import (
     PerovInput,
     bochner_scale_norm,
     energy_certificate,
-    gn_report,
     lps_admissible,
     lps_norm,
     lps_report,
-    nonlinear_term_bound_report,
     perov_bound,
 )
 

@@ -26,14 +26,10 @@ from .helmholtz import dual_norm, leray_project
 from .operators import (
     NormTable,
     convect,
-    dj_norm,
-    grad_norm,
     l2_norm_exact,
     laplacian,
-    lp_norm,
     multi_indices,
     norm_table,
-    self_convection,
     _quadrature_grid,
 )
 
@@ -48,8 +44,6 @@ __all__ = [
     "lps_report",
     "BochnerScaleNorm",
     "bochner_scale_norm",
-    "gn_report",
-    "nonlinear_term_bound_report",
 ]
 
 
@@ -151,7 +145,9 @@ def energy_certificate(
     With a drift w the factor is
         1 + 2 sqrt(2) exp(I/mu) + (4/mu) I exp(2 I/mu),
     I = int_0^T ||w||^2_{L-infinity} dt; with w = None it reduces to
-    1 + 2 sqrt(2).  The sup norm of w is a grid maximum on ``grid_n``.
+    1 + 2 sqrt(2).  The sup norm of w is a grid maximum on ``grid_n`` points,
+    raised to 2B+1 for a drift of axis bandwidth B that the grid cannot
+    resolve.
     ``norms`` is the trajectory's norm table, tabulated here when omitted.
     """
     if u0 is None:
@@ -178,9 +174,9 @@ def energy_certificate(
     else:
         if isinstance(w, SpectralVectorField):
             w = FieldTrajectory(np.array([0.0, traj.horizon]), (w, w))
-        if grid_n is None:
-            grid_n = _quadrature_grid(w.fields[0].bandwidth)
-        sup_sq = np.array([x**2 for x in norm_table(w.fields, grid_n).linf])
+        bw = w.fields[0].bandwidth
+        n = _quadrature_grid(bw) if grid_n is None else max(grid_n, 2 * bw + 1)
+        sup_sq = np.array([x**2 for x in norm_table(w.fields, n).linf])
         integral = trapezoid(sup_sq, w.times)
         try:
             factor = (
@@ -358,82 +354,3 @@ def bochner_scale_norm(
                     int_val = trapezoid(power[j] @ w_int, traj.times)
                     total += ell**3 * (sup_val + mu * int_val)
     return BochnerScaleNorm(k, s, math.sqrt(total))
-
-
-def gn_report(
-    u,
-    j0: int,
-    k0: int,
-    p0: float,
-    q0: float,
-    r0: float,
-    s0: float,
-    a: float,
-    c1: float,
-    c2: float,
-    n: int,
-) -> dict:
-    """Interpolation-inequality diagnostic: evaluates
-
-        lhs = ||grad^j0 u||_{L^p0}
-        rhs = c1 ||grad^k0 u||^a_{L^r0} ||u||^(1-a)_{L^q0} + c2 ||u||_{L^s0}
-
-    after checking the exponent condition
-        1/p0 = j0/3 + a (1/r0 - k0/3) + (1-a)/q0,   j0/k0 <= a <= 1.
-
-    The sharp constants are not known numerically, so only the ratio is
-    reported; no pass/fail status is attached.
-    """
-    if min(p0, q0, r0) < 1 or s0 < 1:
-        raise ValueError("inadmissible exponents: Lebesgue exponents must be >= 1")
-    if k0 < 1 or j0 < 0:
-        raise ValueError("inadmissible exponents: need k0 >= 1 and j0 >= 0")
-    if not (j0 / k0 <= a + 1e-12 and 0 <= a <= 1):
-        raise ValueError("inadmissible exponents: need j0/k0 <= a <= 1")
-
-    def recip(x: float) -> float:
-        return 0.0 if math.isinf(x) else 1.0 / x
-
-    balance = j0 / 3.0 + a * (recip(r0) - k0 / 3.0) + (1.0 - a) * recip(q0)
-    if abs(recip(p0) - balance) > 1e-12:
-        raise ValueError("inadmissible exponents: dimensional balance violated")
-    lhs = dj_norm(u, j0, p0, n)
-    rhs = c1 * dj_norm(u, k0, r0, n) ** a * lp_norm(u, q0, n) ** (1.0 - a) + c2 * lp_norm(
-        u, s0, n
-    )
-    if lhs == 0.0:
-        ratio = 0.0
-    elif rhs == 0.0:
-        ratio = math.inf
-    else:
-        ratio = lhs / rhs
-    return {"lhs": lhs, "rhs": rhs, "ratio": ratio}
-
-
-def nonlinear_term_bound_report(
-    u: SpectralVectorField,
-    k: int,
-    s_exponent: float,
-    r_exponent: float,
-    eps: float,
-    n: int,
-) -> dict:
-    """Left side and the four right-side quantities of the transport-term
-    derivative estimate; constants are unspecified, so this is a diagnostic
-    for empirical constant fitting, without a pass/fail verdict.
-
-    lhs = ||(-Lap)^(k/2) (u . grad) u||^2_{L2}, with the product kept at
-    full accuracy (not truncated to the input cutoff).
-    """
-    full_cut = 3 * (2 * u.bandwidth) ** 2
-    transport = self_convection(u, out_cutoff=full_cut)
-    lhs = grad_norm(transport, k) ** 2
-    l2 = l2_norm_exact(u)
-    lr = lp_norm(u, r_exponent, n)
-    terms = {
-        "laplacian_term": eps * grad_norm(u, k + 2) ** 2,
-        "lps_weighted_gradient": lr**s_exponent * grad_norm(u, k + 1) ** 2,
-        "l2_lr_product": l2**2 * lr**2,
-        "l2_term": l2**2,
-    }
-    return {"lhs": lhs, "rhs_terms": terms}

@@ -210,13 +210,6 @@ class FieldTrajectory:
         """Linear interpolation in coefficient space (rule of :func:`_interpolate`)."""
         return _interpolate(self.times, self.fields, t)
 
-    def scaled(self, factor: float) -> "FieldTrajectory":
-        return FieldTrajectory(
-            self.times,
-            tuple(f * factor for f in self.fields),
-            None if self.rhs is None else tuple(f * factor for f in self.rhs),
-        )
-
 
 Forcing = (
     SpectralVectorField

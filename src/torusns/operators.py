@@ -21,8 +21,9 @@ so it takes div(u (x) u) (Zang 1991, Appl. Numer. Math. 7:27): 3 inverse, 6
 forward, and the advective form where u_i u_j overflows.
 
 L2 norms and inner products are exact Parseval sums.  L^p norms for p != 2
-are rectangle-rule quadrature on a user-chosen grid, and the L^infinity norm
-is a grid maximum; these are documented sampling approximations.
+are rectangle-rule quadrature on a user-chosen grid of at least 2B+1 points,
+and the L^infinity norm is a grid maximum; these are documented sampling
+approximations.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .fields import (
     hermitianize,
     shell_mask,
     wave_cubes,
-    wave_index_axes,
 )
 
 __all__ = [
@@ -50,14 +50,11 @@ __all__ = [
     "rot",
     "laplacian",
     "partial_derivative",
-    "neg_laplacian_pow",
-    "sobolev_norm",
     "l2_norm_exact",
     "inner_l2",
     "grad_norm",
     "hs_norm",
     "lp_norm",
-    "dj_norm",
     "NormTable",
     "norm_table",
     "convect",
@@ -115,42 +112,9 @@ def partial_derivative(u: Field, alpha: tuple[int, int, int]) -> Field:
     return u.with_coeffs(u.coeffs * mult)
 
 
-def neg_laplacian_pow(u: Field, r: float) -> Field:
-    """Fractional power of the negative Laplacian.
-
-    Multiplies mode k != 0 by ((k, k) (2 pi / ell)^2)^r.  The zero mode is
-    preserved for r = 0 and mapped to 0 otherwise; for r < 0 the field must
-    have zero mean since the operator is not invertible on constants.
-    """
-    bw = u.bandwidth
-    ksq = wave_cubes(bw)[3]
-    if r == 0:
-        return u
-    if r < 0 and np.any(np.abs(u.coeffs[..., bw, bw, bw].real) > 0):
-        raise ValueError("not invertible on constants: zero mode must vanish for r < 0")
-    lam = ksq.astype(np.float64) * _wavenumber_factor(u) ** 2
-    mult = np.zeros_like(lam)
-    nz = ksq > 0
-    mult[nz] = lam[nz] ** r
-    return u.with_coeffs(u.coeffs * mult)
-
-
 # ---------------------------------------------------------------------------
 # Exact norms and inner products (Parseval sums).
 # ---------------------------------------------------------------------------
-
-
-def sobolev_norm(u: Field, s: float) -> float:
-    """Coefficient-weighted Sobolev norm (sum_k (1 + (k,k))^s |c_k|^2)^(1/2).
-
-    Vector fields sum the squares of the three components.  This is the
-    dimensionless sequence norm; for the H^s(Q) norm carrying the ell^3
-    Parseval factor and physical wavenumbers see :func:`hs_norm`.
-    """
-    ksq = wave_cubes(u.bandwidth)[3]
-    weight = (1.0 + ksq.astype(np.float64)) ** s
-    total = float(np.sum(weight * np.abs(u.coeffs) ** 2))
-    return math.sqrt(total)
 
 
 def l2_norm_exact(u: Field) -> float:
@@ -211,23 +175,21 @@ def _axis_slices(bw: int, n: int) -> tuple[tuple[slice, slice], ...]:
 def _sample_stack(stack: np.ndarray, n: int) -> np.ndarray:
     """Exact point samples of the fields in ``stack`` on the n^3 grid.
 
-    For n >= 2B+1 only the k3 >= 0 half of each cube is placed and a real
-    inverse transform (``irfftn``) fills in the conjugate half.  Smaller
-    grids accumulate coefficients sharing a residue mod n, which reproduces
-    the exact point values of the truncated Fourier sum even on
-    undersampled grids.
+    Only the k3 >= 0 half of each cube is placed and a real inverse
+    transform (``irfftn``) fills in the conjugate half.  The grid must
+    resolve the bandwidth B of the stack, n >= 2B+1; a coarser grid is
+    rejected.
     """
     bw = (stack.shape[1] - 1) // 2
-    if n >= 2 * bw + 1:
-        buf = np.zeros((stack.shape[0], n, n, n // 2 + 1), dtype=np.complex128)
-        for dst1, src1 in _axis_slices(bw, n):
-            for dst2, src2 in _axis_slices(bw, n):
-                buf[:, dst1, dst2, : bw + 1] = stack[:, src1, src2, bw:]
-        return np.fft.irfftn(buf, s=(n, n, n), axes=(1, 2, 3), norm="forward")
-    idx = wave_index_axes(bw) % n
-    bufs = np.zeros((stack.shape[0], n, n, n), dtype=np.complex128)
-    np.add.at(bufs, (slice(None), *np.ix_(idx, idx, idx)), stack)
-    return np.real(np.fft.ifftn(bufs, axes=(1, 2, 3), norm="forward"))
+    if n < 2 * bw + 1:
+        raise ValueError(
+            f"a grid of {n} points cannot sample bandwidth {bw}; need n >= {2 * bw + 1}"
+        )
+    buf = np.zeros((stack.shape[0], n, n, n // 2 + 1), dtype=np.complex128)
+    for dst1, src1 in _axis_slices(bw, n):
+        for dst2, src2 in _axis_slices(bw, n):
+            buf[:, dst1, dst2, : bw + 1] = stack[:, src1, src2, bw:]
+    return np.fft.irfftn(buf, s=(n, n, n), axes=(1, 2, 3), norm="forward")
 
 
 def _spectrum_stack(values: np.ndarray, keep: int) -> np.ndarray:
@@ -402,17 +364,12 @@ def lp_norm(u: Field, p: float, n: int) -> float:
     Vector fields use the pointwise Euclidean magnitude.  For p = infinity
     the grid maximum of the magnitude is returned.  Except at p = 2 (where
     the quadrature converges to the exact Parseval value) these are sampling
-    approximations whose accuracy is controlled by n.
+    approximations whose accuracy is controlled by n.  The grid must resolve
+    the field, n >= 2B+1 for axis bandwidth B; a coarser grid raises
+    ``ValueError``.
     """
     _check_lp_exponent(p)
     return _lp_quadrature(_pointwise_magnitude(u, n), p, (u.ell / n) ** 3)
-
-
-def dj_norm(u: Field, j: int, p: float, n: int) -> float:
-    """max_{|alpha| = j} ||d^alpha u||_{L^p}, the derivative-set L^p seminorm."""
-    if j == 0:
-        return lp_norm(u, p, n)
-    return max(lp_norm(partial_derivative(u, alpha), p, n) for alpha in multi_indices(j))
 
 
 @dataclass(frozen=True)

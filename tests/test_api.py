@@ -85,3 +85,91 @@ def test_benchmark_attribute_uses_exist():
     assert ("torusns.galerkin", "save_trajectory") in uses
     for module, attr in uses:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+# Public names with no caller in src/ or perfbench/ that are kept on purpose.
+KEEP_UNREFERENCED = {
+    # the curl-free oracle of tests/test_eigenbasis.py
+    ("eigenbasis", "gradient_coefficients"),
+    # writes the basis dumps that `selftest --basis` reads
+    ("eigenbasis", "save_basis"),
+    # the closed-form decay of the acceptance criteria
+    ("problems", "analytic_decay_problem"),
+}
+
+
+def _src_sources():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "torusns").glob("*.py"))}
+
+
+def _references(nodes):
+    """Every identifier used as an ast Name or as an Attribute's attr."""
+    refs = set()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def _module_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("module defines no __all__")
+
+
+def _unreferenced_public_names():
+    """(module, name) of every ``__all__`` name that nothing references.
+
+    A reference is an ast Name or Attribute in src/torusns outside the
+    name's own top-level definition, in perfbench/ or a SPANNED entry.
+    References from inside an unreferenced definition do not count, so the
+    scan repeats until no more names drop out.
+    """
+    sources = _src_sources()
+    sites = set()  # (identifier, module, enclosing top-level definition or None)
+    for module, tree in sources.items():
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            sites |= {(ident, module, owner) for ident in _references(ast.walk(stmt))}
+    external = _references(n for tree in _perfbench_sources().values() for n in ast.walk(tree))
+    external |= {attr for _, attr in _spanned()}
+    public = {(m, a) for m in MODULES for a in _module_all(sources[m])} - KEEP_UNREFERENCED
+    dead = set()
+    while True:
+        live = {
+            (ident, (m, owner))
+            for ident, m, owner in sites
+            if (m, owner) not in dead
+        }
+        newly = {
+            (m, a)
+            for m, a in public - dead
+            if a not in external and not any(i == a and site != (m, a) for i, site in live)
+        }
+        if not newly:
+            return dead
+        dead |= newly
+
+
+def test_public_names_have_a_caller():
+    assert _unreferenced_public_names() == set()
+
+
+@pytest.mark.parametrize(
+    "name", [p.stem for p in sorted((ROOT / "src" / "torusns").glob("*.py")) if p.stem != "__init__"]
+)
+def test_no_unused_imports(name):
+    tree = _src_sources()[name]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+    assert [b for b in bound if b not in used] == []

@@ -545,6 +545,16 @@ class TestLinearized:
         loaded = load_field(tmp_path / "u0.field")
         assert l2_norm_exact(traj.initial - leray_project(loaded)) <= 1e-11
 
+    def test_drift_wider_than_quadrature_grid(self, tmp_path):
+        # the drift's bandwidth 8 needs 17 points, more than the 16 of cutoff 4
+        w = leray_project(random_vector_field(ELL, 64, np.random.default_rng(7), amplitude=0.01))
+        save_field(w, tmp_path / "w.field")
+        r = run_cli(
+            "linearized", "--M", "4", "--T", "0.01", "--dt", "5e-3", "--w", "w.field",
+            "--out-dir", "lin", cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+
     def test_forcing_above_basis_cutoff_is_truncated(self, tmp_path):
         # the solver truncates --f to the run's cutoff, and so must the
         # closed-form check

@@ -9,10 +9,8 @@ from torusns.estimates import (
     PerovInput,
     bochner_scale_norm,
     energy_certificate,
-    gn_report,
     lps_admissible,
     lps_norm,
-    nonlinear_term_bound_report,
     perov_bound,
 )
 from torusns.fields import (
@@ -185,6 +183,18 @@ class TestEnergyCertificate:
         )
         assert cert.factor == pytest.approx(expected, rel=1e-12)
 
+    def test_drift_sup_norm_on_resolving_grid(self, shear_run, rng):
+        # bandwidth 8 needs 17 points: the 16-point grid is raised to 17
+        w = random_vector_field(ELL, 64, rng, amplitude=0.002)
+        cert = energy_certificate(shear_run, None, None, MU, w=w, grid_n=16)
+        integral = T_RUN * lp_norm(w, math.inf, 17) ** 2
+        expected = (
+            1.0
+            + 2.0 * math.sqrt(2.0) * math.exp(integral / MU)
+            + 4.0 / MU * integral * math.exp(2.0 * integral / MU)
+        )
+        assert cert.factor == pytest.approx(expected, rel=1e-12)
+
     def test_drift_factor_beyond_float_range_is_infinite(self, shear_run):
         # I/mu = 0.25 T / 1e-300: exp overflows, so no finite bound exists
         w = vector_from_modes(ELL, 4, {(0, 0, 0): (0.5, 0.0, 0.0)})
@@ -195,7 +205,11 @@ class TestEnergyCertificate:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowed_sides_do_not_pass(self, shear_run):
         # inf <= factor * inf holds in floating point but certifies nothing
-        huge = shear_run.scaled(1e300)
+        huge = FieldTrajectory(
+            shear_run.times,
+            tuple(u * 1e300 for u in shear_run.fields),
+            tuple(r * 1e300 for r in shear_run.rhs),
+        )
         both = energy_certificate(huge, None, None, MU)
         assert both.lhs_squared == math.inf and both.rhs_squared == math.inf
         assert not both.passed
@@ -240,7 +254,11 @@ class TestLps:
         assert v_half <= v_full
 
     def test_homogeneous_degree_one(self, shear_run):
-        scaled = shear_run.scaled(2.5)
+        scaled = FieldTrajectory(
+            shear_run.times,
+            tuple(u * 2.5 for u in shear_run.fields),
+            tuple(r * 2.5 for r in shear_run.rhs),
+        )
         v1 = lps_norm(shear_run, 4.0, 6.0, 16).value
         v2 = lps_norm(scaled, 4.0, 6.0, 16).value
         assert v2 == pytest.approx(2.5 * v1, rel=1e-12)
@@ -263,7 +281,7 @@ class TestLps:
 class TestNormTable:
     EXPONENTS = (3.0, 4.5, 6.0, math.inf)
 
-    @pytest.mark.parametrize("cutoff, grid", [(4, 16), (6, 24), (6, 9), (9, 5)])
+    @pytest.mark.parametrize("cutoff, grid", [(4, 16), (6, 24), (6, 9)])
     def test_equals_single_field_norms(self, rng, cutoff, grid):
         # divergence-carrying random fields, so every column is nonzero
         fields = [random_vector_field(ELL, cutoff, rng) for _ in range(4)]
@@ -471,60 +489,3 @@ class TestBochner:
                 scale = l2_norm_exact(exact)
                 assert l2_norm_exact(chain[order][i] - exact) <= 1e-7 * scale
 
-
-class TestGagliardoNirenberg:
-    def test_constant_field_ratio_zero(self):
-        c = vector_from_modes(ELL, 4, {(0, 0, 0): (1.0, 2.0, 0.0)})
-        out = gn_report(c, 1, 2, 2.0, 2.0, 2.0, 1.0, 0.5, 1.0, 1.0, 16)
-        assert out["lhs"] == 0.0 and out["ratio"] == 0.0
-
-    def test_valid_exponents_give_finite_ratio(self, rng):
-        # 1/3 = 0 + (1/2)(1/2 - 1/3) + (1/2)(1/2)
-        ratios = []
-        for _ in range(20):
-            u = random_vector_field(ELL, 6, rng)
-            out = gn_report(u, 0, 1, 3.0, 2.0, 2.0, 1.0, 0.5, 1.0, 1.0, 24)
-            assert math.isfinite(out["ratio"]) and out["ratio"] >= 0
-            ratios.append(out["ratio"])
-        assert max(ratios) < 10.0
-
-    def test_polarization_violation_rejected(self, rng):
-        u = random_vector_field(ELL, 4, rng)
-        with pytest.raises(ValueError, match="inadmissible exponents"):
-            gn_report(u, 1, 1, 3.0, 2.0, 2.0, 1.0, 0.5, 1.0, 1.0, 16)
-
-    def test_balance_violation_rejected(self, rng):
-        u = random_vector_field(ELL, 4, rng)
-        with pytest.raises(ValueError, match="inadmissible exponents"):
-            gn_report(u, 0, 1, 3.5, 2.0, 2.0, 1.0, 0.5, 1.0, 1.0, 16)
-
-
-class TestNonlinearTermBound:
-    def test_constant_field(self):
-        c = vector_from_modes(ELL, 4, {(0, 0, 0): (1.0, -1.0, 0.5)})
-        out = nonlinear_term_bound_report(c, 1, 4.0, 6.0, 0.5, 16)
-        assert out["lhs"] == 0.0
-        assert set(out["rhs_terms"]) == {
-            "laplacian_term",
-            "lps_weighted_gradient",
-            "l2_lr_product",
-            "l2_term",
-        }
-
-    def test_shear_field(self):
-        out = nonlinear_term_bound_report(shear_field(ELL, 4, 1.0), 0, 4.0, 6.0, 1.0, 16)
-        assert out["lhs"] == 0.0
-
-    def test_fitted_constant_stable_across_batches(self):
-        def batch(seed):
-            rng = np.random.default_rng(seed)
-            ratios = []
-            for _ in range(25):
-                u = leray_project(random_vector_field(ELL, 6, rng, amplitude=0.5))
-                out = nonlinear_term_bound_report(u, 1, 4.0, 6.0, 1.0, 24)
-                total = sum(out["rhs_terms"].values())
-                ratios.append(out["lhs"] / total)
-            return float(np.mean(ratios))
-
-        c1, c2 = batch(11), batch(12)
-        assert abs(c1 - c2) <= 0.2 * max(c1, c2)
