@@ -180,7 +180,7 @@ def _certificate_payload(
         norms["energy_defect_max"] = float(np.max(defect))
     bochner = []
     for k, s in args.bochner:
-        bn = estimates.bochner_scale_norm(traj, k, s, args.mu, f_series=f_series)
+        bn = estimates.bochner_scale_norm(traj, k, s, args.mu, f_series=f_series, norms=table)
         bochner.append(bn.to_dict())
     if bochner:
         norms["bochner"] = bochner

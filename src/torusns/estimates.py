@@ -19,6 +19,7 @@ from .galerkin import (
     FieldTrajectory,
     Forcing,
     _forcing_function,
+    _ns_stage,
     cumulative_trapezoid,
     trapezoid,
 )
@@ -162,7 +163,10 @@ def energy_certificate(
     grad_sq = np.array([g**2 for g in norms.grad[1]])
     lhs2 = sup_u**2 + mu * trapezoid(grad_sq, times)
 
-    dual = np.array([dual_norm(forcing(float(t)), 1) for t in times])
+    if f is None or isinstance(f, SpectralVectorField):  # fitted once: one dual norm
+        dual = np.full(len(times), dual_norm(forcing(0.0), 1))
+    else:
+        dual = np.array([dual_norm(forcing(float(t)), 1) for t in times])
     rhs2 = (
         l2_norm_exact(u0) ** 2
         + (2.0 / mu) * trapezoid(dual**2, times)
@@ -274,7 +278,7 @@ class BochnerScaleNorm:
 
 
 def _time_derivative_chain(
-    traj: FieldTrajectory, s: int, mu: float, f_series
+    traj: FieldTrajectory, s: int, mu: float, f_series, norms: NormTable | None = None
 ) -> list[list[SpectralVectorField]]:
     """Trajectories of d_t^j u for j = 0..s via the evolution equation.
 
@@ -282,7 +286,12 @@ def _time_derivative_chain(
                   + P( d_t^j f - sum_l C(j,l) (d_t^l u . grad) d_t^(j-l) u ),
 
     one kernel call per term: the sum is symmetric in l <-> j-l, so it equals
-    the symmetrized form 1/2 sum_l C(j,l) B(d_t^l u, d_t^(j-l) u).
+    the symmetrized form 1/2 sum_l C(j,l) B(d_t^l u, d_t^(j-l) u).  A
+    generated d_t u of a sample that is solenoidal at roundoff, with
+    ||div u|| <= 1e-13 ||grad u|| in ``norms`` (the trajectory's norm table,
+    tabulated here when omitted and needed), is the solver's rhs sample: the
+    transport term in divergence form, :func:`galerkin._ns_stage`.  Other
+    samples and higher orders keep the advective kernel.
     """
     if f_series is None:
         lookups = None
@@ -301,14 +310,24 @@ def _time_derivative_chain(
     zero = SpectralVectorField.zero(traj.ell, traj.cutoff)
     while len(chain) <= s:
         j = len(chain) - 1
+        if j == 0:
+            if norms is None:
+                norms = norm_table(traj.fields)
+            solenoidal = [d <= 1e-13 * g for d, g in zip(norms.div, norms.grad[1])]
         nxt = []
         for i, t in enumerate(traj.times):
-            transport = None
-            for l in range(j + 1):
-                term = convect(chain[l][i], chain[j - l][i]) * float(math.comb(j, l))
-                transport = term if transport is None else transport + term
+            u = chain[j][i]
             fj = lookups[j](float(t)) if lookups is not None else zero
-            nxt.append(laplacian(chain[j][i]) * mu + leray_project(fj - transport))
+            if j == 0 and solenoidal[i]:
+                # on arrays, as the solver forms its rhs sample
+                stage = _ns_stage(u.coeffs, fj.coeffs, traj.ell, traj.cutoff)
+                nxt.append(u.with_coeffs(laplacian(u).coeffs * float(mu) + stage))
+            else:
+                transport = None
+                for l in range(j + 1):
+                    term = convect(chain[l][i], chain[j - l][i]) * float(math.comb(j, l))
+                    transport = term if transport is None else transport + term
+                nxt.append(laplacian(u) * mu + leray_project(fj - transport))
         chain.append(nxt)
     return chain[: s + 1]
 
@@ -319,17 +338,23 @@ def bochner_scale_norm(
     s: int,
     mu: float,
     f_series: Sequence[Forcing] | None = None,
+    *,
+    norms: NormTable | None = None,
 ) -> BochnerScaleNorm:
     """Evaluate the parabolic-scale norm of a trajectory.
 
     ``f_series`` lists the forcing and its time derivatives (element j is
     d_t^j f); None means the run is unforced.  Time derivatives of u beyond
     the stored rhs samples are generated spectrally from the evolution
-    equation, never by finite differences.
+    equation, never by finite differences.  A generated d_t u takes the
+    solver's divergence-form kernel on every sample whose ||div u|| is at
+    most 1e-13 ||grad u||, and the advective kernel elsewhere.  ``norms`` is
+    the trajectory's norm table, which that test reads; it is tabulated here
+    when omitted and d_t u is generated.
     """
     if k < 0 or s < 0:
         raise ValueError("indices k and s must be nonnegative")
-    chain = _time_derivative_chain(traj, s, mu, f_series)
+    chain = _time_derivative_chain(traj, s, mu, f_series, norms)
     ell = traj.ell
     bw = traj.fields[0].bandwidth
     k1, k2, k3, ksq = wave_cubes(bw)

@@ -367,6 +367,13 @@ def _march(
             raise SolverAbort(f"blow-up suspected at t={(n + 1) * dt:.6g}")
 
 
+def _ns_stage(c: np.ndarray, f: np.ndarray, ell: float, cutoff: int) -> np.ndarray:
+    """P(f - div(u (x) u)) for the coefficient stack c of a solenoidal u and
+    the forcing stack f: the solver's stage.  The stored rhs sample d_t c is
+    (c * lapmult) * mu plus this."""
+    return _project_stack(f - _self_convect_stack(c, ell, cutoff), bandwidth_of(cutoff))
+
+
 def _integrate_ns(f: Forcing, u0: SpectralVectorField, config: SolverConfig) -> FieldTrajectory:
     ell, cutoff = u0.ell, config.cutoff
     if u0.cutoff > cutoff:
@@ -389,8 +396,7 @@ def _integrate_ns(f: Forcing, u0: SpectralVectorField, config: SolverConfig) -> 
     warned_cfl = False
 
     def nonlinear(c: np.ndarray, t: float) -> np.ndarray:
-        """P(f(t) - div(u (x) u)) for the coefficient stack c of u."""
-        return _project_stack(forcing(t) - _self_convect_stack(c, ell, cutoff), bw)
+        return _ns_stage(c, forcing(t), ell, cutoff)
 
     times, fields, rhs_samples = [], [], []
     steps = _march(mu, lam, nonlinear, u.coeffs, dt, nsteps, config.scheme)

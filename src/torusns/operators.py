@@ -18,7 +18,12 @@ coefficient cube; the other half is its conjugate reflection.
 :func:`convect` keeps the advective form (w . grad) u: 12 inverse real FFTs
 (w and the nine derivatives of u), 3 forward.  The solver's u is solenoidal,
 so it takes div(u (x) u) (Zang 1991, Appl. Numer. Math. 7:27): 3 inverse, 6
-forward, and the advective form where u_i u_j overflows.
+forward, and the advective form where u_i u_j overflows.  Both kernels prune
+the forward transform to the kept modes |k_i| <= K, the pruned form of the
+3/2 rule (Canuto, Hussaini, Quarteroni & Zang, Spectral Methods, 2006): the
+last axis is transformed and cut to k3 <= K, the middle axis is transformed
+and cut to |k2| <= K, and the first axis is transformed on those lines only.
+The kept coefficients are bitwise those of the full ``rfftn``.
 
 L2 norms and inner products are exact Parseval sums.  L^p norms for p != 2
 are rectangle-rule quadrature on a user-chosen grid of at least 2B+1 points,
@@ -195,17 +200,22 @@ def _sample_stack(stack: np.ndarray, n: int) -> np.ndarray:
 def _spectrum_stack(values: np.ndarray, keep: int) -> np.ndarray:
     """Centered coefficients |k_i| <= keep of the real samples ``values``.
 
-    ``values`` has shape (C, n, n, n) with n >= 2 keep + 1.  A real forward
-    transform (``rfftn``) gives the k3 >= 0 half; the k3 < 0 half is its
+    ``values`` has shape (C, n, n, n) with n >= 2 keep + 1.  The forward
+    transform is pruned to the kept modes, in ``rfftn``'s axis order: a real
+    transform of axis 3 kept at k3 <= keep, a transform of axis 2 kept at
+    |k2| <= keep, and a transform of axis 1 of those lines only, so each kept
+    coefficient is bitwise that of ``rfftn``.  The k3 < 0 half is the
     conjugate reflection, c_{-k} = conj(c_k).
     """
     n = values.shape[-1]
-    spectrum = np.fft.rfftn(values, axes=(1, 2, 3), norm="forward")
+    half = np.fft.rfft(values, axis=3, norm="forward")[..., : keep + 1]
+    rows = np.fft.fft(half, axis=2, norm="forward")
+    kept = np.concatenate((rows[:, :, n - keep :], rows[:, :, : keep + 1]), axis=2)
+    lines = np.fft.fft(kept, axis=1, norm="forward")
     side = 2 * keep + 1
     out = np.empty((values.shape[0], side, side, side), dtype=np.complex128)
     for src1, dst1 in _axis_slices(keep, n):
-        for src2, dst2 in _axis_slices(keep, n):
-            out[:, dst1, dst2, keep:] = spectrum[:, src1, src2, : keep + 1]
+        out[:, dst1, :, keep:] = lines[:, src1]
     out[..., :keep] = np.conj(out[:, ::-1, ::-1, 2 * keep : keep : -1])
     return out
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torusns import estimates
+from torusns import estimates, galerkin
 from torusns.estimates import (
     BochnerScaleNorm,
     PerovInput,
@@ -15,6 +15,7 @@ from torusns.estimates import (
 )
 from torusns.fields import (
     SpectralVectorField,
+    random_scalar_field,
     random_vector_field,
     truncate,
     vector_from_modes,
@@ -31,6 +32,7 @@ from torusns.galerkin import (
 from torusns.helmholtz import leray_project
 from torusns.operators import (
     div,
+    grad,
     grad_norm,
     hs_norm,
     l2_norm_exact,
@@ -217,6 +219,22 @@ class TestEnergyCertificate:
         assert math.isfinite(rhs_only.lhs_squared) and rhs_only.rhs_squared == math.inf
         assert not rhs_only.passed
 
+    @pytest.mark.parametrize("steady", [False, True])
+    def test_fitted_forcing_takes_one_dual_norm(self, monkeypatch, shear_run, rng, steady):
+        f = random_vector_field(ELL, 4, rng) if steady else None
+        fitted = f if steady else SpectralVectorField.zero(ELL, 4)
+        dual = [estimates.dual_norm(fitted, 1)] * len(shear_run)
+        expected = (
+            l2_norm_exact(shear_run.initial) ** 2
+            + (2.0 / MU) * trapezoid(np.array(dual) ** 2, shear_run.times)
+            + trapezoid(np.array(dual), shear_run.times) ** 2
+        )
+        calls = []
+        real = estimates.dual_norm
+        monkeypatch.setattr(estimates, "dual_norm", lambda *a: calls.append(1) or real(*a))
+        assert energy_certificate(shear_run, f, None, MU).rhs_squared == expected
+        assert len(calls) == 1
+
     def test_rhs_blind_to_gradient_part_of_forcing(self, shear_run, rng):
         f = random_vector_field(ELL, 4, rng)
         cert_full = energy_certificate(shear_run, f, None, MU)
@@ -334,7 +352,7 @@ class TestNormTable:
         assert energy_certificate(shear_run, None, None, MU, norms=table).lhs_squared == lhs2
 
 
-def _symmetrized_chain(traj, s, mu, f_series):
+def _symmetrized_chain(traj, s, mu, f_series, norms=None):
     """The derivative chain as it was built from symmetrized products."""
     from functools import partial
 
@@ -405,15 +423,49 @@ class TestChainKernelCalls:
         if not stored_rhs:
             traj = FieldTrajectory(traj.times, traj.fields)
         calls = []
-        real = estimates.convect
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(estimates, "convect", counting)
+        for name in ("convect", "_ns_stage"):
+            real = getattr(estimates, name)
+            monkeypatch.setattr(
+                estimates, name, lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw)
+            )
         estimates._time_derivative_chain(traj, s, mu, series)
         assert len(calls) == sum(j + 1 for j in generated) * len(traj)
+
+    @pytest.mark.parametrize("cutoff", [4, 9, 16])
+    def test_generated_first_derivative_is_solver_rhs(self, rng, tmp_path, cutoff):
+        u0 = leray_project(random_vector_field(ELL, cutoff, rng, amplitude=0.5))
+        cfg = SolverConfig(mu=MU, horizon=6e-3, cutoff=cutoff, dt=2e-3, scheme="if_rk4")
+        run = solve_navier_stokes(None, u0, cfg)
+        save_trajectory(run, tmp_path / "run.traj")
+        loaded = load_trajectory(tmp_path / "run.traj")
+        assert loaded.rhs is None
+        chain = estimates._time_derivative_chain(loaded, 1, MU, None)
+        for generated, stored in zip(chain[1], run.rhs, strict=True):
+            assert np.array_equal(generated.coeffs, stored.coeffs)
+
+    def test_non_solenoidal_samples_keep_advective_kernel(self, monkeypatch, rng):
+        u = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.5))
+        gradient = grad(random_scalar_field(ELL, 4, rng, amplitude=0.5))
+        traj = FieldTrajectory(
+            np.linspace(0.0, 0.1, 4), tuple((u + gradient) * (1 - i / 10) for i in range(4))
+        )
+        calls = []
+        real = galerkin._self_convect_stack
+        monkeypatch.setattr(
+            galerkin, "_self_convect_stack", lambda *a: calls.append(1) or real(*a)
+        )
+        for k, s in ((0, 1), (1, 2)):
+            new, old = self._both(monkeypatch, traj, k, s, MU)
+            assert new == old
+        assert calls == []
+
+    def test_norm_table_keyword(self, rng):
+        u = leray_project(random_vector_field(ELL, 9, rng, amplitude=0.5))
+        traj = FieldTrajectory(np.linspace(0.0, 0.1, 4), tuple(u * (1 - i / 10) for i in range(4)))
+        table = norm_table(traj.fields, 7, (4.0,))
+        for k, s in ((0, 1), (1, 2)):
+            given = bochner_scale_norm(traj, k, s, MU, norms=table).value
+            assert given == bochner_scale_norm(traj, k, s, MU).value
 
 
 class TestBochner:

@@ -288,6 +288,41 @@ class TestDivergenceForm:
         assert got.tobytes() == expected.tobytes()
 
 
+def _rfftn_spectrum(values, keep):
+    """The unpruned spectrum: ``rfftn`` of every sample, then the kept modes."""
+    n = values.shape[-1]
+    spectrum = np.fft.rfftn(values, axes=(1, 2, 3), norm="forward")
+    side = 2 * keep + 1
+    out = np.empty((values.shape[0], side, side, side), dtype=np.complex128)
+    for src1, dst1 in operators._axis_slices(keep, n):
+        for src2, dst2 in operators._axis_slices(keep, n):
+            out[:, dst1, dst2, keep:] = spectrum[:, src1, src2, : keep + 1]
+    out[..., :keep] = np.conj(out[:, ::-1, ::-1, 2 * keep : keep : -1])
+    return out
+
+
+class TestPrunedSpectrum:
+    """The forward transform pruned to the kept modes against ``rfftn``."""
+
+    @pytest.mark.parametrize("components", [1, 3, 6, 12])
+    @pytest.mark.parametrize("keep", [1, 2, 6, 8])
+    def test_bitwise_equal_to_rfftn(self, rng, components, keep):
+        kernel_n = operators._dealias_grid(np.zeros((3,) + (2 * keep + 1,) * 3), keep**2)[3]
+        for n in sorted({2 * keep + 1, 2 * keep + 2, kernel_n}):
+            values = rng.standard_normal((components, n, n, n))
+            assert np.array_equal(_spectrum_stack(values, keep), _rfftn_spectrum(values, keep))
+
+    @pytest.mark.parametrize("ell", [2.0 * math.pi, 3.3])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 9, 16, 36])
+    def test_kernels_bitwise_unchanged(self, monkeypatch, rng, ell, cutoff):
+        u = leray_project(random_vector_field(ell, cutoff, rng)).coeffs
+        w = random_vector_field(ell, cutoff, rng).coeffs
+        pruned = [_self_convect_stack(u, ell, cutoff), _convect_stack(w, u, ell, cutoff)]
+        monkeypatch.setattr(operators, "_spectrum_stack", _rfftn_spectrum)
+        full = [_self_convect_stack(u, ell, cutoff), _convect_stack(w, u, ell, cutoff)]
+        assert all(np.array_equal(a, b) for a, b in zip(pruned, full))
+
+
 def _sparse_vector_field(ell, cutoff, rng, density=0.1):
     """Random real field on a sparse +-k symmetric mode set containing +-B e_i.
 
