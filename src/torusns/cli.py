@@ -180,7 +180,7 @@ def _certificate_payload(
         norms["energy_defect_max"] = float(np.max(defect))
     bochner = []
     for k, s in args.bochner:
-        bn = estimates.bochner_scale_norm(traj, k, s, args.mu, f_series=f_series, norms=table)
+        bn = estimates.bochner_scale_norm(traj, k, s, args.mu, f_series=f_series)
         bochner.append(bn.to_dict())
     if bochner:
         norms["bochner"] = bochner
@@ -470,10 +470,13 @@ def _selftest_checks(cutoff: int, basis: DivFreeBasis):
     def check_product_oracle():
         w = leray_project(random_vector_field(ell, min(cutoff, 3), rng))
         u = random_vector_field(ell, min(cutoff, 3), rng)
+        v = leray_project(u)
         fast = convect(w, u)
-        # the solver's kernel div(w (x) w), on the solenoidal w
-        solver = w.with_coeffs(_self_convect_stack(w.coeffs, ell, w.cutoff))
-        pairs = ((fast, _brute_convect(w, u)), (solver, _brute_convect(w, w)))
+        # the solver's kernel div(w (x) w), and div(w (x) v + v (x) w), the chain's order 1
+        solver = w.with_coeffs(_self_convect_stack((w.coeffs,), ell, w.cutoff))
+        chain = w.with_coeffs(_self_convect_stack((w.coeffs, v.coeffs), ell, w.cutoff))
+        pairs = ((fast, _brute_convect(w, u)), (solver, _brute_convect(w, w)),
+                 (chain, _brute_convect(w, v) + _brute_convect(v, w)))
         dev = max(l2_norm_exact(a - b) / max(l2_norm_exact(b), 1e-30) for a, b in pairs)
         skew = abs(inner_l2(fast, u)) / (hs_norm(w, 2) * hs_norm(u, 1) ** 2)
         worst = max(dev, skew)

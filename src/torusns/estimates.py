@@ -20,15 +20,15 @@ from .galerkin import (
     Forcing,
     _forcing_function,
     _ns_stage,
+    _require_divfree,
     cumulative_trapezoid,
     trapezoid,
 )
-from .helmholtz import dual_norm, leray_project
+from .helmholtz import dual_norm
 from .operators import (
     NormTable,
-    convect,
+    _laplacian_symbol,
     l2_norm_exact,
-    laplacian,
     multi_indices,
     norm_table,
     _quadrature_grid,
@@ -278,58 +278,50 @@ class BochnerScaleNorm:
 
 
 def _time_derivative_chain(
-    traj: FieldTrajectory, s: int, mu: float, f_series, norms: NormTable | None = None
-) -> list[list[SpectralVectorField]]:
-    """Trajectories of d_t^j u for j = 0..s via the evolution equation.
+    traj: FieldTrajectory, s: int, mu: float, f_series
+) -> list[list[np.ndarray]]:
+    """Coefficient stacks of d_t^j u for j = 0..s via the evolution equation,
 
     d_t^(j+1) u = mu Lap d_t^j u
-                  + P( d_t^j f - sum_l C(j,l) (d_t^l u . grad) d_t^(j-l) u ),
+                  + P( d_t^j f - div sum_l C(j,l) d_t^l u (x) d_t^(j-l) u ),
 
-    one kernel call per term: the sum is symmetric in l <-> j-l, so it equals
-    the symmetrized form 1/2 sum_l C(j,l) B(d_t^l u, d_t^(j-l) u).  A
-    generated d_t u of a sample that is solenoidal at roundoff, with
-    ||div u|| <= 1e-13 ||grad u|| in ``norms`` (the trajectory's norm table,
-    tabulated here when omitted and needed), is the solver's rhs sample: the
-    transport term in divergence form, :func:`galerkin._ns_stage`.  Other
-    samples and higher orders keep the advective kernel.
+    one solver stage, :func:`galerkin._ns_stage`, per sample and order.  The
+    stored rhs samples are d_t u; see :func:`bochner_scale_norm` for when
+    generating an order raises ``ValueError``.
     """
-    if f_series is None:
-        lookups = None
-    else:
-        if len(f_series) < s:
-            raise ValueError(
-                f"requested s={s} exceeds available derivative depth "
-                f"{len(f_series)} of the forcing"
-            )
-        fit = partial(truncate, cutoff=traj.cutoff)
-        lookups = [_forcing_function(fj, traj.ell, traj.horizon, fit) for fj in f_series]
-    chain: list[list[SpectralVectorField]] = [list(traj.fields)]
-    if s >= 1 and traj.rhs is not None and (f_series is None or len(f_series) >= 1):
+    if f_series is not None and len(f_series) < s:
+        raise ValueError(
+            f"requested s={s} exceeds available derivative depth {len(f_series)} of the forcing"
+        )
+    fit = partial(truncate, cutoff=traj.cutoff)
+    lookups = [_forcing_function(fj, traj.ell, traj.horizon, fit) for fj in f_series or ()]
+    chain = [[u.coeffs for u in traj.fields]]
+    if s >= 1 and traj.rhs is not None:
         # stored rhs samples are exactly d_t u for solver output
-        chain.append(list(traj.rhs))
-    zero = SpectralVectorField.zero(traj.ell, traj.cutoff)
-    while len(chain) <= s:
-        j = len(chain) - 1
-        if j == 0:
-            if norms is None:
-                norms = norm_table(traj.fields)
-            solenoidal = [d <= 1e-13 * g for d, g in zip(norms.div, norms.grad[1])]
-        nxt = []
-        for i, t in enumerate(traj.times):
-            u = chain[j][i]
-            fj = lookups[j](float(t)) if lookups is not None else zero
-            if j == 0 and solenoidal[i]:
-                # on arrays, as the solver forms its rhs sample
-                stage = _ns_stage(u.coeffs, fj.coeffs, traj.ell, traj.cutoff)
-                nxt.append(u.with_coeffs(laplacian(u).coeffs * float(mu) + stage))
-            else:
-                transport = None
-                for l in range(j + 1):
-                    term = convect(chain[l][i], chain[j - l][i]) * float(math.comb(j, l))
-                    transport = term if transport is None else transport + term
-                nxt.append(laplacian(u) * mu + leray_project(fj - transport))
-        chain.append(nxt)
-    return chain[: s + 1]
+        chain.append([r.coeffs for r in traj.rhs])
+    if len(chain) > s:
+        return chain[: s + 1]
+    for u in traj.fields:
+        _require_divfree(u, "a trajectory sample whose time derivatives are generated")
+    lapmult = _laplacian_symbol(traj.ell, traj.fields[0].bandwidth)
+    zero = np.zeros_like(chain[0][0])
+
+    def next_order(stacks, j: int, t: float) -> np.ndarray:
+        """d_t^(j+1) u at time t from the stacks (d_t^l u)_(l <= j) there."""
+        fj = lookups[j](t).coeffs if lookups else zero
+        return (stacks[j] * lapmult) * float(mu) + _ns_stage(stacks, fj, traj.ell, traj.cutoff)
+
+    if len(chain) == 2:  # the stored rhs must be this equation's d_t u
+        rhs0 = chain[1][0]
+        dtu0 = next_order([chain[0][0]], 0, float(traj.times[0]))
+        if np.max(np.abs(dtu0 - rhs0)) > 1e-12 * np.max(np.abs(rhs0)):
+            raise ValueError(
+                "the stored rhs samples are not d_t u of the Navier-Stokes equation "
+                "with this mu and forcing, so higher time derivatives cannot be generated"
+            )
+    for j in range(len(chain) - 1, s):  # zip(*chain): the orders so far, per sample
+        chain.append([next_order(c, j, float(t)) for c, t in zip(zip(*chain), traj.times)])
+    return chain
 
 
 def bochner_scale_norm(
@@ -338,34 +330,27 @@ def bochner_scale_norm(
     s: int,
     mu: float,
     f_series: Sequence[Forcing] | None = None,
-    *,
-    norms: NormTable | None = None,
 ) -> BochnerScaleNorm:
     """Evaluate the parabolic-scale norm of a trajectory.
 
     ``f_series`` lists the forcing and its time derivatives (element j is
     d_t^j f); None means the run is unforced.  Time derivatives of u beyond
-    the stored rhs samples are generated spectrally from the evolution
-    equation, never by finite differences.  A generated d_t u takes the
-    solver's divergence-form kernel on every sample whose ||div u|| is at
-    most 1e-13 ||grad u||, and the advective kernel elsewhere.  ``norms`` is
-    the trajectory's norm table, which that test reads; it is tabulated here
-    when omitted and d_t u is generated.
+    the stored rhs samples are generated spectrally from the Navier-Stokes
+    equation by the solver's stage, never by finite differences.  That
+    raises ``ValueError`` for a sample that is not divergence-free, and for
+    a stored rhs that is not this equation's d_t u at the first sample (as
+    of a drift-linearized run), to 1e-12 of its largest coefficient.
     """
     if k < 0 or s < 0:
         raise ValueError("indices k and s must be nonnegative")
-    chain = _time_derivative_chain(traj, s, mu, f_series, norms)
-    ell = traj.ell
-    bw = traj.fields[0].bandwidth
-    k1, k2, k3, ksq = wave_cubes(bw)
+    chain = _time_derivative_chain(traj, s, mu, f_series)
+    ell, bw = traj.ell, traj.fields[0].bandwidth
+    k1, k2, k3, _ = wave_cubes(bw)
     kappa2 = (2.0 * math.pi / ell) ** 2
-    lam = (ksq * kappa2).ravel().astype(np.float64)
+    lam = -_laplacian_symbol(ell, bw).ravel()
     axis_sq = [(k.astype(np.float64) ** 2 * kappa2).ravel() for k in (k1, k2, k3)]
     # per derivative order: |c|^2 summed over components, per sample
-    power = [
-        np.stack([np.sum(np.abs(u.coeffs) ** 2, axis=0).ravel() for u in lst])
-        for lst in chain
-    ]
+    power = [np.stack([np.sum(np.abs(c) ** 2, axis=0).ravel() for c in lst]) for lst in chain]
     total = 0.0
     for j in range(s + 1):
         for order in range(0, 2 * s - 2 * j + 1):

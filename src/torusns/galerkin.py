@@ -45,12 +45,12 @@ from .fields import (
     next_line,
     parse_field_block,
     truncate,
-    wave_cubes,
     write_field,
 )
 from .operators import (
     NormTable,
     _fast_len,
+    _laplacian_symbol,
     _self_convect_stack,
     div,
     grad,
@@ -367,11 +367,11 @@ def _march(
             raise SolverAbort(f"blow-up suspected at t={(n + 1) * dt:.6g}")
 
 
-def _ns_stage(c: np.ndarray, f: np.ndarray, ell: float, cutoff: int) -> np.ndarray:
-    """P(f - div(u (x) u)) for the coefficient stack c of a solenoidal u and
-    the forcing stack f: the solver's stage.  The stored rhs sample d_t c is
-    (c * lapmult) * mu plus this."""
-    return _project_stack(f - _self_convect_stack(c, ell, cutoff), bandwidth_of(cutoff))
+def _ns_stage(stacks, f: np.ndarray, ell: float, cutoff: int) -> np.ndarray:
+    """P(f - div(sum_l C(j,l) u_l (x) u_(j-l))) for the stacks (u_0, ..., u_j)
+    of solenoidal fields and the forcing stack f.  The solver's stage is that
+    of (c,); its stored rhs sample d_t c is (c * lapmult) * mu plus this."""
+    return _project_stack(f - _self_convect_stack(stacks, ell, cutoff), bandwidth_of(cutoff))
 
 
 def _integrate_ns(f: Forcing, u0: SpectralVectorField, config: SolverConfig) -> FieldTrajectory:
@@ -386,9 +386,7 @@ def _integrate_ns(f: Forcing, u0: SpectralVectorField, config: SolverConfig) -> 
 
     mu = config.mu
     bw = bandwidth_of(cutoff)
-    lam = wave_cubes(bw)[3].astype(np.float64) * (2.0 * math.pi / ell) ** 2
-    # the multiplier of operators.laplacian, for the stored rhs samples
-    lapmult = -((2.0 * math.pi / ell) ** 2) * wave_cubes(bw)[3]
+    lapmult = _laplacian_symbol(ell, bw)
     dt = config.dt_effective
     nsteps = config.nsteps
     blowup_scale = 1e8 * (l2_norm_exact(u) + 1.0)
@@ -396,10 +394,10 @@ def _integrate_ns(f: Forcing, u0: SpectralVectorField, config: SolverConfig) -> 
     warned_cfl = False
 
     def nonlinear(c: np.ndarray, t: float) -> np.ndarray:
-        return _ns_stage(c, forcing(t), ell, cutoff)
+        return _ns_stage((c,), forcing(t), ell, cutoff)
 
     times, fields, rhs_samples = [], [], []
-    steps = _march(mu, lam, nonlinear, u.coeffs, dt, nsteps, config.scheme)
+    steps = _march(mu, -lapmult, nonlinear, u.coeffs, dt, nsteps, config.scheme)
     # N = nonlinear(c, t) is the rhs sample's transport part
     for n, (t, c, N) in enumerate(steps):
         if math.sqrt(ell**3 * float(np.sum(np.abs(c) ** 2))) > blowup_scale:  # l2_norm_exact

@@ -18,11 +18,13 @@ coefficient cube; the other half is its conjugate reflection.
 :func:`convect` keeps the advective form (w . grad) u: 12 inverse real FFTs
 (w and the nine derivatives of u), 3 forward.  The solver's u is solenoidal,
 so it takes div(u (x) u) (Zang 1991, Appl. Numer. Math. 7:27): 3 inverse, 6
-forward, and the advective form where u_i u_j overflows.  Both kernels prune
-the forward transform to the kept modes |k_i| <= K, the pruned form of the
-3/2 rule (Canuto, Hussaini, Quarteroni & Zang, Spectral Methods, 2006): the
-last axis is transformed and cut to k3 <= K, the middle axis is transformed
-and cut to |k2| <= K, and the first axis is transformed on those lines only.
+forward, and the advective form where u_i u_j overflows; on the Bochner
+chain's u_l = d_t^l u it takes div(sum_l C(j,l) u_l (x) u_(j-l)), 3(j+1)
+inverse, 6 forward.  Both kernels prune the forward transform to the kept
+modes |k_i| <= K, the pruned form of the 3/2 rule (Canuto, Hussaini,
+Quarteroni & Zang, Spectral Methods, 2006): the last axis is transformed and
+cut to k3 <= K, the middle axis is transformed and cut to |k2| <= K, and the
+first axis is transformed on those lines only.
 The kept coefficients are bitwise those of the full ``rfftn``.
 
 L2 norms and inner products are exact Parseval sums.  L^p norms for p != 2
@@ -103,10 +105,14 @@ def rot(u: SpectralVectorField) -> SpectralVectorField:
     return u.with_coeffs(out)
 
 
+def _laplacian_symbol(ell: float, bw: int) -> np.ndarray:
+    """-(2 pi / ell)^2 |k|^2, the Laplacian's multiplier, on the bandwidth-bw cube."""
+    return -((2.0 * math.pi / ell) ** 2) * wave_cubes(bw)[3]
+
+
 def laplacian(u: Field) -> Field:
     """Laplacian, same rank as the input."""
-    ksq = wave_cubes(u.bandwidth)[3]
-    return u.with_coeffs(u.coeffs * (-(_wavenumber_factor(u) ** 2) * ksq))
+    return u.with_coeffs(u.coeffs * _laplacian_symbol(u.ell, u.bandwidth))
 
 
 def partial_derivative(u: Field, alpha: tuple[int, int, int]) -> Field:
@@ -140,8 +146,7 @@ def grad_norm(u: Field, j: float) -> float:
     For integer j this matches the summed derivative seminorm obtained by
     integration by parts; j = 0 gives the plain L2 norm (mean included).
     """
-    ksq = wave_cubes(u.bandwidth)[3].astype(np.float64)
-    lam = ksq * _wavenumber_factor(u) ** 2
+    lam = -_laplacian_symbol(u.ell, u.bandwidth)
     weight = lam**j if j > 0 else np.ones_like(lam)
     total = float(np.sum(weight * np.abs(u.coeffs) ** 2))
     return math.sqrt(u.ell**3 * total)
@@ -280,28 +285,35 @@ def _convect_stack(w: np.ndarray, u: np.ndarray, ell: float, out_cutoff: int) ->
     return _to_shell(_spectrum_stack(prod, keep), out_bw, out_cutoff)
 
 
-# u (x) u is held as its six entries i <= j; row i of it is _ROWS[i]
+# a symmetric tensor is held as its six entries i <= j; row i of it is _ROWS[i]
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 
-def _self_convect_stack(u: np.ndarray, ell: float, out_cutoff: int) -> np.ndarray:
-    """div(u (x) u), which is ``_convect_stack(u, u, ell, out_cutoff)`` for
-    solenoidal u, with 3 inverse and 6 forward real FFTs on the same grid.
-    Where u_i u_j overflows it is nan, and it falls back to that kernel."""
-    _, out_bw, keep, n = _dealias_grid(u, out_cutoff)
-    vals = _sample_stack(u, n)
+def _self_convect_stack(stacks, ell: float, out_cutoff: int) -> np.ndarray:
+    """div(sum_l C(j,l) u_l (x) u_(j-l)) for the stacks (u_0, ..., u_j), a
+    symmetric tensor, with 3(j+1) inverse and 6 forward real FFTs.  For
+    solenoidal u_l it is sum_l C(j,l) (u_l . grad) u_(j-l), the advective sum
+    of :func:`_convect_stack`, to which it falls back where it overflows."""
+    j = len(stacks) - 1
+    _, out_bw, keep, n = _dealias_grid(stacks[0], out_cutoff)
+    vals = _sample_stack(np.concatenate(stacks), n).reshape(j + 1, 3, n, n, n)
     prod = np.empty((6, n, n, n))
     k1, k2, k3, _ = wave_cubes(keep)
     fac = 1j * (2.0 * math.pi / ell)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        for p, (i, j) in enumerate(_PAIRS):
-            np.multiply(vals[i], vals[j], out=prod[p])
+        for p, (a, b) in enumerate(_PAIRS):
+            np.multiply(vals[0, a], vals[j, b], out=prod[p])
+            for l in range(1, j + 1):
+                prod[p] += math.comb(j, l) * (vals[l, a] * vals[j - l, b])
         spec = _spectrum_stack(prod, keep)
         div_uu = np.stack([fac * (k1 * spec[a] + k2 * spec[b] + k3 * spec[c]) for a, b, c in _ROWS])
         coeffs = _to_shell(div_uu, out_bw, out_cutoff)
-    if not np.all(np.isfinite(coeffs)):
-        return _convect_stack(u, u, ell, out_cutoff)
+    if not np.all(np.isfinite(coeffs)):  # summed from its first term, keeping -0.0
+        coeffs = _convect_stack(stacks[0], stacks[j], ell, out_cutoff)
+        for l in range(1, j + 1):
+            term = _convect_stack(stacks[l], stacks[j - l], ell, out_cutoff)
+            coeffs = coeffs + math.comb(j, l) * term
     return coeffs
 
 
@@ -417,7 +429,7 @@ def norm_table(fields, grid_n: int | None = None, exponents=()) -> NormTable:
     for r in rs:
         _check_lp_exponent(r)
     u0 = fields[0]
-    lam = wave_cubes(u0.bandwidth)[3].astype(np.float64) * _wavenumber_factor(u0) ** 2
+    lam = -_laplacian_symbol(u0.ell, u0.bandwidth)
     weights, volume = (1.0, lam, lam**2), u0.ell**3
     rows = []
     for u in fields:

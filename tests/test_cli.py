@@ -615,6 +615,21 @@ class TestForcingSeries:
         assert [(b["k"], b["s"]) for b in values[0]] == [(0, 2), (1, 3)]
         assert values[0] == values[1]
 
+    def test_certify_rejects_generating_from_non_solenoidal_samples(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("TORUS_NS_OUT", raising=False)
+        u = random_vector_field(ELL, 4, np.random.default_rng(7), amplitude=0.5)
+        traj = FieldTrajectory(np.linspace(0.0, 0.1, 3), (u, u * 0.9, u * 0.8))
+        save_trajectory(traj, tmp_path / "run.traj")
+        base = ["certify", "--traj", str(tmp_path / "run.traj"), "--mu", "0.1"]
+        # d_t u is generated at s = 1 and needs a divergence-free sample
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(base + ["--bochner", "1,1", "--out-dir", str(tmp_path / "s1")]) == 2
+        assert "must be divergence-free" in err.getvalue()
+        assert not (tmp_path / "s1" / "certificate.json").exists()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(base + ["--bochner", "1,0", "--out-dir", str(tmp_path / "s0")]) == 0
+        assert (tmp_path / "s0" / "certificate.json").exists()
+
 
 class TestStudy:
     def test_dt_study_csv(self, tmp_path):

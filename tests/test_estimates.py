@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from torusns import estimates, galerkin
+from torusns import estimates, galerkin, operators
+from torusns.eigenbasis import build_basis
 from torusns.estimates import (
     BochnerScaleNorm,
     PerovInput,
@@ -41,7 +42,7 @@ from torusns.operators import (
     norm_table,
     symmetrized_convection,
 )
-from torusns.problems import shear_field, two_shell_problem
+from torusns.problems import shear_field, taylor_green_field, two_shell_problem
 
 ELL = 2.0 * math.pi
 MU = 0.1
@@ -352,8 +353,9 @@ class TestNormTable:
         assert energy_certificate(shear_run, None, None, MU, norms=table).lhs_squared == lhs2
 
 
-def _symmetrized_chain(traj, s, mu, f_series, norms=None):
-    """The derivative chain as it was built from symmetrized products."""
+def _symmetrized_chain(traj, s, mu, f_series):
+    """The derivative chain as it was built from symmetrized products, as
+    coefficient stacks."""
     from functools import partial
 
     from torusns.galerkin import _forcing_function
@@ -379,7 +381,7 @@ def _symmetrized_chain(traj, s, mu, f_series, norms=None):
             fj = lookups[j](float(t)) if lookups is not None else zero
             nxt.append(laplacian(chain[j][i]) * mu + leray_project(fj - transport))
         chain.append(nxt)
-    return chain[: s + 1]
+    return [[u.coeffs for u in order] for order in chain[: s + 1]]
 
 
 @pytest.fixture(scope="module")
@@ -422,14 +424,20 @@ class TestChainKernelCalls:
         traj, mu, series = manufactured_run
         if not stored_rhs:
             traj = FieldTrajectory(traj.times, traj.fields)
-        calls = []
-        for name in ("convect", "_ns_stage"):
-            real = getattr(estimates, name)
-            monkeypatch.setattr(
-                estimates, name, lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw)
-            )
+        calls, advective = [], []
+        real = estimates._ns_stage
+        monkeypatch.setattr(estimates, "_ns_stage", lambda *a: calls.append(a) or real(*a))
+        real_advective = operators._convect_stack
+        monkeypatch.setattr(
+            operators, "_convect_stack", lambda *a: advective.append(1) or real_advective(*a)
+        )
         estimates._time_derivative_chain(traj, s, mu, series)
-        assert len(calls) == sum(j + 1 for j in generated) * len(traj)
+        # one stage per sample and generated order, each on all orders below
+        # it; a stored rhs is checked first by one more stage at sample 0
+        assert len(calls) == len(generated) * len(traj) + stored_rhs
+        orders = sorted(len(stacks) - 1 for stacks, *_ in calls[stored_rhs:])
+        assert orders == sorted(generated * len(traj))
+        assert advective == []
 
     @pytest.mark.parametrize("cutoff", [4, 9, 16])
     def test_generated_first_derivative_is_solver_rhs(self, rng, tmp_path, cutoff):
@@ -441,31 +449,38 @@ class TestChainKernelCalls:
         assert loaded.rhs is None
         chain = estimates._time_derivative_chain(loaded, 1, MU, None)
         for generated, stored in zip(chain[1], run.rhs, strict=True):
-            assert np.array_equal(generated.coeffs, stored.coeffs)
+            assert np.array_equal(generated, stored.coeffs)
 
-    def test_non_solenoidal_samples_keep_advective_kernel(self, monkeypatch, rng):
+    @pytest.mark.parametrize("k, s", [(0, 1), (1, 2)])
+    def test_non_solenoidal_samples_rejected(self, rng, k, s):
         u = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.5))
         gradient = grad(random_scalar_field(ELL, 4, rng, amplitude=0.5))
         traj = FieldTrajectory(
             np.linspace(0.0, 0.1, 4), tuple((u + gradient) * (1 - i / 10) for i in range(4))
         )
-        calls = []
-        real = galerkin._self_convect_stack
-        monkeypatch.setattr(
-            galerkin, "_self_convect_stack", lambda *a: calls.append(1) or real(*a)
-        )
-        for k, s in ((0, 1), (1, 2)):
-            new, old = self._both(monkeypatch, traj, k, s, MU)
-            assert new == old
-        assert calls == []
+        with pytest.raises(ValueError, match="must be divergence-free"):
+            bochner_scale_norm(traj, k, s, MU)
+        # no derivative is generated at s = 0
+        assert bochner_scale_norm(traj, k, 0, MU).value > 0.0
 
-    def test_norm_table_keyword(self, rng):
-        u = leray_project(random_vector_field(ELL, 9, rng, amplitude=0.5))
-        traj = FieldTrajectory(np.linspace(0.0, 0.1, 4), tuple(u * (1 - i / 10) for i in range(4)))
-        table = norm_table(traj.fields, 7, (4.0,))
-        for k, s in ((0, 1), (1, 2)):
-            given = bochner_scale_norm(traj, k, s, MU, norms=table).value
-            assert given == bochner_scale_norm(traj, k, s, MU).value
+    def test_linearized_rhs_rejected_beyond_first_order(self):
+        # the drift-linearized equation's rhs is not d_t u of Navier-Stokes,
+        # so d_t^2 u cannot be generated from it
+        op = galerkin.assemble_linearized(taylor_green_field(ELL, 4, 0.3), build_basis(ELL, 4), MU)
+        cfg = SolverConfig(mu=MU, horizon=0.02, cutoff=4, dt=1e-3, scheme="if_rk4")
+        traj = galerkin.solve_linearized(op, None, shear_field(ELL, 4, 1.0), cfg)
+        assert traj.rhs is not None
+        assert math.isfinite(bochner_scale_norm(traj, 1, 1, MU).value)
+        with pytest.raises(ValueError, match="stored rhs samples are not d_t u"):
+            bochner_scale_norm(traj, 1, 2, MU)
+
+    def test_solver_rhs_passes_the_stored_rhs_check(self, shear_run, manufactured_run):
+        traj, mu, series = manufactured_run
+        for run, run_mu, f_series in ((shear_run, MU, None), (traj, mu, series)):
+            assert math.isfinite(bochner_scale_norm(run, 0, 2, run_mu, f_series).value)
+        # the same run read with another viscosity is another equation
+        with pytest.raises(ValueError, match="stored rhs samples are not d_t u"):
+            bochner_scale_norm(shear_run, 0, 2, 2 * MU)
 
 
 class TestBochner:
@@ -539,5 +554,5 @@ class TestBochner:
                 t = float(traj.times[i])
                 exact = truncate(exact_fn(t), 4)
                 scale = l2_norm_exact(exact)
-                assert l2_norm_exact(chain[order][i] - exact) <= 1e-7 * scale
+                assert l2_norm_exact(exact.with_coeffs(chain[order][i]) - exact) <= 1e-7 * scale
 

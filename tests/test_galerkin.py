@@ -686,7 +686,7 @@ class TestNavierStokes:
 
 def _solver_transport(v):
     """The solver's transport term div(v (x) v), as a field."""
-    return v.with_coeffs(_self_convect_stack(v.coeffs, v.ell, v.cutoff))
+    return v.with_coeffs(_self_convect_stack((v.coeffs,), v.ell, v.cutoff))
 
 
 def _field_loop(force, u0, cfg, transport=_solver_transport):
@@ -912,7 +912,7 @@ class TestGoldenDigests:
         # on the advective kernel nothing else in the loop moved
         with monkeypatch.context() as m:
             m.setattr(
-                galerkin, "_self_convect_stack", lambda c, ell, cut: _convect_stack(c, c, ell, cut)
+                galerkin, "_self_convect_stack", lambda s, ell, cut: _convect_stack(s[0], s[0], ell, cut)
             )
             advective = solve_navier_stokes(f, u0, cfg)
         assert digest(advective) == self.NS[scheme]

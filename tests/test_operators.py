@@ -266,7 +266,7 @@ class TestDivergenceForm:
         density = 0.2 if cutoff == 36 else 1.0
         u = leray_project(_sparse_vector_field(ell, cutoff, rng, density))
         bw = bandwidth_of(cutoff)
-        fast = _project_stack(_self_convect_stack(u.coeffs, ell, cutoff), bw)
+        fast = _project_stack(_self_convect_stack((u.coeffs,), ell, cutoff), bw)
         slow = leray_project(cli._brute_convect(u, u)).coeffs
         advective = _project_stack(_convect_stack(u.coeffs, u.coeffs, ell, cutoff), bw)
         assert np.linalg.norm(fast - slow) <= 1e-13 * np.linalg.norm(slow)
@@ -283,8 +283,44 @@ class TestDivergenceForm:
         monkeypatch.setattr(
             operators, "_convect_stack", lambda *a: calls.append(a) or _convect_stack(*a)
         )
-        got = _self_convect_stack(u, ell, 3)
+        got = _self_convect_stack((u,), ell, 3)
         assert len(calls) == 1
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ell", [2.0 * math.pi, 3.3])
+    @pytest.mark.parametrize("cutoff", [4, 9, 16])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_chain_orders_match_oracles(self, rng, ell, cutoff, order):
+        # order j of the Bochner chain: div(sum_l C(j,l) u_l (x) u_(j-l)) on
+        # solenoidal u_l; sparse at M = 16 to keep the brute-force loop cheap
+        density = 0.3 if cutoff == 16 else 1.0
+        us = [leray_project(_sparse_vector_field(ell, cutoff, rng, density)) for _ in range(order + 1)]
+        fast = _self_convect_stack([u.coeffs for u in us], ell, cutoff)
+        advective = sum(
+            math.comb(order, l) * _convect_stack(us[l].coeffs, us[order - l].coeffs, ell, cutoff)
+            for l in range(order + 1)
+        )
+        slow = sum(
+            math.comb(order, l) * cli._brute_convect(us[l], us[order - l]).coeffs
+            for l in range(order + 1)
+        )
+        assert np.linalg.norm(fast - advective) <= 1e-13 * np.linalg.norm(advective)
+        assert np.linalg.norm(fast - slow) <= 1e-13 * np.linalg.norm(slow)
+
+    @pytest.mark.parametrize("field", [shear_field, taylor_green_field])
+    def test_overflow_falls_back_to_advective_sum(self, monkeypatch, ell, field):
+        # at j = 1 the fallback is (u0 . grad) u1 + (u1 . grad) u0, summed from
+        # its first term as the chain summed it
+        u0 = field(ell, 3, 1e300).coeffs
+        u1 = u0 * -0.5
+        expected = _convect_stack(u0, u1, ell, 3) + 1 * _convect_stack(u1, u0, ell, 3)
+        assert np.all(np.isfinite(expected))
+        calls = []
+        monkeypatch.setattr(
+            operators, "_convect_stack", lambda *a: calls.append(a) or _convect_stack(*a)
+        )
+        got = _self_convect_stack((u0, u1), ell, 3)
+        assert len(calls) == 2
         assert got.tobytes() == expected.tobytes()
 
 
@@ -317,9 +353,9 @@ class TestPrunedSpectrum:
     def test_kernels_bitwise_unchanged(self, monkeypatch, rng, ell, cutoff):
         u = leray_project(random_vector_field(ell, cutoff, rng)).coeffs
         w = random_vector_field(ell, cutoff, rng).coeffs
-        pruned = [_self_convect_stack(u, ell, cutoff), _convect_stack(w, u, ell, cutoff)]
+        pruned = [_self_convect_stack((u,), ell, cutoff), _convect_stack(w, u, ell, cutoff)]
         monkeypatch.setattr(operators, "_spectrum_stack", _rfftn_spectrum)
-        full = [_self_convect_stack(u, ell, cutoff), _convect_stack(w, u, ell, cutoff)]
+        full = [_self_convect_stack((u,), ell, cutoff), _convect_stack(w, u, ell, cutoff)]
         assert all(np.array_equal(a, b) for a, b in zip(pruned, full))
 
 
