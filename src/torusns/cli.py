@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -158,7 +159,6 @@ def _certificate_payload(
     extra_norms: dict | None = None,
     f_series=None,
     w=None,
-    energy_defect: bool = True,
 ) -> dict:
     grid_n = _norm_grid(args.grid, traj.cutoff)
     cert = estimates.energy_certificate(
@@ -173,7 +173,7 @@ def _certificate_payload(
         "linf_max": max(table.linf),
         "div_max": max(table.div),
     }
-    if energy_defect:
+    if w is None:
         # defect of the nonlinear evolution balance; skipped for the
         # drift-linearized problem, whose balance carries an extra work term
         defect = energy_identity_defect(traj, f, args.mu, norms=table)
@@ -346,7 +346,7 @@ def _run_linearized(args) -> None:
     op = assemble_linearized(w, basis, cfg.mu)
     _require_divfree(u0, "initial field")
     c0 = project_coefficients(u0, basis)
-    traj = solve_linearized(op, f, c0, cfg)
+    traj = solve_linearized(op, f, c0, replace(cfg, attach_error_estimate=True))
     f_const = None if f is None else project_coefficients(f, basis)
     exact = linearized_closed_form(op, f_const, c0, traj.times)
     numeric = np.stack([project_coefficients(u, basis) for u in traj.fields])
@@ -357,7 +357,6 @@ def _run_linearized(args) -> None:
         f,
         extra_norms={"matrix_exponential_agreement": agreement},
         w=w,
-        energy_defect=False,
     )
     print(f"matrix exponential agreement: {_fmt(agreement)}")
     print(f"integrator error estimate: {_fmt(traj.error_estimate)}")

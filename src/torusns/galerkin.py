@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
@@ -49,10 +49,11 @@ from .fields import (
 )
 from .operators import (
     NormTable,
+    _div_stack,
     _fast_len,
+    _l2_norm,
     _laplacian_symbol,
     _self_convect_stack,
-    div,
     grad,
     inner_l2,
     l2_norm_exact,
@@ -100,15 +101,13 @@ class SolverConfig:
     dt : time step, positive and finite (the actual step is T/N with
         N = round(T/dt), which must be a finite number).
     scheme : 'imex_euler' or 'if_rk4'.
-    attach_error_estimate : when True :func:`solve_navier_stokes` repeats
-        the integration at dt/2 and attaches the maximal L2 deviation to
-        the trajectory.
-    store_every : :func:`solve_navier_stokes` keeps every n-th step in the
-        returned trajectory.
+    attach_error_estimate : when True the solver integrates again at
+        dt_effective/2 and attaches the largest distance, in the solver's
+        own norm, between samples of the two runs at equal times.
 
-    :func:`solve_linearized` stores every step, always attaches its
-    step-halving estimate and takes mu from the operator.  The transport
-    products always use the smallest alias-free grid, and a run warns once
+    Both solvers store every step.  :func:`solve_linearized` takes mu and
+    the cutoff from the operator.  The transport products always use the
+    smallest alias-free grid, and a Navier-Stokes run warns once
     (RuntimeWarning) when the advective CFL number ||u||_inf dt (2 pi/ell)
     max|k| exceeds 0.5.
     """
@@ -119,7 +118,6 @@ class SolverConfig:
     dt: float
     scheme: str = "if_rk4"
     attach_error_estimate: bool = False
-    store_every: int = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.mu < math.inf:
@@ -138,8 +136,6 @@ class SolverConfig:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         object.__setattr__(self, "scheme", scheme)
-        if self.store_every < 1:
-            raise ValueError("store_every must be a positive integer")
 
     @property
     def nsteps(self) -> int:
@@ -302,8 +298,19 @@ def _forcing_function(
 
 def _require_divfree(u: SpectralVectorField, what: str) -> None:
     scale = l2_norm_exact(u) + 1e-30
-    if l2_norm_exact(div(u)) > 1e-10 * scale * (1.0 + u.bandwidth):
+    if _l2_norm(_div_stack(u.coeffs, u.ell), u.ell) > 1e-10 * scale * (1.0 + u.bandwidth):
         raise ValueError(f"{what} must be divergence-free")
+
+
+def _step_halving(integrate: Callable, config: SolverConfig, distance: Callable):
+    """integrate(dt_effective)'s samples and, only if ``config`` asks, the
+    step-halving estimate (Hairer, Norsett & Wanner 1993, II.4): the largest
+    ``distance`` between a sample and the dt/2 run's sample at that time."""
+    coarse = integrate(config.dt_effective)
+    if not config.attach_error_estimate:
+        return *coarse, None
+    fine = integrate(config.dt_effective / 2)[1]
+    return *coarse, float(max(distance(a, b) for a, b in zip(coarse[1], fine[::2])))
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +328,18 @@ def solve_navier_stokes(
     The returned trajectory is divergence-free at every sample and carries
     the evolution right-hand side as rhs samples.  Aborts with
     :class:`SolverAbort` on suspected blow-up (non-finite or exploding
-    coefficients).
+    coefficients).  Its step-halving distance is the L2 norm.
     """
-    traj = _integrate_ns(f, u0, config)
-    if config.attach_error_estimate:
-        fine = _integrate_ns(
-            f, u0, replace(config, dt=config.dt_effective / 2, attach_error_estimate=False)
-        )
-        stride = (len(fine) - 1) // (len(traj) - 1) if len(traj) > 1 else 1
-        est = max(l2_norm_exact(a - b) for a, b in zip(traj.fields, fine.fields[::stride]))
-        traj = FieldTrajectory(traj.times, traj.fields, traj.rhs, error_estimate=est)
-    return traj
+    cutoff = config.cutoff
+    if u0.cutoff > cutoff:
+        raise ValueError(f"initial field cutoff {u0.cutoff} exceeds solver cutoff {cutoff}")
+    _require_divfree(u0, "initial field")
+    u = embed(u0, cutoff)
+    forcing = _forcing_function(f, u.ell, config.horizon, lambda g: truncate(g, cutoff).coeffs)
+    integrate = partial(_integrate_ns, forcing, u, config)
+    times, coeffs, rhs, est = _step_halving(integrate, config, lambda a, b: _l2_norm(a - b, u.ell))
+    fields, rhs = tuple(map(u.with_coeffs, coeffs)), tuple(map(u.with_coeffs, rhs))
+    return FieldTrajectory(times, fields, rhs, error_estimate=est)
 
 
 def _march(
@@ -374,49 +382,34 @@ def _ns_stage(stacks, f: np.ndarray, ell: float, cutoff: int) -> np.ndarray:
     return _project_stack(f - _self_convect_stack(stacks, ell, cutoff), bandwidth_of(cutoff))
 
 
-def _integrate_ns(f: Forcing, u0: SpectralVectorField, config: SolverConfig) -> FieldTrajectory:
-    ell, cutoff = u0.ell, config.cutoff
-    if u0.cutoff > cutoff:
-        raise ValueError(
-            f"initial field cutoff {u0.cutoff} exceeds solver cutoff {cutoff}"
-        )
-    _require_divfree(u0, "initial field")
-    u = embed(u0, cutoff)
-    forcing = _forcing_function(f, ell, config.horizon, lambda g: truncate(g, cutoff).coeffs)
-
-    mu = config.mu
-    bw = bandwidth_of(cutoff)
+def _integrate_ns(forcing: Callable, u: SpectralVectorField, config: SolverConfig, dt: float):
+    """Times, coefficient stacks and rhs samples d_t c from u at the steps
+    T/round(T/dt); ``forcing`` is t -> the forcing stack at u's cutoff."""
+    ell, mu, bw = u.ell, config.mu, u.bandwidth
     lapmult = _laplacian_symbol(ell, bw)
-    dt = config.dt_effective
-    nsteps = config.nsteps
+    nsteps = max(1, round(config.horizon / dt))
+    dt = config.horizon / nsteps
     blowup_scale = 1e8 * (l2_norm_exact(u) + 1.0)
     cfl_grid = _fast_len(max(2 * bw + 1, 8))
     warned_cfl = False
 
     def nonlinear(c: np.ndarray, t: float) -> np.ndarray:
-        return _ns_stage((c,), forcing(t), ell, cutoff)
+        return _ns_stage((c,), forcing(t), ell, u.cutoff)
 
-    times, fields, rhs_samples = [], [], []
+    samples = []
     steps = _march(mu, -lapmult, nonlinear, u.coeffs, dt, nsteps, config.scheme)
     # N = nonlinear(c, t) is the rhs sample's transport part
     for n, (t, c, N) in enumerate(steps):
-        if math.sqrt(ell**3 * float(np.sum(np.abs(c) ** 2))) > blowup_scale:  # l2_norm_exact
+        if _l2_norm(c, ell) > blowup_scale:
             raise SolverAbort(f"blow-up suspected at t={t:.6g}")
-        if n % config.store_every == 0 or n == nsteps:
-            times.append(t)
-            fields.append(u.with_coeffs(c))
-            rhs_samples.append(u.with_coeffs((c * lapmult) * float(mu) + N))
+        samples.append((t, c, (c * lapmult) * float(mu) + N))
         if not warned_cfl and n % 25 == 0 and n < nsteps:
             umax = lp_norm(u.with_coeffs(c), math.inf, cfl_grid)
             if umax * dt * (2.0 * math.pi / ell) * bw > 0.5:
-                warnings.warn(
-                    f"advective CFL number exceeds 0.5 at t={t:.6g}; "
-                    "results may be inaccurate",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                msg = f"advective CFL number exceeds 0.5 at t={t:.6g}; results may be inaccurate"
+                warnings.warn(msg, RuntimeWarning, stacklevel=2)
                 warned_cfl = True
-    return FieldTrajectory(np.array(times), tuple(fields), tuple(rhs_samples))
+    return tuple(zip(*samples))
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +516,10 @@ def solve_linearized(
 ) -> FieldTrajectory:
     """Integrate dc/dt + A(t) c = f(t) over the eigenbasis coefficients.
 
-    ``u0`` is the initial field or its coefficients over ``op.basis``.  A
-    step-halving convergence estimate is attached to the trajectory.  For
-    autonomous operators compare against :func:`linearized_closed_form`.
+    ``u0`` is the initial field or its coefficients over ``op.basis``.  The
+    step-halving estimate is attached only when ``config`` asks for it; its
+    distance is the largest difference of one basis coefficient.
+    For autonomous operators compare against :func:`linearized_closed_form`.
     A drift sampled at several times must cover the horizon.
     """
     basis = op.basis
@@ -540,10 +534,9 @@ def solve_linearized(
         config.horizon,
         lambda g: project_coefficients(truncate(g, basis.cutoff), basis),
     )
-    times, coarse, rhs = _integrate_linear(op, gfun, c0, config, config.dt_effective)
-    fine = _integrate_linear(op, gfun, c0, config, config.dt_effective / 2)[1]
-    est = float(np.max(np.abs(coarse - fine[::2])))
-    fields = tuple(reconstruct(basis, c) for c in coarse)
+    integrate = partial(_integrate_linear, op, gfun, c0, config)
+    times, coeffs, rhs, est = _step_halving(integrate, config, lambda a, b: np.max(np.abs(a - b)))
+    fields = tuple(reconstruct(basis, c) for c in coeffs)
     rhs = tuple(reconstruct(basis, r) for r in rhs)
     return FieldTrajectory(times, fields, rhs, error_estimate=est)
 

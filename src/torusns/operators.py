@@ -82,12 +82,15 @@ def grad(p: SpectralScalarField) -> SpectralVectorField:
     return SpectralVectorField(p.ell, p.cutoff, p.coeffs * (fac * k))
 
 
+def _div_stack(coeffs: np.ndarray, ell: float) -> np.ndarray:
+    """Coefficients of div u for the coefficient array ``coeffs`` of u."""
+    k1, k2, k3, _ = wave_cubes((coeffs.shape[1] - 1) // 2)
+    return 1j * (2.0 * math.pi / ell) * (k1 * coeffs[0] + k2 * coeffs[1] + k3 * coeffs[2])
+
+
 def div(u: SpectralVectorField) -> SpectralScalarField:
     """Divergence of a vector field."""
-    k1, k2, k3, _ = wave_cubes(u.bandwidth)
-    fac = 1j * _wavenumber_factor(u)
-    c1, c2, c3 = u.coeffs
-    return SpectralScalarField(u.ell, u.cutoff, fac * (k1 * c1 + k2 * c2 + k3 * c3))
+    return SpectralScalarField(u.ell, u.cutoff, _div_stack(u.coeffs, u.ell))
 
 
 def rot(u: SpectralVectorField) -> SpectralVectorField:
@@ -128,10 +131,14 @@ def partial_derivative(u: Field, alpha: tuple[int, int, int]) -> Field:
 # ---------------------------------------------------------------------------
 
 
+def _l2_norm(coeffs: np.ndarray, ell: float) -> float:
+    """Exact L2(Q) norm of the field of period ell with array ``coeffs``."""
+    return math.sqrt(ell**3 * float(np.sum(np.abs(coeffs) ** 2)))
+
+
 def l2_norm_exact(u: Field) -> float:
     """Exact L2(Q) norm, ||u||^2 = ell^3 sum_k |c_k|^2."""
-    total = float(np.sum(np.abs(u.coeffs) ** 2))
-    return math.sqrt(u.ell**3 * total)
+    return _l2_norm(u.coeffs, u.ell)
 
 
 def inner_l2(u: Field, v: Field) -> float:
@@ -435,7 +442,7 @@ def norm_table(fields, grid_n: int | None = None, exponents=()) -> NormTable:
     for u in fields:
         power = np.abs(u.coeffs) ** 2
         row = [math.sqrt(volume * float(np.sum(w * power))) for w in weights]
-        row.append(l2_norm_exact(div(u)))
+        row.append(_l2_norm(_div_stack(u.coeffs, u.ell), u.ell))
         if rs:
             mag = _pointwise_magnitude(u, grid_n)
             row += [_lp_quadrature(mag, r, (u.ell / grid_n) ** 3) for r in rs]

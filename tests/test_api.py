@@ -5,6 +5,7 @@ perfbench/ is read as source (ast) and never imported or edited here.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -158,6 +159,16 @@ def _unreferenced_public_names():
 
 def test_public_names_have_a_caller():
     assert _unreferenced_public_names() == set()
+
+
+def test_solver_config_fields_have_a_caller():
+    """Every SolverConfig field is passed as a keyword argument somewhere in
+    src/torusns outside galerkin.py, or in perfbench/."""
+    trees = [t for m, t in _src_sources().items() if m != "galerkin"]
+    trees += _perfbench_sources().values()
+    passed = {node.arg for tree in trees for node in ast.walk(tree) if isinstance(node, ast.keyword)}
+    fields = {f.name for f in dataclasses.fields(torusns.galerkin.SolverConfig)}
+    assert fields - passed == set()
 
 
 @pytest.mark.parametrize(

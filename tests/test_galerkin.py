@@ -347,7 +347,9 @@ class TestLinearizedSolve:
         w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
         op = assemble_linearized(w, basis4, MU)
         u0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.5))
-        cfg = SolverConfig(mu=MU, horizon=0.5, cutoff=4, dt=1e-3, scheme="if_rk4")
+        cfg = SolverConfig(
+            mu=MU, horizon=0.5, cutoff=4, dt=1e-3, scheme="if_rk4", attach_error_estimate=True
+        )
         traj = solve_linearized(op, None, u0, cfg)
         c0 = project_coefficients(u0, basis4)
         exact = linearized_closed_form(op, None, c0, traj.times)
@@ -422,12 +424,36 @@ class TestLinearizedSolve:
 
         monkeypatch.setattr(galerkin.LinearizedOperator, "at", counted)
         op, forcing, c0 = self._sampled_problem(basis4)
-        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
+        cfg = SolverConfig(
+            mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme, attach_error_estimate=True
+        )
         solve_linearized(op, forcing, c0, cfg)
         n_coarse, n_fine = cfg.nsteps, 2 * cfg.nsteps
         # per run the stages of every step plus k1 at the final time; the
         # stored rhs samples reuse the k1 values
         assert len(calls) == 2 + per_step * (n_coarse + n_fine)
+
+    @pytest.mark.parametrize("attach", [False, True])
+    def test_estimate_only_when_asked(self, basis4, monkeypatch, attach):
+        runs = []
+        march = galerkin._march
+
+        def counted(*args):
+            runs.append(args[4])  # the step
+            return march(*args)
+
+        monkeypatch.setattr(galerkin, "_march", counted)
+        op, forcing, c0 = self._sampled_problem(basis4)
+        cfg = SolverConfig(
+            mu=MU, horizon=0.1, cutoff=4, dt=4e-3, attach_error_estimate=attach
+        )
+        traj = solve_linearized(op, forcing, c0, cfg)
+        if attach:
+            assert runs == [cfg.dt_effective, cfg.horizon / (2 * cfg.nsteps)]
+            assert traj.error_estimate > 0.0
+        else:
+            assert runs == [cfg.dt_effective]
+            assert traj.error_estimate is None
 
     def test_closed_form_requires_autonomous(self, basis4, rng):
         w0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.2))
@@ -651,15 +677,27 @@ class TestNavierStokes:
         with pytest.warns(RuntimeWarning, match="CFL"):
             solve_navier_stokes(None, u0, cfg)
 
-    def test_store_every(self, rng):
-        u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.2)
-        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=1e-2, store_every=5)
-        traj = solve_navier_stokes(None, u0, cfg)
-        assert np.allclose(traj.times, [0.0, 0.05, 0.1])
-        dense = solve_navier_stokes(
-            None, u0, SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=1e-2)
+    @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
+    def test_error_estimate_is_step_halving_distance(self, scheme):
+        prob = two_shell_problem()
+        from torusns.fields import truncate
+
+        u0 = truncate(prob.initial, 4)
+        plain = SolverConfig(mu=prob.mu, horizon=0.07, cutoff=4, dt=1e-2, scheme=scheme)
+        assert plain.nsteps % 2 and plain.nsteps % 3
+        coarse = solve_navier_stokes(prob.forcing, u0, plain)
+        fine = solve_navier_stokes(
+            prob.forcing, u0, dataclasses.replace(plain, dt=plain.dt_effective / 2)
         )
-        assert l2_norm_exact(traj.final - dense.final) == 0.0
+        assert coarse.error_estimate is None and len(fine) == 2 * len(coarse) - 1
+        assert np.allclose(fine.times[::2], coarse.times, rtol=0.0, atol=1e-15)
+        traj = solve_navier_stokes(
+            prob.forcing, u0, dataclasses.replace(plain, attach_error_estimate=True)
+        )
+        expected = max(l2_norm_exact(a - b) for a, b in zip(coarse.fields, fine.fields[::2]))
+        assert traj.error_estimate == expected
+        for a, b in zip(traj.fields, coarse.fields):
+            assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_error_estimate_attached(self):
         prob = two_shell_problem()
@@ -721,24 +759,28 @@ class TestArrayLoop:
     transport kernel once per stage, reusing N(u_{n+1}) as the next k1."""
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
-    @pytest.mark.parametrize("store_every", [1, 3])
+    @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("forced", [False, True])
-    def test_matches_field_operators_bitwise(self, rng, scheme, store_every, forced):
+    def test_matches_field_operators_bitwise(self, rng, scheme, runs, forced):
+        """Every step is stored; runs = 2 also integrates at dt/2 for the
+        step-halving estimate, which leaves the trajectory as it is."""
         u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.5)
         f = random_vector_field(ELL, 4, rng, amplitude=0.3) if forced else None
         cfg = SolverConfig(
-            mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme, store_every=store_every
+            mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme, attach_error_estimate=runs == 2
         )
         traj = solve_navier_stokes(f, u0, cfg)
         force = f if forced else SpectralVectorField.zero(ELL, 4)
-
-        def stored_of(steps):
-            return steps[::store_every] + ([steps[-1]] if cfg.nsteps % store_every else [])
-
-        stored = stored_of(_field_loop(force, u0, cfg))
+        stored = _field_loop(force, u0, cfg)
         # the advective reference: the same loop on (u . grad) u
-        advective = stored_of(_field_loop(force, u0, cfg, transport=self_convection))
-        assert len(traj) == len(stored)
+        advective = _field_loop(force, u0, cfg, transport=self_convection)
+        assert len(traj) == len(stored) == cfg.nsteps + 1
+        if runs == 2:
+            fine = _field_loop(force, u0, dataclasses.replace(cfg, dt=cfg.dt_effective / 2))
+            expected = max(l2_norm_exact(a - b) for a, b in zip(stored, fine[::2]))
+            assert traj.error_estimate == expected
+        else:
+            assert traj.error_estimate is None
         for u, rhs, ref, adv in zip(traj.fields, traj.rhs, stored, advective):
             assert np.array_equal(u.coeff_stack(), ref.coeff_stack())
             expected = laplacian(u) * MU + leray_project(force - _solver_transport(u))
@@ -753,10 +795,8 @@ class TestArrayLoop:
         "scheme, tolerance, per_step",
         [("if_rk4", None, 4), ("imex_euler", None, 1)],
     )
-    @pytest.mark.parametrize("store_every", [1, 3])
-    def test_kernel_calls_per_solve(
-        self, rng, monkeypatch, scheme, tolerance, per_step, store_every
-    ):
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_kernel_calls_per_solve(self, rng, monkeypatch, scheme, tolerance, per_step, runs):
         calls, advective = [], []
         kernel = galerkin._self_convect_stack
         advective_kernel = operators._convect_stack
@@ -773,13 +813,14 @@ class TestArrayLoop:
         monkeypatch.setattr(operators, "_convect_stack", counted_advective)
         u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.5)
         cfg = SolverConfig(
-            mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme,
-            store_every=store_every,
+            mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme, attach_error_estimate=runs == 2
         )
         solve_navier_stokes(None, u0, cfg)
-        # one for the t = 0 rhs sample, then per step the stages after k1
-        # and N(u_{n+1}), which is also the next step's k1
-        assert len(calls) == 1 + per_step * cfg.nsteps
+        # per run, one for the t = 0 rhs sample, then per step the stages
+        # after k1 and N(u_{n+1}), which is also the next step's k1; the
+        # dt/2 run of the estimate takes twice the steps
+        steps = cfg.nsteps * (1 if runs == 1 else 3)
+        assert len(calls) == runs + per_step * steps
         # the divergence form never falls back to the advective kernel here
         assert len(advective) == 0
 
@@ -928,7 +969,9 @@ class TestGoldenDigests:
         g = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
         forcing = FieldTrajectory(np.array([0.0, 0.1]), (g, g * 0.25))
         c0 = rng.standard_normal(basis4.dim)
-        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
+        cfg = SolverConfig(
+            mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme, attach_error_estimate=True
+        )
         traj = solve_linearized(op, forcing, c0, cfg)
         got = _digest([traj.times] + [u.coeffs for u in traj.fields], traj.error_estimate)
         assert got == self.LINEAR[scheme]
