@@ -95,20 +95,22 @@ def _fmt(x: float) -> str:
     return _FMT.format(float(x))
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(_FMT.format(obj)) if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+def _json_floats(obj):
+    """``obj`` with numpy scalars as Python floats and the non-finite floats,
+    which JSON has no number for, as their repr."""
     if isinstance(obj, (np.floating, np.integer)):
-        return _round_floats(float(obj))
+        obj = float(obj)
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, dict):
+        return {k: _json_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_floats(v) for v in obj]
     return obj
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_json_floats(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _norm_grid(grid: int | None, cutoff: int) -> int:
@@ -160,10 +162,7 @@ def _certificate_payload(
     f_series=None,
     w=None,
 ) -> dict:
-    grid_n = _norm_grid(args.grid, traj.cutoff)
-    cert = estimates.energy_certificate(
-        traj, f, traj.initial, args.mu, w=w, grid_n=grid_n, norms=table
-    )
+    cert = estimates.energy_certificate(traj, f, args.mu, w=w, norms=table)
     lps_reports = [
         estimates.lps_report(table, traj.times, s_exp, r_exp).to_dict() for s_exp, r_exp in args.lps
     ]

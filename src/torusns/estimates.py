@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .fields import SpectralVectorField, truncate, wave_cubes
+from .fields import SpectralVectorField, wave_cubes
 from .galerkin import (
     FieldTrajectory,
     Forcing,
-    _forcing_function,
     _ns_stage,
+    _require_cover,
     _require_divfree,
+    _trajectory_forcing,
     cumulative_trapezoid,
     trapezoid,
 )
@@ -28,7 +28,7 @@ from .helmholtz import dual_norm
 from .operators import (
     NormTable,
     _laplacian_symbol,
-    l2_norm_exact,
+    lp_norm,
     multi_indices,
     norm_table,
     _quadrature_grid,
@@ -134,41 +134,37 @@ class EnergyCertificate:
 def energy_certificate(
     traj: FieldTrajectory,
     f: Forcing,
-    u0: SpectralVectorField | None,
     mu: float,
     w: FieldTrajectory | SpectralVectorField | None = None,
-    grid_n: int | None = None,
     *,
     norms: NormTable | None = None,
 ) -> EnergyCertificate:
     """Evaluate both sides of the a-priori energy estimate on a trajectory.
 
-    With a drift w the factor is
+    u0 is the first sample.  With a drift w the factor is
         1 + 2 sqrt(2) exp(I/mu) + (4/mu) I exp(2 I/mu),
     I = int_0^T ||w||^2_{L-infinity} dt; with w = None it reduces to
-    1 + 2 sqrt(2).  The sup norm of w is a grid maximum on ``grid_n`` points,
-    raised to 2B+1 for a drift of axis bandwidth B that the grid cannot
-    resolve.
-    ``norms`` is the trajectory's norm table, tabulated here when omitted.
+    1 + 2 sqrt(2).  ``norms`` is the trajectory's norm table, tabulated here
+    (without a grid) when omitted.  The sup norm of w is a grid maximum on
+    the table's grid, or on the run's default quadrature grid when the table
+    has none, raised to 2B+1 for a drift of axis bandwidth B that the grid
+    cannot resolve.  A steady w is sampled once; a sampled w must cover the
+    horizon.
     """
-    if u0 is None:
-        u0 = traj.initial
     if norms is None:
         norms = norm_table(traj.fields)
     times = traj.times
-    forcing = _forcing_function(
-        f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff)
-    )
+    forcing = _trajectory_forcing(f, traj)
     sup_u = max(norms.l2)
     grad_sq = np.array([g**2 for g in norms.grad[1]])
     lhs2 = sup_u**2 + mu * trapezoid(grad_sq, times)
 
     if f is None or isinstance(f, SpectralVectorField):  # fitted once: one dual norm
-        dual = np.full(len(times), dual_norm(forcing(0.0), 1))
+        dual = np.full(len(times), dual_norm(forcing(0.0)))
     else:
-        dual = np.array([dual_norm(forcing(float(t)), 1) for t in times])
+        dual = np.array([dual_norm(forcing(float(t))) for t in times])
     rhs2 = (
-        l2_norm_exact(u0) ** 2
+        norms.l2[0] ** 2
         + (2.0 / mu) * trapezoid(dual**2, times)
         + trapezoid(dual, times) ** 2
     )
@@ -176,12 +172,15 @@ def energy_certificate(
     if w is None:
         factor = 1.0 + 2.0 * math.sqrt(2.0)
     else:
-        if isinstance(w, SpectralVectorField):
-            w = FieldTrajectory(np.array([0.0, traj.horizon]), (w, w))
-        bw = w.fields[0].bandwidth
-        n = _quadrature_grid(bw) if grid_n is None else max(grid_n, 2 * bw + 1)
-        sup_sq = np.array([x**2 for x in norm_table(w.fields, n).linf])
-        integral = trapezoid(sup_sq, w.times)
+        steady = isinstance(w, SpectralVectorField)
+        grid = norms.grid or _quadrature_grid(traj.fields[0].bandwidth)
+        n = max(grid, 2 * (w if steady else w.fields[0]).bandwidth + 1)
+        if steady:  # T a^2 is bitwise the trapezoid (T/2)(a^2 + a^2)
+            integral = traj.horizon * lp_norm(w, math.inf, n) ** 2
+        else:
+            _require_cover(w.times, traj.horizon, "drift")
+            sup_sq = np.array([lp_norm(x, math.inf, n) ** 2 for x in w.fields])
+            integral = trapezoid(sup_sq, w.times)
         try:
             factor = (
                 1.0
@@ -293,8 +292,7 @@ def _time_derivative_chain(
         raise ValueError(
             f"requested s={s} exceeds available derivative depth {len(f_series)} of the forcing"
         )
-    fit = partial(truncate, cutoff=traj.cutoff)
-    lookups = [_forcing_function(fj, traj.ell, traj.horizon, fit) for fj in f_series or ()]
+    lookups = [_trajectory_forcing(fj, traj) for fj in f_series or ()]
     chain = [[u.coeffs for u in traj.fields]]
     if s >= 1 and traj.rhs is not None:
         # stored rhs samples are exactly d_t u for solver output

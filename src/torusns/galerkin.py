@@ -296,6 +296,12 @@ def _forcing_function(
     raise TypeError(f"unsupported forcing specification: {type(f)!r}")
 
 
+def _trajectory_forcing(f: Forcing, traj: FieldTrajectory) -> Callable[[float], SpectralVectorField]:
+    """The forcing as the evaluators of ``traj`` read it: t -> f(t) truncated
+    to the run's cutoff, over the run's horizon."""
+    return _forcing_function(f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff))
+
+
 def _require_divfree(u: SpectralVectorField, what: str) -> None:
     scale = l2_norm_exact(u) + 1e-30
     if _l2_norm(_div_stack(u.coeffs, u.ell), u.ell) > 1e-10 * scale * (1.0 + u.bandwidth):
@@ -407,7 +413,8 @@ def _integrate_ns(forcing: Callable, u: SpectralVectorField, config: SolverConfi
             umax = lp_norm(u.with_coeffs(c), math.inf, cfl_grid)
             if umax * dt * (2.0 * math.pi / ell) * bw > 0.5:
                 msg = f"advective CFL number exceeds 0.5 at t={t:.6g}; results may be inaccurate"
-                warnings.warn(msg, RuntimeWarning, stacklevel=2)
+                # skips this frame, _step_halving and solve_navier_stokes
+                warnings.warn(msg, RuntimeWarning, stacklevel=4)
                 warned_cfl = True
     return tuple(zip(*samples))
 
@@ -666,9 +673,7 @@ def residual(
     du/dt comes from the stored rhs samples when present, otherwise from
     second-order finite differences.
     """
-    forcing = _forcing_function(
-        f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff)
-    )
+    forcing = _trajectory_forcing(f, traj)
     dtu = list(traj.rhs) if traj.rhs is not None else _time_derivatives(traj)
     out = np.empty(len(traj))
     for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
@@ -692,9 +697,7 @@ def energy_identity_defect(
     """
     if norms is None:
         norms = norm_table(traj.fields)
-    forcing = _forcing_function(
-        f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff)
-    )
+    forcing = _trajectory_forcing(f, traj)
     energy = np.array([0.5 * x**2 for x in norms.l2])
     enstrophy = np.array([g**2 for g in norms.grad[1]])
     work = np.array(

@@ -98,22 +98,17 @@ def recover_pressure(
     return gradient_potential(rough)
 
 
-def dual_norm(f: SpectralVectorField, s: int) -> float:
+def dual_norm(f: SpectralVectorField) -> float:
     """Negative-order norm of the divergence-free dual pairing,
 
-        ||f|| = ( ell^3 sum_k (1 + (k,k)(2 pi/ell)^2)^(-s) |c_k(Pf)|^2 )^(1/2).
+        ||f|| = ( ell^3 sum_k (1 + (k,k)(2 pi/ell)^2)^(-1) |c_k(Pf)|^2 )^(1/2),
 
-    For s = 1 this equals exactly the supremum of |(f, v)_{L2}| / ||v||_{H1}
-    over divergence-free v, with ||v||_{H1}^2 = ||v||^2 + ||grad v||^2.  For
-    s >= 2 it is an equivalent-norm realization: the standard H^s norm is
-    replaced by the spectral weight (1 + (k,k)(2 pi/ell)^2)^s, which bounds
-    it above and below with s-dependent constants.
+    exactly the supremum of |(f, v)_{L2}| / ||v||_{H1} over divergence-free
+    v, with ||v||_{H1}^2 = ||v||^2 + ||grad v||^2.
     """
-    if not (isinstance(s, (int, np.integer)) and s >= 1):
-        raise ValueError("dual norm order s must be a positive integer")
     proj = _project_stack(f.coeffs, f.bandwidth)
     ksq = wave_cubes(f.bandwidth)[3].astype(np.float64)
-    weight = (1.0 + ksq * (2.0 * math.pi / f.ell) ** 2) ** (-float(s))
+    weight = (1.0 + ksq * (2.0 * math.pi / f.ell) ** 2) ** -1.0
     total = float(np.sum(weight * np.abs(proj) ** 2))
     return math.sqrt(f.ell**3 * total)
 

@@ -406,11 +406,15 @@ class NormTable:
     """Norms of every field of a sequence, bitwise those of the one-field
     functions: ``grad[j][i]`` is ``grad_norm(fields[i], j)``, j = 0, 1, 2
     (j = 0 is the exact L2 norm), ``div[i]`` is ``l2_norm_exact(div(fields[i]))``
-    and ``lp[r][i]`` is ``lp_norm(fields[i], r, grid_n)``."""
+    and ``lp[r][i]`` is ``lp_norm(fields[i], r, grid)``.  ``grid`` is the
+    grid_n the fields were sampled on, None without one; the energy
+    certificate takes a drift's L^inf on it (on the fields' default
+    quadrature grid when None), raised to 2B+1 for a drift of bandwidth B."""
 
     grad: tuple[tuple[float, ...], ...]
     div: tuple[float, ...]
     lp: dict[float, tuple[float, ...]]
+    grid: int | None
 
     @property
     def l2(self) -> tuple[float, ...]:
@@ -448,4 +452,4 @@ def norm_table(fields, grid_n: int | None = None, exponents=()) -> NormTable:
             row += [_lp_quadrature(mag, r, (u.ell / grid_n) ** 3) for r in rs]
         rows.append(row)
     cols = tuple(zip(*rows))
-    return NormTable(cols[:3], cols[3], dict(zip(rs, cols[4:])))
+    return NormTable(cols[:3], cols[3], dict(zip(rs, cols[4:])), grid_n)

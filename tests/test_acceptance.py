@@ -207,7 +207,7 @@ def test_criterion_06_energy_identity(shear_run, manufactured):
 
 
 def test_criterion_07_energy_certificate(shear_run):
-    cert = energy_certificate(shear_run, None, None, MU)
+    cert = energy_certificate(shear_run, None, MU)
     lam = MU * (2 * math.pi / ELL) ** 2
     expected = 1.0 + (1.0 - math.exp(-2.0 * lam)) / 2.0
     ratio_err = abs(cert.ratio - expected)

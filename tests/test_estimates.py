@@ -156,12 +156,12 @@ class TestEnergyCertificate:
     def test_zero_everything(self):
         zero = vector_from_modes(ELL, 4, {})
         traj = FieldTrajectory(np.array([0.0, 0.5, 1.0]), (zero, zero, zero))
-        cert = energy_certificate(traj, None, zero, MU)
+        cert = energy_certificate(traj, None, MU)
         assert cert.lhs_squared == 0.0 and cert.rhs_squared == 0.0
         assert cert.passed and cert.ratio == 0.0
 
     def test_shear_ratio_closed_form(self, shear_run):
-        cert = energy_certificate(shear_run, None, None, MU)
+        cert = energy_certificate(shear_run, None, MU)
         lam = MU * (2 * math.pi / ELL) ** 2
         expected = 1.0 + (1.0 - math.exp(-2 * lam * T_RUN)) / 2.0
         assert cert.ratio == pytest.approx(expected, abs=1e-4)
@@ -177,7 +177,7 @@ class TestEnergyCertificate:
 
     def test_drift_factor_formula(self, shear_run):
         w = vector_from_modes(ELL, 4, {(0, 0, 0): (0.5, 0.0, 0.0)})
-        cert = energy_certificate(shear_run, None, None, MU, w=w)
+        cert = energy_certificate(shear_run, None, MU, w=w)
         integral = 0.25 * T_RUN  # ||w||_inf^2 = 0.25, constant in time
         expected = (
             1.0
@@ -189,7 +189,8 @@ class TestEnergyCertificate:
     def test_drift_sup_norm_on_resolving_grid(self, shear_run, rng):
         # bandwidth 8 needs 17 points: the 16-point grid is raised to 17
         w = random_vector_field(ELL, 64, rng, amplitude=0.002)
-        cert = energy_certificate(shear_run, None, None, MU, w=w, grid_n=16)
+        table = norm_table(shear_run.fields, 16)
+        cert = energy_certificate(shear_run, None, MU, w=w, norms=table)
         integral = T_RUN * lp_norm(w, math.inf, 17) ** 2
         expected = (
             1.0
@@ -198,10 +199,45 @@ class TestEnergyCertificate:
         )
         assert cert.factor == pytest.approx(expected, rel=1e-12)
 
+    def test_drift_without_table_takes_the_run_grid(self, shear_run):
+        # the run's quadrature grid (16) raised to 17 for bandwidth 8, as in
+        # the CLI, not the drift's own quadrature grid (18)
+        rng = np.random.default_rng(11)
+        w = leray_project(random_vector_field(ELL, 64, rng, amplitude=0.01))
+        cert = energy_certificate(shear_run, None, MU, w=w)
+        table = norm_table(shear_run.fields, operators._quadrature_grid(2))
+        assert cert == energy_certificate(shear_run, None, MU, w=w, norms=table)
+        integral = T_RUN * lp_norm(w, math.inf, 17) ** 2
+        expected = (
+            1.0
+            + 2.0 * math.sqrt(2.0) * math.exp(integral / MU)
+            + 4.0 / MU * integral * math.exp(2.0 * integral / MU)
+        )
+        assert cert.factor == pytest.approx(expected, rel=1e-12)
+
+    def test_steady_drift_is_sampled_once(self, monkeypatch, shear_run):
+        w = vector_from_modes(ELL, 4, {(0, 0, 0): (0.5, 0.0, 0.0)})
+        table = norm_table(shear_run.fields, 16)
+        calls = []
+        real = operators._sample_stack
+        monkeypatch.setattr(operators, "_sample_stack", lambda *a: calls.append(1) or real(*a))
+        energy_certificate(shear_run, None, MU, w=w, norms=table)
+        assert len(calls) == 1
+
+    def test_sampled_drift_must_cover_the_horizon(self, shear_run):
+        w = vector_from_modes(ELL, 4, {(0, 0, 0): (0.5, 0.0, 0.0)})
+        short = FieldTrajectory(np.array([0.0, 0.5 * T_RUN]), (w, w))
+        with pytest.raises(ValueError, match="drift samples do not cover"):
+            energy_certificate(shear_run, None, MU, w=short)
+        # a constant drift sampled over the run certifies what the steady one does
+        covering = FieldTrajectory(np.array([0.0, T_RUN]), (w, w))
+        steady = energy_certificate(shear_run, None, MU, w=w)
+        assert energy_certificate(shear_run, None, MU, w=covering) == steady
+
     def test_drift_factor_beyond_float_range_is_infinite(self, shear_run):
         # I/mu = 0.25 T / 1e-300: exp overflows, so no finite bound exists
         w = vector_from_modes(ELL, 4, {(0, 0, 0): (0.5, 0.0, 0.0)})
-        cert = energy_certificate(shear_run, None, None, 1e-300, w=w)
+        cert = energy_certificate(shear_run, None, 1e-300, w=w)
         assert cert.factor == math.inf
         assert cert.passed
 
@@ -213,10 +249,10 @@ class TestEnergyCertificate:
             tuple(u * 1e300 for u in shear_run.fields),
             tuple(r * 1e300 for r in shear_run.rhs),
         )
-        both = energy_certificate(huge, None, None, MU)
+        both = energy_certificate(huge, None, MU)
         assert both.lhs_squared == math.inf and both.rhs_squared == math.inf
         assert not both.passed
-        rhs_only = energy_certificate(shear_run, None, shear_run.initial * 1e300, MU)
+        rhs_only = energy_certificate(shear_run, shear_field(ELL, 4, 1e300), MU)
         assert math.isfinite(rhs_only.lhs_squared) and rhs_only.rhs_squared == math.inf
         assert not rhs_only.passed
 
@@ -224,7 +260,7 @@ class TestEnergyCertificate:
     def test_fitted_forcing_takes_one_dual_norm(self, monkeypatch, shear_run, rng, steady):
         f = random_vector_field(ELL, 4, rng) if steady else None
         fitted = f if steady else SpectralVectorField.zero(ELL, 4)
-        dual = [estimates.dual_norm(fitted, 1)] * len(shear_run)
+        dual = [estimates.dual_norm(fitted)] * len(shear_run)
         expected = (
             l2_norm_exact(shear_run.initial) ** 2
             + (2.0 / MU) * trapezoid(np.array(dual) ** 2, shear_run.times)
@@ -233,13 +269,13 @@ class TestEnergyCertificate:
         calls = []
         real = estimates.dual_norm
         monkeypatch.setattr(estimates, "dual_norm", lambda *a: calls.append(1) or real(*a))
-        assert energy_certificate(shear_run, f, None, MU).rhs_squared == expected
+        assert energy_certificate(shear_run, f, MU).rhs_squared == expected
         assert len(calls) == 1
 
     def test_rhs_blind_to_gradient_part_of_forcing(self, shear_run, rng):
         f = random_vector_field(ELL, 4, rng)
-        cert_full = energy_certificate(shear_run, f, None, MU)
-        cert_proj = energy_certificate(shear_run, leray_project(f), None, MU)
+        cert_full = energy_certificate(shear_run, f, MU)
+        cert_proj = energy_certificate(shear_run, leray_project(f), MU)
         assert cert_full.rhs_squared == pytest.approx(
             cert_proj.rhs_squared, rel=1e-12
         )
@@ -339,8 +375,8 @@ class TestNormTable:
 
     def test_energy_consumers_read_the_table(self, shear_run):
         table = norm_table(shear_run.fields, 16, (6.0,))
-        assert energy_certificate(shear_run, None, None, MU, norms=table) == (
-            energy_certificate(shear_run, None, None, MU)
+        assert energy_certificate(shear_run, None, MU, norms=table) == (
+            energy_certificate(shear_run, None, MU)
         )
         assert np.array_equal(
             energy_identity_defect(shear_run, None, MU, norms=table),
@@ -350,20 +386,17 @@ class TestNormTable:
         sup_u = max(l2_norm_exact(u) for u in shear_run.fields)
         grad_sq = np.array([grad_norm(u, 1) ** 2 for u in shear_run.fields])
         lhs2 = sup_u**2 + MU * trapezoid(grad_sq, shear_run.times)
-        assert energy_certificate(shear_run, None, None, MU, norms=table).lhs_squared == lhs2
+        assert energy_certificate(shear_run, None, MU, norms=table).lhs_squared == lhs2
 
 
 def _symmetrized_chain(traj, s, mu, f_series):
     """The derivative chain as it was built from symmetrized products, as
     coefficient stacks."""
-    from functools import partial
-
-    from torusns.galerkin import _forcing_function
+    from torusns.galerkin import _trajectory_forcing
 
     lookups = None
     if f_series is not None:
-        fit = partial(truncate, cutoff=traj.cutoff)
-        lookups = [_forcing_function(fj, traj.ell, traj.horizon, fit) for fj in f_series]
+        lookups = [_trajectory_forcing(fj, traj) for fj in f_series]
     chain = [list(traj.fields)]
     if s >= 1 and traj.rhs is not None and (f_series is None or len(f_series) >= 1):
         chain.append(list(traj.rhs))

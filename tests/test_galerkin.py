@@ -674,8 +674,10 @@ class TestNavierStokes:
     def test_cfl_advisory(self, rng):
         u0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=3.0))
         cfg = SolverConfig(mu=5.0, horizon=0.02, cutoff=4, dt=0.02, scheme="imex_euler")
-        with pytest.warns(RuntimeWarning, match="CFL"):
+        with pytest.warns(RuntimeWarning, match="CFL") as record:
             solve_navier_stokes(None, u0, cfg)
+        # the warning cites the caller of solve_navier_stokes
+        assert record[0].filename == __file__
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
     def test_error_estimate_is_step_halving_distance(self, scheme):

@@ -130,34 +130,30 @@ class TestPressureRecovery:
 class TestDualNorm:
     def test_constant_field(self, ell):
         f = vector_from_modes(ell, 4, {(0, 0, 0): (1.5, 0.0, 0.0)})
-        assert dual_norm(f, 1) == pytest.approx(1.5 * ell**1.5, rel=1e-14)
+        assert dual_norm(f) == pytest.approx(1.5 * ell**1.5, rel=1e-14)
 
     def test_gradient_field_vanishes(self, ell, rng):
         g = grad(random_scalar_field(ell, 6, rng, zero_mean=True))
-        assert dual_norm(g, 1) <= 1e-13 * hs_norm(g, 0)
+        assert dual_norm(g) <= 1e-13 * hs_norm(g, 0)
 
     def test_unit_mode_weight(self):
         ell = 2 * math.pi
         amp = 1.0 / math.sqrt(2.0 * ell**3)
         f = vector_from_modes(ell, 4, {(0, 1, 0): (amp, 0.0, 0.0)})
         assert l2_norm_exact(f) == pytest.approx(1.0, rel=1e-13)
-        assert dual_norm(f, 1) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
-
-    def test_order_validated(self, ell, rng):
-        with pytest.raises(ValueError, match="positive integer"):
-            dual_norm(random_vector_field(ell, 4, rng), 0)
+        assert dual_norm(f) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
 
     def test_projection_invisible(self, ell, rng):
         f = random_vector_field(ell, 6, rng)
-        assert dual_norm(leray_project(f), 1) == pytest.approx(
-            dual_norm(f, 1), abs=1e-12 * dual_norm(f, 1) + 1e-300
+        assert dual_norm(leray_project(f)) == pytest.approx(
+            dual_norm(f), abs=1e-12 * dual_norm(f) + 1e-300
         )
 
     def test_supremizer(self, ell, rng):
         from torusns.fields import wave_cubes
 
         f = random_vector_field(ell, 6, rng)
-        value = dual_norm(f, 1)
+        value = dual_norm(f)
         # no random divergence-free direction exceeds the norm
         for _ in range(1000):
             v = leray_project(random_vector_field(ell, 6, rng))
