@@ -676,12 +676,20 @@ def _check_args(args) -> None:
         raise ConfigError("indices k and s must be nonnegative")
     if "scheme" in args:
         try:
-            args.solver = SolverConfig(
+            args.solver = cfg = SolverConfig(
                 mu=args.mu, horizon=args.T, cutoff=args.M, dt=args.dt, scheme=args.scheme
             )
+            if (getattr(args, "dt_study", None) or 0) >= 2:  # sized at its finest point
+                cfg = replace(cfg, dt=math.ldexp(cfg.dt, 1 - args.dt_study))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        _norm_grid(args.grid, args.solver.cutoff)
+        _norm_grid(args.grid, cfg.cutoff)
+        # the stored samples and their rhs stay within the field-file ceiling
+        if 2 * (cfg.nsteps + 1) * 3 * (2 * bandwidth_of(cfg.cutoff) + 1) ** 3 > _MAX_COEFFS:
+            raise ConfigError(
+                f"{cfg.nsteps + 1:.6g} samples at cutoff {cfg.cutoff}, with their rhs, "
+                f"store more than {_MAX_COEFFS} trajectory coefficients"
+            )
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     amplitude = getattr(args, "amplitude", 1.0)

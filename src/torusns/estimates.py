@@ -142,7 +142,7 @@ def energy_certificate(
     """Evaluate both sides of the a-priori energy estimate on a trajectory.
 
     u0 is the first sample.  With a drift w the factor is
-        1 + 2 sqrt(2) exp(I/mu) + (4/mu) I exp(2 I/mu),
+        1 + 2 sqrt(2) exp(I/mu) + 4 (I/mu) exp(2 I/mu),
     I = int_0^T ||w||^2_{L-infinity} dt; with w = None it reduces to
     1 + 2 sqrt(2).  ``norms`` is the trajectory's norm table, tabulated here
     (without a grid) when omitted.  The sup norm of w is a grid maximum on
@@ -165,7 +165,7 @@ def energy_certificate(
         dual = np.array([dual_norm(forcing(float(t))) for t in times])
     rhs2 = (
         norms.l2[0] ** 2
-        + (2.0 / mu) * trapezoid(dual**2, times)
+        + 2.0 * trapezoid(dual**2, times) / mu
         + trapezoid(dual, times) ** 2
     )
 
@@ -185,7 +185,7 @@ def energy_certificate(
             factor = (
                 1.0
                 + 2.0 * math.sqrt(2.0) * math.exp(integral / mu)
-                + (4.0 / mu) * integral * math.exp(2.0 * integral / mu)
+                + 4.0 * integral / mu * math.exp(2.0 * integral / mu)
             )
         except OverflowError:  # I/mu beyond the float range: no finite bound
             factor = math.inf

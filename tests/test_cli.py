@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusns.cli import _apply_config_file, build_parser, main
+from torusns.cli import ConfigError, _apply_config_file, _check_args, build_parser, main
 from torusns.fields import load_field, random_vector_field, save_field
 from torusns.galerkin import FieldTrajectory, load_trajectory, save_trajectory
 from torusns.helmholtz import leray_project
@@ -282,6 +282,41 @@ class TestExitCodes:
         assert "configuration error" in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay", "--T", "1e300", "--dt", "1"],
+            ["manufactured", "--dt-study", "40", "--T", "0.01", "--dt", "1e-3"],
+            ["manufactured", "--dt-study", "5000", "--T", "0.01", "--dt", "1e-3"],
+            ["manufactured", "--dt-study", "9" * 400, "--T", "0.01", "--dt", "1e-3"],
+            ["taylor_green", "--M", "36", "--T", "1.272", "--dt", "1e-3"],
+        ],
+        ids=[
+            "decay_1e300_steps", "dt_study_40", "dt_study_underflow", "dt_study_huge",
+            "m36_1272_steps",
+        ],
+    )
+    def test_run_too_long_to_store_is_config_error(self, tmp_path, argv):
+        # the check alone, so that a check letting such a run through starts nothing
+        args = build_parser().parse_args(argv + ["--out-dir", str(tmp_path / "out")])
+        with pytest.raises(ConfigError, match="trajectory coefficients|time step dt"):
+            _check_args(args)
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_m36_run_passes_the_size_check(self, tmp_path):
+        argv = ["taylor_green", "--M", "36", "--T", "1.271", "--dt", "1e-3"]
+        args = build_parser().parse_args(argv + ["--out-dir", str(tmp_path / "out")])
+        _check_args(args)
+        assert args.solver.nsteps == 1271
+
+    def test_subnormal_viscosity_gives_finite_certificate(self, tmp_path):
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["decay", "--mu", "1e-320", "--T", "0.01", "--out-dir", str(out)])
+        assert code == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert all(math.isfinite(cert[key]) for key in ("lhs2", "rhs2", "ratio"))
 
     @pytest.mark.parametrize("pair", ["nan,4", "4,nan", "nan,nan"])
     def test_nan_lps_exponent_is_config_error(self, decay_dir, tmp_path, pair):

@@ -146,14 +146,39 @@ class TestMatrixExponential:
     def test_zero_matrix(self):
         assert np.array_equal(matrix_exponential(np.zeros((4, 4))), np.eye(4))
 
-    def test_against_scipy(self):
+    def test_against_scipy(self, basis4):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(7)
-        for scale in (0.1, 1.0, 10.0):
-            a = rng.standard_normal((25, 25)) * scale
+        inputs = [rng.standard_normal((25, 25)) * scale for scale in (0.1, 1.0, 10.0)]
+        for norm in 10.0 ** np.arange(-3, 4):  # ||a||_1 from 1e-3 to 1e3
+            a = rng.standard_normal((25, 25))
+            inputs.append(a * (norm / np.linalg.norm(a, 1)))
+        # strongly non-normal: a Jordan-like block with a large superdiagonal
+        inputs.append(-np.eye(20) + np.diag(np.full(19, 3.0), 1))
+        # the closed form's augmented [[-A, g], [0, 0]] at M = 4
+        w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
+        a = assemble_linearized(w, basis4, MU).matrices[0]
+        aug = np.zeros((len(a) + 1, len(a) + 1))
+        aug[:-1, :-1], aug[:-1, -1] = -a, rng.standard_normal(len(a))
+        inputs += [aug * 0.005, aug * 2.0]
+        for a in inputs:
             ours = matrix_exponential(a)
             ref = scipy_linalg.expm(a)
             assert np.max(np.abs(ours - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_paterson_stockmeyer_products(self):
+        # the highest Taylor degree that k = 1, ..., 9 matrix products reach
+        reach = [2, 4, 6, 9, 12, 16, 20, 25, 30]
+        for m in range(2, 31):
+            total, squarings, _, _ = galerkin._taylor_plan(1.0, m)
+            assert total - squarings == next(k for k, top in enumerate(reach, 1) if m <= top)
+        # the linearized benchmark's ||h B||_1: no squaring, degree 8, 4 products
+        assert min(galerkin._taylor_plan(0.059, m) for m in range(1, 31)) == (4, 0, 8, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_exponential(np.array([[0.0, bad], [0.0, 0.0]]))
 
     def test_diagonal_closed_form(self):
         a = np.diag([0.5, -1.0, 2.0])
@@ -463,7 +488,7 @@ class TestLinearizedSolve:
             linearized_closed_form(op, None, np.zeros(op.matrices.shape[1]), [0.1])
 
 
-def _closed_form_per_time(op, f_const, c0, times):
+def _closed_form_per_time(op, f_const, c0, times, expm=matrix_exponential):
     """The closed form with one augmented exponential per output time."""
     a = op.matrices[0]
     dim = a.shape[0]
@@ -473,7 +498,7 @@ def _closed_form_per_time(op, f_const, c0, times):
     aug[:dim, dim] = g
     out = np.empty((len(times), dim))
     for i, t in enumerate(times):
-        phi = matrix_exponential(aug * t)
+        phi = expm(aug * t)
         out[i] = phi[:dim, :dim] @ c0 + phi[:dim, dim]
     return out
 
@@ -521,24 +546,39 @@ def drift_problem(basis4):
     return op, c0, g
 
 
+_FORCED = pytest.mark.parametrize("forced", [False, True])
+_CLOSED_FORM_TIMES = pytest.mark.parametrize(
+    "times",
+    [
+        np.arange(6) * 0.05,
+        _solver_times(0.02, 5e-3),
+        _solver_times(0.3, 1e-3),
+        np.array([0.0, 0.01, 0.04, 0.05, 0.2, 0.21, 0.5]),
+        np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.35]),
+        np.array([0.0, 0.1, 0.2, 0.3 + 1e-10, 0.4 + 1e-10]),
+    ],
+    ids=["uniform", "solver", "solver_long", "nonuniform", "repeated", "near_uniform"],
+)
+
+
 class TestClosedForm:
-    @pytest.mark.parametrize("forced", [False, True])
-    @pytest.mark.parametrize(
-        "times",
-        [
-            np.arange(6) * 0.05,
-            _solver_times(0.02, 5e-3),
-            _solver_times(0.3, 1e-3),
-            np.array([0.0, 0.01, 0.04, 0.05, 0.2, 0.21, 0.5]),
-            np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.35]),
-            np.array([0.0, 0.1, 0.2, 0.3 + 1e-10, 0.4 + 1e-10]),
-        ],
-        ids=["uniform", "solver", "solver_long", "nonuniform", "repeated", "near_uniform"],
-    )
+    @_FORCED
+    @_CLOSED_FORM_TIMES
     def test_matches_per_time_exponentials(self, drift_problem, forced, times):
         op, c0, g = drift_problem
         f_const = g if forced else None
         ref = _closed_form_per_time(op, f_const, c0, times)
+        got = linearized_closed_form(op, f_const, c0, times)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @_FORCED
+    @_CLOSED_FORM_TIMES
+    def test_matches_scipy_per_time_exponentials(self, drift_problem, forced, times):
+        # an exponential independent of matrix_exponential
+        expm = pytest.importorskip("scipy.linalg").expm
+        op, c0, g = drift_problem
+        f_const = g if forced else None
+        ref = _closed_form_per_time(op, f_const, c0, times, expm)
         got = linearized_closed_form(op, f_const, c0, times)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
