@@ -81,6 +81,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
+# terms (j, alpha, i) the Bochner-scale evaluator may sum over all --bochner
+# pairs of one run; each is a product over samples and modes, which the
+# stored trajectory's ceiling _MAX_COEFFS bounds
+_MAX_BOCHNER_TERMS = 2**14
 
 
 class ConfigError(Exception):
@@ -674,6 +678,13 @@ def _check_args(args) -> None:
             raise ConfigError(f"LPS pair ({s_exp}, {r_exp}) is not admissible (2/s + 3/r != 1)")
     if any(k < 0 or s < 0 for k, s in args.bochner):
         raise ConfigError("indices k and s must be nonnegative")
+    # (k, s) has (k+1) sum_{m<=s} C(2m+3, 3) terms: i <= k, |alpha| <= 2m, m = s - j
+    terms = sum((k + 1) * (s + 1) * (s + 2) * (2 * s * s + 6 * s + 3) // 6
+                for k, s in args.bochner)
+    if terms > _MAX_BOCHNER_TERMS:
+        raise ConfigError(
+            f"the --bochner norms sum {terms} terms (j, alpha, i), more than {_MAX_BOCHNER_TERMS}"
+        )
     if "scheme" in args:
         try:
             args.solver = cfg = SolverConfig(

@@ -303,11 +303,12 @@ def _time_derivative_chain(
         _require_divfree(u, "a trajectory sample whose time derivatives are generated")
     lapmult = _laplacian_symbol(traj.ell, traj.fields[0].bandwidth)
     zero = np.zeros_like(chain[0][0])
+    ws = {}  # the kernel's grids, reused by every stage of this chain
 
     def next_order(stacks, j: int, t: float) -> np.ndarray:
         """d_t^(j+1) u at time t from the stacks (d_t^l u)_(l <= j) there."""
         fj = lookups[j](t).coeffs if lookups else zero
-        return (stacks[j] * lapmult) * float(mu) + _ns_stage(stacks, fj, traj.ell, traj.cutoff)
+        return (stacks[j] * lapmult) * float(mu) + _ns_stage(stacks, fj, traj.ell, traj.cutoff, ws)
 
     if len(chain) == 2:  # the stored rhs must be this equation's d_t u
         rhs0 = chain[1][0]

@@ -381,11 +381,12 @@ def _march(
             raise SolverAbort(f"blow-up suspected at t={(n + 1) * dt:.6g}")
 
 
-def _ns_stage(stacks, f: np.ndarray, ell: float, cutoff: int) -> np.ndarray:
+def _ns_stage(stacks, f: np.ndarray, ell: float, cutoff: int, ws: dict) -> np.ndarray:
     """P(f - div(sum_l C(j,l) u_l (x) u_(j-l))) for the stacks (u_0, ..., u_j)
-    of solenoidal fields and the forcing stack f.  The solver's stage is that
-    of (c,); its stored rhs sample d_t c is (c * lapmult) * mu plus this."""
-    return _project_stack(f - _self_convect_stack(stacks, ell, cutoff), bandwidth_of(cutoff))
+    of solenoidal fields and the forcing stack f, on the kernel's workspace
+    ``ws``.  The solver's stage is that of (c,); its stored rhs sample d_t c
+    is (c * lapmult) * mu plus this."""
+    return _project_stack(f - _self_convect_stack(stacks, ell, cutoff, ws), bandwidth_of(cutoff))
 
 
 def _integrate_ns(forcing: Callable, u: SpectralVectorField, config: SolverConfig, dt: float):
@@ -398,9 +399,10 @@ def _integrate_ns(forcing: Callable, u: SpectralVectorField, config: SolverConfi
     blowup_scale = 1e8 * (l2_norm_exact(u) + 1.0)
     cfl_grid = _fast_len(max(2 * bw + 1, 8))
     warned_cfl = False
+    ws = {}  # the kernel's grids, reused by every stage of this integration
 
     def nonlinear(c: np.ndarray, t: float) -> np.ndarray:
-        return _ns_stage((c,), forcing(t), ell, u.cutoff)
+        return _ns_stage((c,), forcing(t), ell, u.cutoff, ws)
 
     samples = []
     steps = _march(mu, -lapmult, nonlinear, u.coeffs, dt, nsteps, config.scheme)

@@ -25,7 +25,13 @@ modes |k_i| <= K, the pruned form of the 3/2 rule (Canuto, Hussaini,
 Quarteroni & Zang, Spectral Methods, 2006): the last axis is transformed and
 cut to k3 <= K, the middle axis is transformed and cut to |k2| <= K, and the
 first axis is transformed on those lines only.
-The kept coefficients are bitwise those of the full ``rfftn``.
+The kept coefficients are bitwise those of the full ``rfftn``.  The inverse
+is pruned in ``irfftn``'s axis order and is bitwise equal to it: the first
+axis on the (2B+1)(B+1) lines that carry modes, the middle one on n(B+1)
+lines, then a real transform of the last.  The kernels write their grids
+with ``out=`` into a workspace dict that one integration or one Bochner
+chain passes to every stage (other callers get a fresh one); no workspace
+array reaches a caller of the kernels, ``sample_values`` or ``norm_table``.
 
 L2 norms and inner products are exact Parseval sums.  L^p norms for p != 2
 are rectangle-rule quadrature on a user-chosen grid of at least 2B+1 points,
@@ -189,27 +195,48 @@ def _axis_slices(bw: int, n: int) -> tuple[tuple[slice, slice], ...]:
     )
 
 
-def _sample_stack(stack: np.ndarray, n: int) -> np.ndarray:
+def _buffer(ws: dict, name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """The workspace array ``name`` of ``shape``, made anew when the one held
+    has another shape; the shape carries every size (C, n, B, K) it is cut to."""
+    buf = ws.get(name)
+    if buf is None or buf.shape != shape:
+        buf = ws[name] = np.empty(shape, dtype)
+    return buf
+
+
+def _sample_stack(stack: np.ndarray, n: int, ws: dict | None = None) -> np.ndarray:
     """Exact point samples of the fields in ``stack`` on the n^3 grid.
 
-    Only the k3 >= 0 half of each cube is placed and a real inverse
-    transform (``irfftn``) fills in the conjugate half.  The grid must
-    resolve the bandwidth B of the stack, n >= 2B+1; a coarser grid is
-    rejected.
+    Only the k3 >= 0 half of each cube is placed.  The inverse is pruned in
+    ``irfftn``'s axis order, so the samples are bitwise those of ``irfftn``:
+    axis 1 on the (2B+1)(B+1) lines that carry modes, axis 2 on n(B+1)
+    lines, then a real transform of axis 3 from its B+1 columns.  Every pass
+    writes into the workspace ``ws`` (a fresh one when None), the samples
+    included.  The grid must resolve the bandwidth B of the stack,
+    n >= 2B+1; a coarser grid is rejected.
     """
     bw = (stack.shape[1] - 1) // 2
     if n < 2 * bw + 1:
         raise ValueError(
             f"a grid of {n} points cannot sample bandwidth {bw}; need n >= {2 * bw + 1}"
         )
-    buf = np.zeros((stack.shape[0], n, n, n // 2 + 1), dtype=np.complex128)
+    ws = {} if ws is None else ws
+    c = stack.shape[0]
+    lines = _buffer(ws, "lines", (c, n, 2 * bw + 1, bw + 1))
+    lines[:, bw + 1 : n - bw] = 0.0
     for dst1, src1 in _axis_slices(bw, n):
-        for dst2, src2 in _axis_slices(bw, n):
-            buf[:, dst1, dst2, : bw + 1] = stack[:, src1, src2, bw:]
-    return np.fft.irfftn(buf, s=(n, n, n), axes=(1, 2, 3), norm="forward")
+        lines[:, dst1] = stack[:, src1, :, bw:]
+    np.fft.ifft(lines, axis=1, norm="forward", out=lines)
+    grid = _buffer(ws, "grid", (c, n, n, bw + 1))
+    grid[:, :, bw + 1 : n - bw] = 0.0
+    for dst2, src2 in _axis_slices(bw, n):
+        grid[:, :, dst2] = lines[:, :, src2]
+    np.fft.ifft(grid, axis=2, norm="forward", out=grid)
+    samples = _buffer(ws, "samples", (c, n, n, n), np.float64)
+    return np.fft.irfft(grid, n, axis=3, norm="forward", out=samples)
 
 
-def _spectrum_stack(values: np.ndarray, keep: int) -> np.ndarray:
+def _spectrum_stack(values: np.ndarray, keep: int, ws: dict | None = None) -> np.ndarray:
     """Centered coefficients |k_i| <= keep of the real samples ``values``.
 
     ``values`` has shape (C, n, n, n) with n >= 2 keep + 1.  The forward
@@ -217,17 +244,21 @@ def _spectrum_stack(values: np.ndarray, keep: int) -> np.ndarray:
     transform of axis 3 kept at k3 <= keep, a transform of axis 2 kept at
     |k2| <= keep, and a transform of axis 1 of those lines only, so each kept
     coefficient is bitwise that of ``rfftn``.  The k3 < 0 half is the
-    conjugate reflection, c_{-k} = conj(c_k).
+    conjugate reflection, c_{-k} = conj(c_k).  Every pass writes in place into
+    the workspace ``ws`` (a fresh one when None), the returned array included.
     """
-    n = values.shape[-1]
-    half = np.fft.rfft(values, axis=3, norm="forward")[..., : keep + 1]
-    rows = np.fft.fft(half, axis=2, norm="forward")
-    kept = np.concatenate((rows[:, :, n - keep :], rows[:, :, : keep + 1]), axis=2)
-    lines = np.fft.fft(kept, axis=1, norm="forward")
+    ws = {} if ws is None else ws
+    c, n = values.shape[0], values.shape[-1]
+    half = _buffer(ws, "half", (c, n, n, n // 2 + 1))
+    rows = np.fft.rfft(values, axis=3, norm="forward", out=half)[..., : keep + 1]
+    np.fft.fft(rows, axis=2, norm="forward", out=rows)
     side = 2 * keep + 1
-    out = np.empty((values.shape[0], side, side, side), dtype=np.complex128)
+    kept = _buffer(ws, "kept", (c, n, side, keep + 1))
+    np.concatenate((rows[:, :, n - keep :], rows[:, :, : keep + 1]), axis=2, out=kept)
+    np.fft.fft(kept, axis=1, norm="forward", out=kept)
+    out = _buffer(ws, "spectrum", (c, side, side, side))
     for src1, dst1 in _axis_slices(keep, n):
-        out[:, dst1, :, keep:] = lines[:, src1]
+        out[:, dst1, :, keep:] = kept[:, src1]
     out[..., :keep] = np.conj(out[:, ::-1, ::-1, 2 * keep : keep : -1])
     return out
 
@@ -277,19 +308,24 @@ def _to_shell(spectrum: np.ndarray, out_bw: int, out_cutoff: int) -> np.ndarray:
     return coeffs
 
 
-def _convect_stack(w: np.ndarray, u: np.ndarray, ell: float, out_cutoff: int) -> np.ndarray:
+def _convect_stack(
+    w: np.ndarray, u: np.ndarray, ell: float, out_cutoff: int, ws: dict | None = None
+) -> np.ndarray:
     """Array kernel of :func:`convect` on (3, 2B+1, 2B+1, 2B+1) coefficient
-    stacks; returns the symmetrized, shell-masked stack at ``out_cutoff``."""
+    stacks; returns the symmetrized, shell-masked stack at ``out_cutoff``,
+    a fresh array, with its grids in the workspace ``ws``."""
+    ws = {} if ws is None else ws
     bw, out_bw, keep, n = _dealias_grid(u, out_cutoff)
     k1, k2, k3, _ = wave_cubes(bw)
     grad_mult = 1j * (2.0 * math.pi / ell) * np.stack((k1, k2, k3))
     # w and the nine derivatives of u, built in place: no copy of du
-    src = np.empty((12, *k1.shape), dtype=np.complex128)
+    src = _buffer(ws, "stacks", (12, *k1.shape))
     src[:3] = w
     np.multiply(u[:, None], grad_mult[None], out=src[3:].reshape(3, 3, *k1.shape))
-    vals = _sample_stack(src, n)
-    prod = np.einsum("jxyz,ijxyz->ixyz", vals[:3], vals[3:].reshape(3, 3, n, n, n))
-    return _to_shell(_spectrum_stack(prod, keep), out_bw, out_cutoff)
+    vals = _sample_stack(src, n, ws)
+    prod = _buffer(ws, "products", (3, n, n, n), np.float64)
+    np.einsum("jxyz,ijxyz->ixyz", vals[:3], vals[3:].reshape(3, 3, n, n, n), out=prod)
+    return _to_shell(_spectrum_stack(prod, keep, ws), out_bw, out_cutoff)
 
 
 # a symmetric tensor is held as its six entries i <= j; row i of it is _ROWS[i]
@@ -297,15 +333,20 @@ _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 
-def _self_convect_stack(stacks, ell: float, out_cutoff: int) -> np.ndarray:
+def _self_convect_stack(stacks, ell: float, out_cutoff: int, ws: dict | None = None) -> np.ndarray:
     """div(sum_l C(j,l) u_l (x) u_(j-l)) for the stacks (u_0, ..., u_j), a
     symmetric tensor, with 3(j+1) inverse and 6 forward real FFTs.  For
     solenoidal u_l it is sum_l C(j,l) (u_l . grad) u_(j-l), the advective sum
-    of :func:`_convect_stack`, to which it falls back where it overflows."""
+    of :func:`_convect_stack`, to which it falls back where it overflows.
+    The result is a fresh array; the grids are in the workspace ``ws``."""
+    ws = {} if ws is None else ws
     j = len(stacks) - 1
     _, out_bw, keep, n = _dealias_grid(stacks[0], out_cutoff)
-    vals = _sample_stack(np.concatenate(stacks), n).reshape(j + 1, 3, n, n, n)
-    prod = np.empty((6, n, n, n))
+    stack = stacks[0] if j == 0 else np.concatenate(
+        stacks, out=_buffer(ws, "stacks", (3 * (j + 1), *stacks[0].shape[1:]))
+    )
+    vals = _sample_stack(stack, n, ws).reshape(j + 1, 3, n, n, n)
+    prod = _buffer(ws, "products", (6, n, n, n), np.float64)
     k1, k2, k3, _ = wave_cubes(keep)
     fac = 1j * (2.0 * math.pi / ell)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
@@ -313,13 +354,13 @@ def _self_convect_stack(stacks, ell: float, out_cutoff: int) -> np.ndarray:
             np.multiply(vals[0, a], vals[j, b], out=prod[p])
             for l in range(1, j + 1):
                 prod[p] += math.comb(j, l) * (vals[l, a] * vals[j - l, b])
-        spec = _spectrum_stack(prod, keep)
+        spec = _spectrum_stack(prod, keep, ws)
         div_uu = np.stack([fac * (k1 * spec[a] + k2 * spec[b] + k3 * spec[c]) for a, b, c in _ROWS])
         coeffs = _to_shell(div_uu, out_bw, out_cutoff)
     if not np.all(np.isfinite(coeffs)):  # summed from its first term, keeping -0.0
-        coeffs = _convect_stack(stacks[0], stacks[j], ell, out_cutoff)
+        coeffs = _convect_stack(stacks[0], stacks[j], ell, out_cutoff, ws)
         for l in range(1, j + 1):
-            term = _convect_stack(stacks[l], stacks[j - l], ell, out_cutoff)
+            term = _convect_stack(stacks[l], stacks[j - l], ell, out_cutoff, ws)
             coeffs = coeffs + math.comb(j, l) * term
     return coeffs
 

@@ -18,6 +18,7 @@ from torusns.fields import load_field, random_vector_field, save_field
 from torusns.galerkin import FieldTrajectory, load_trajectory, save_trajectory
 from torusns.helmholtz import leray_project
 from torusns.eigenbasis import build_basis, save_basis
+from torusns.operators import multi_indices
 
 ELL = 2.0 * math.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -41,6 +42,14 @@ def run_cli(*args, cwd, env_extra=None):
         text=True,
         cwd=cwd,
         env=env,
+    )
+
+
+def _bochner_terms(k, s):
+    """Terms (j, alpha, i) that ``bochner_scale_norm(traj, k, s, mu)`` sums, counted
+    along its loops: j <= s, |alpha| <= 2(s - j), i <= k."""
+    return (k + 1) * sum(
+        len(multi_indices(order)) for j in range(s + 1) for order in range(2 * (s - j) + 1)
     )
 
 
@@ -350,12 +359,23 @@ class TestExitCodes:
             (["decay", "--lps", "4,nan"], "space exponent must lie in (1, infinity]"),
             (["decay", "--lps", "4,0.5"], "space exponent must lie in (1, infinity]"),
             (["decay", "--bochner", "0,-1"], "indices k and s must be nonnegative"),
+            (["decay", "--bochner", "1,60"], f"sum {_bochner_terms(1, 60)} terms"),
+            (["decay", "--bochner", "0,14"], f"sum {_bochner_terms(0, 14)} terms"),
+            (["taylor_green", "--bochner", "2,10"], f"sum {_bochner_terms(2, 10)} terms"),
+            (
+                ["manufactured", "--bochner", "1,11", "--bochner", "0,5"],
+                f"sum {_bochner_terms(1, 11) + _bochner_terms(0, 5)} terms",
+            ),
+            (["certify", "--bochner", "1,12"], f"sum {_bochner_terms(1, 12)} terms"),
+            (["decay", "--bochner", "0,99999999999999999999"], "more than 16384"),
         ],
         ids=[
             "jobs", "grid", "huge_ell", "tiny_ell", "inf_mu", "certify_zero_mu", "certify_nan_mu",
             "decay_nan_amplitude", "taylor_green_inf_amplitude", "linearized_inf_amplitude",
             "decay_inadmissible_lps", "decay_lps_s_below_1", "decay_lps_nan_s", "decay_lps_r_1",
             "decay_lps_nan_r", "decay_lps_r_below_1", "decay_negative_bochner",
+            "decay_bochner_1_60", "decay_bochner_0_14", "taylor_green_bochner_2_10",
+            "manufactured_bochner_pairs_add", "certify_bochner_1_12", "decay_huge_bochner",
         ],
     )
     def test_flag_value_out_of_range_is_config_error(

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -867,6 +868,38 @@ class TestArrayLoop:
         assert len(advective) == 0
 
 
+class TestStageWorkspace:
+    """The stage's grids live in a per-run workspace: reusing it changes no
+    bit, and a warm stage allocates little beyond its result."""
+
+    def test_no_history(self, rng):
+        us = {c: leray_project(random_vector_field(ELL, c, rng)).coeffs for c in (25, 16)}
+        f = leray_project(random_vector_field(ELL, 16, rng, amplitude=0.3)).coeffs
+        fresh = galerkin._ns_stage((us[16],), f, ELL, 16, {})
+        ws = {}
+        galerkin._ns_stage((us[25],), np.zeros_like(us[25]), ELL, 25, ws)
+        assert np.array_equal(galerkin._ns_stage((us[16],), f, ELL, 16, ws), fresh)
+        # a chain call on (u, d_t u) samples 6 components
+        galerkin._ns_stage((us[16], 0.5 * us[16]), f, ELL, 16, ws)
+        assert np.array_equal(galerkin._ns_stage((us[16],), f, ELL, 16, ws), fresh)
+
+    def test_warm_stage_allocation(self, rng):
+        u = smooth_random_divfree(ELL, 36, rng, amplitude=0.5).coeffs
+        f = np.zeros_like(u)
+        ws = {}
+        galerkin._ns_stage((u,), f, ELL, 36, ws)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            galerkin._ns_stage((u,), f, ELL, 36, ws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # about 2 MB when every stage allocated its grids; the result is 0.1 MB
+        assert peak < 0.7e6
+
+
 class TestEnergyIdentity:
     def test_shear_defect_small(self, shear_run):
         defect = energy_identity_defect(shear_run, None, MU)
@@ -995,7 +1028,9 @@ class TestGoldenDigests:
         # on the advective kernel nothing else in the loop moved
         with monkeypatch.context() as m:
             m.setattr(
-                galerkin, "_self_convect_stack", lambda s, ell, cut: _convect_stack(s[0], s[0], ell, cut)
+                galerkin,
+                "_self_convect_stack",
+                lambda s, ell, cut, ws: _convect_stack(s[0], s[0], ell, cut),
             )
             advective = solve_navier_stokes(f, u0, cfg)
         assert digest(advective) == self.NS[scheme]

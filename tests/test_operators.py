@@ -17,6 +17,8 @@ import torusns.operators as operators
 from torusns import cli
 from torusns.operators import (
     _convect_stack,
+    _quadrature_grid,
+    _sample_stack,
     _self_convect_stack,
     _spectrum_stack,
     convect,
@@ -324,8 +326,9 @@ class TestDivergenceForm:
         assert got.tobytes() == expected.tobytes()
 
 
-def _rfftn_spectrum(values, keep):
-    """The unpruned spectrum: ``rfftn`` of every sample, then the kept modes."""
+def _rfftn_spectrum(values, keep, ws=None):
+    """The unpruned spectrum: ``rfftn`` of every sample, then the kept modes;
+    the kernel's workspace ``ws`` is not used."""
     n = values.shape[-1]
     spectrum = np.fft.rfftn(values, axes=(1, 2, 3), norm="forward")
     side = 2 * keep + 1
@@ -357,6 +360,39 @@ class TestPrunedSpectrum:
         monkeypatch.setattr(operators, "_spectrum_stack", _rfftn_spectrum)
         full = [_self_convect_stack((u,), ell, cutoff), _convect_stack(w, u, ell, cutoff)]
         assert all(np.array_equal(a, b) for a, b in zip(pruned, full))
+
+
+def _irfftn_samples(stack, n):
+    """The unpruned inverse: the k3 >= 0 half of each cube in an n x n x (n//2+1)
+    array, then ``irfftn``."""
+    bw = (stack.shape[1] - 1) // 2
+    buf = np.zeros((stack.shape[0], n, n, n // 2 + 1), dtype=np.complex128)
+    for dst1, src1 in operators._axis_slices(bw, n):
+        for dst2, src2 in operators._axis_slices(bw, n):
+            buf[:, dst1, dst2, : bw + 1] = stack[:, src1, src2, bw:]
+    return np.fft.irfftn(buf, s=(n, n, n), axes=(1, 2, 3), norm="forward")
+
+
+class TestPrunedInverse:
+    """The inverse transform pruned to the lines that carry modes against ``irfftn``."""
+
+    @pytest.mark.parametrize("cutoff", [3, 5, 9, 16, 25, 36, 49])
+    def test_bitwise_equal_to_irfftn(self, rng, cutoff):
+        fields = [random_scalar_field(3.3, cutoff, rng), random_vector_field(3.3, cutoff, rng)]
+        bw = bandwidth_of(cutoff)
+        kernel_n = operators._dealias_grid(fields[1].coeffs, cutoff)[3]
+        # 2B+1 and 2B+3 are odd; the kernel's and the quadrature's grids
+        for n in sorted({2 * bw + 1, 2 * bw + 2, 2 * bw + 3, kernel_n, _quadrature_grid(bw)}):
+            for f in fields:
+                stack = f.coeffs.reshape(f.ncomponents, *f.coeffs.shape[-3:])
+                assert np.array_equal(_sample_stack(stack, n), _irfftn_samples(stack, n))
+
+    def test_workspace_keeps_no_history(self, rng):
+        # one n = 16 grid samples bandwidth 5 (cutoff 25), then bandwidth 4 (cutoff 16)
+        ws = {}
+        for cutoff in (25, 16, 25):
+            u = random_vector_field(3.3, cutoff, rng).coeffs
+            assert np.array_equal(_sample_stack(u, 16, ws), _irfftn_samples(u, 16))
 
 
 def _sparse_vector_field(ell, cutoff, rng, density=0.1):
