@@ -26,12 +26,8 @@ Quarteroni & Zang, Spectral Methods, 2006): the last axis is transformed and
 cut to k3 <= K, the middle axis is transformed and cut to |k2| <= K, and the
 first axis is transformed on those lines only.
 The kept coefficients are bitwise those of the full ``rfftn``.  The inverse
-is pruned in ``irfftn``'s axis order and is bitwise equal to it: the first
-axis on the (2B+1)(B+1) lines that carry modes, the middle one on n(B+1)
-lines, then a real transform of the last.  The kernels write their grids
-with ``out=`` into a workspace dict that one integration or one Bochner
-chain passes to every stage (other callers get a fresh one); no workspace
-array reaches a caller of the kernels, ``sample_values`` or ``norm_table``.
+is pruned too, bitwise equal to ``irfftn``, and writes into a per-run
+workspace whose arrays never escape (see :func:`_sample_stack`).
 
 L2 norms and inner products are exact Parseval sums.  L^p norms for p != 2
 are rectangle-rule quadrature on a user-chosen grid of at least 2B+1 points,
@@ -211,9 +207,11 @@ def _sample_stack(stack: np.ndarray, n: int, ws: dict | None = None) -> np.ndarr
     ``irfftn``'s axis order, so the samples are bitwise those of ``irfftn``:
     axis 1 on the (2B+1)(B+1) lines that carry modes, axis 2 on n(B+1)
     lines, then a real transform of axis 3 from its B+1 columns.  Every pass
-    writes into the workspace ``ws`` (a fresh one when None), the samples
-    included.  The grid must resolve the bandwidth B of the stack,
-    n >= 2B+1; a coarser grid is rejected.
+    writes into the workspace ``ws``, which one integration or one Bochner
+    chain reuses at every stage (a fresh one when None), the samples
+    included; no workspace array reaches a caller of the kernels,
+    ``sample_values`` or ``norm_table``.  The grid must resolve the
+    bandwidth B of the stack, n >= 2B+1; a coarser grid is rejected.
     """
     bw = (stack.shape[1] - 1) // 2
     if n < 2 * bw + 1:
