@@ -445,6 +445,11 @@ class LinearizedOperator:
         return _interpolate(self.times, self.matrices, t)
 
 
+# byte budget of one (rows, dim) complex temporary of the assembly, so
+# that its temporaries do not grow with dim^2
+_ASSEMBLY_BLOCK_BYTES = 256 * 1024
+
+
 def assemble_linearized(
     w: FieldTrajectory | SpectralVectorField,
     basis: DivFreeBasis,
@@ -459,6 +464,12 @@ def assemble_linearized(
     -((div v_b) w, v_a) = 0 is checked to 1e-11, which rejects a basis field
     that is not solenoidal; a drift that is not solenoidal is rejected by its
     divergence.
+
+    The matrices are built a block of rows at a time, the rows sized so that
+    a (rows, dim) complex temporary fits a fixed byte budget.  The drift is
+    gathered once per distinct k_b, which the polarizations of a pair share,
+    and spread over the columns by one gather; every entry takes the same
+    arithmetic whatever the blocks, so the bits do not depend on them.
     """
     if isinstance(w, SpectralVectorField):
         w = FieldTrajectory(np.zeros(1), (w,))
@@ -475,43 +486,56 @@ def assemble_linearized(
     side = 2 * bandwidth_of(w_cutoff) + 1
     # flat position in the centered cube is linear in k (mixed radix)
     lin = kvec @ np.array([side * side, side, 1])
-    at_diff = side**3 // 2 + lin[:, None] - lin[None, :]
-    at_sum = side**3 // 2 + lin[:, None] + lin[None, :]
-    # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a; and c_b . k_b
-    gram, gram_bar, ka_cb = conj @ coef.T, conj @ conj.T, kvec @ coef.T
+    # the polarizations of a pair share k_b: the drift is gathered at the
+    # distinct k_b (ulin, ukvec) and spread over the columns by ucol
+    ulin, first, ucol = np.unique(lin, return_index=True, return_inverse=True)
+    ukvec = kvec[first]
+    # [b] entries: c_b . k_b
     kb_cb = np.einsum("bj,bj->b", kvec, coef)
     # the four sign pairs of (r, q) come in conjugate pairs, so an entry is
     # 2 Re of the terms at (k_a, k_b) and (k_a, -k_b), each i kappa ell^3 X:
     # entry = -2 kappa ell^3 Im X
     fac = -4.0 * math.pi * basis.ell**2
+    # a one-row block would take BLAS's matrix-vector kernel, which rounds
+    # the grams differently: blocks have two rows or more, the last one
+    # taking a single leftover row
+    rows = max(2, _ASSEMBLY_BLOCK_BYTES // (16 * basis.dim))
+    bounds = [*range(0, basis.dim - 1, rows), basis.dim]
     matrices = np.empty((len(times), basis.dim, basis.dim))
     for it, wt in enumerate(samples):
         wflat = truncate(wt, w_cutoff).coeffs.reshape(3, -1)
-        # the drift modes w_p at p = k_a - k_b and k_a + k_b, contracted one
-        # component at a time with k_b and with conj c_a; each (dim, dim)
-        # array is dropped once used, which bounds the peak memory
-        wd_kb, ws_kb, wd_ca, ws_ca = (np.zeros_like(gram) for _ in range(4))
-        for j in range(3):
-            for at, to_kb, to_ca in ((at_diff, wd_kb, wd_ca), (at_sum, ws_kb, ws_ca)):
-                w_p = wflat[j, at]
-                to_kb += w_p * kvec[:, j]
-                to_ca += w_p * conj[:, j, None]
-        del w_p
-        # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a)
-        t1 = fac * np.imag(wd_kb * gram - ws_kb * gram_bar)
-        del wd_kb, ws_kb
-        # (v_b . grad w, v_a): (c_q . p)(w_p . conj c_a)
-        t2 = fac * np.imag((ka_cb - kb_cb) * wd_ca + np.conj(ka_cb + kb_cb) * ws_ca)
-        # (w, v_b . grad v_a): -(c_q . r)(w_p . conj c_a)
-        s2 = -fac * np.imag(ka_cb * wd_ca + np.conj(ka_cb) * ws_ca)
-        scale = max(1.0, float(np.max(np.abs(t1)) + np.max(np.abs(t2))))
-        defect = float(np.max(np.abs(t2 + s2)))
+        # block maxima folded by np.maximum, which keeps a nan as np.max does
+        t1_max = t2_max = defect = 0.0
+        for r in map(slice, bounds, bounds[1:]):
+            at_diff = side**3 // 2 + lin[r, None] - ulin
+            at_sum = side**3 // 2 + lin[r, None] + ulin
+            # the drift modes w_p at p = k_a - k_b and k_a + k_b, contracted
+            # one component at a time with k_b and with conj c_a
+            wd_kb, ws_kb, wd_ca, ws_ca = (np.zeros(at_diff.shape, complex) for _ in range(4))
+            for j in range(3):
+                for at, to_kb, to_ca in ((at_diff, wd_kb, wd_ca), (at_sum, ws_kb, ws_ca)):
+                    w_p = wflat[j, at]
+                    to_kb += w_p * ukvec[:, j]
+                    to_ca += w_p * conj[r, j, None]
+            wd_kb, ws_kb, wd_ca, ws_ca = (x[:, ucol] for x in (wd_kb, ws_kb, wd_ca, ws_ca))
+            # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a
+            gram, gram_bar, ka_cb = conj[r] @ coef.T, conj[r] @ conj.T, kvec[r] @ coef.T
+            # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a)
+            t1 = fac * np.imag(wd_kb * gram - ws_kb * gram_bar)
+            # (v_b . grad w, v_a): (c_q . p)(w_p . conj c_a)
+            t2 = fac * np.imag((ka_cb - kb_cb) * wd_ca + np.conj(ka_cb + kb_cb) * ws_ca)
+            # (w, v_b . grad v_a): -(c_q . r)(w_p . conj c_a)
+            s2 = -fac * np.imag(ka_cb * wd_ca + np.conj(ka_cb) * ws_ca)
+            t1_max = np.maximum(t1_max, np.max(np.abs(t1)))
+            t2_max = np.maximum(t2_max, np.max(np.abs(t2)))
+            defect = np.maximum(defect, np.max(np.abs(t2 + s2)))
+            matrices[it, r] = t1 + t2
+        scale = max(1.0, float(t1_max + t2_max))
         if defect > 1e-11 * scale:
             raise ValueError(
                 f"coupling-form identity violated (defect {defect:.3e}); "
                 "a basis field is not solenoidal"
             )
-        matrices[it] = t1 + t2
     diffusion = mu * basis.m * (2.0 * math.pi / basis.ell) ** 2
     matrices += np.diag(diffusion)[None, :, :]
     return LinearizedOperator(basis, times, matrices, diffusion)

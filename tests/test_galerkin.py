@@ -233,18 +233,30 @@ class TestAssembly:
         [
             # the coupling-form identity holds only for solenoidal basis fields
             ("curl_free", "coupling-form identity.*basis field is not solenoidal"),
+            ("curl_free_last", "coupling-form identity.*basis field is not solenoidal"),
             ("two_pairs", r"single \+-k pair"),
         ],
     )
-    def test_malformed_basis_field_rejected(self, basis4, rng, tmp_path, swap, message):
+    def test_malformed_basis_field_rejected(
+        self, basis4, rng, tmp_path, monkeypatch, swap, message
+    ):
         w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
         # entry 5 is row 8, after the three constants
-        if swap == "curl_free":
+        if swap.startswith("curl_free"):
             # its mode is swapped for the first curl-free one: amplitude parallel to k
+            row = 8 if swap == "curl_free" else basis4.dim - 1
             kvec, coef = basis4.kvec.copy(), basis4.coef.copy()
-            kvec[8], coef[8] = basis4.gradient.kvec[0], basis4.gradient.coef[0]
+            kvec[row], coef[row] = basis4.gradient.kvec[0], basis4.gradient.coef[0]
             bad = lambda: dataclasses.replace(basis4, kvec=kvec, coef=coef)
-        else:
+        if swap == "curl_free_last":
+            # 3-row blocks, the last one rows 63-66.  The drift's one pair
+            # p = +-(2, 0, -1) couples the curl-free column k_b = (0, 0, 1)
+            # only to the rows at k_a = k_b + p = (2, 0, 0), rows 63-65, so
+            # only the last block sees the defect
+            assert basis4.dim == 67 and (basis4.kvec[63:] == (2, 0, 0)).all()
+            monkeypatch.setattr(galerkin, "_ASSEMBLY_BLOCK_BYTES", 3 * 16 * basis4.dim)
+            w = vector_from_modes(ELL, 5, {(2, 0, -1): (0, 1, 0)})
+        if swap == "two_pairs":
             # a basis dump whose block of entry 5 holds two +-k pairs
             fields = list(basis4.fields())
             block = io.StringIO()
@@ -256,6 +268,41 @@ class TestAssembly:
             bad = lambda: load_basis(tmp_path / "mixed.txt")
         with pytest.raises(ValueError, match=message):
             assemble_linearized(w, bad(), MU)
+
+    @pytest.mark.parametrize("cutoff", [4, 9])
+    def test_row_blocks_bitwise(self, basis4, rng, monkeypatch, cutoff):
+        basis = basis4 if cutoff == 4 else build_basis(ELL, 9)
+        w = leray_project(random_vector_field(ELL, cutoff, rng, amplitude=0.3))
+        # permuted rows give the permuted matrix, bit for bit
+        perm = rng.permutation(basis.dim)
+        permuted = dataclasses.replace(
+            basis, **{f: getattr(basis, f)[perm] for f in ("kvec", "coef", "m", "j")}
+        )
+        got = assemble_linearized(w, permuted, MU).matrices
+        # the smallest blocks (two rows: one row would take BLAS's matrix-vector
+        # kernel), 7-row blocks (7 divides neither 67 nor 247) and one block
+        mats = []
+        for budget in (1, 7 * 16 * basis.dim, 16 * basis.dim**2):
+            monkeypatch.setattr(galerkin, "_ASSEMBLY_BLOCK_BYTES", budget)
+            mats.append(assemble_linearized(w, basis, MU).matrices)
+        for m in mats[1:]:
+            assert np.array_equal(m, mats[0])
+        assert np.array_equal(got, mats[0][:, perm][:, :, perm])
+
+    def test_assembly_peak_memory(self, rng):
+        basis = build_basis(ELL, 16)
+        w = smooth_random_divfree(ELL, 16, rng, amplitude=0.3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            op = assemble_linearized(w, basis, MU)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # 44.8 MB when every (dim, dim) intermediate was formed whole; the
+        # matrices themselves are 2.1 MB at dim 515
+        assert peak <= 4 * op.matrices.nbytes
 
     @pytest.mark.parametrize("drift", ["cutoff4", "cutoff9", "wide", "trajectory", "zero"])
     def test_matches_grid_assembly(self, rng, drift):
