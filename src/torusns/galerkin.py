@@ -6,7 +6,9 @@ Two problems are integrated:
     dc/dt + A(t) c = f(t) over the divergence-free eigenbasis, where
     A(t) = diag(mu m (2 pi/ell)^2) + W(t) couples the modes through the
     drift w; for autonomous A the matrix-exponential solution is available
-    as an independent cross-check;
+    as an independent cross-check, :func:`linearized_closed_form`, which
+    applies the exponential to the state by a Taylor action on short runs
+    and forms it once on long ones;
 
   * the nonlinear equation in evolution form,
     du/dt = mu Lap u + P(f - (u . grad) u),
@@ -590,14 +592,45 @@ def _integrate_linear(
     return times, coeffs, stages - diff * coeffs
 
 
+def _remainder_too_large(eta: float, m: int) -> bool:
+    """Whether the degree-m Taylor remainder bound on eta exceeds 2^-53."""
+    return eta ** (m + 1) > math.factorial(m + 1) * 2.0**-53 * (1.0 - eta / (m + 2))
+
+
+# (products, s) of Paterson-Stockmeyer at degree m = 1 .. 30: the block size
+# s of fewest products, s - 1 for X^2 .. X^s and ceil(m/s) - 1 for Horner
+_PATERSON_STOCKMEYER = [None] + [
+    min((s - 1 + m // s - (m % s == 0), s) for s in range(1, m + 1)) for m in range(1, 31)
+]
+
+
 def _taylor_plan(norm: float, m: int) -> tuple[int, int, int, int]:
     """(products, q, m, s): the degree-m plan of :func:`matrix_exponential`."""
     bound = math.factorial(m + 1) * 2.0**-53
     q = max(0, math.ceil(math.log2(norm) - math.log2(bound) / (m + 1)))
-    while (eta := math.ldexp(norm, -q)) ** (m + 1) > bound * (1.0 - eta / (m + 2)):
+    while _remainder_too_large(math.ldexp(norm, -q), m):
         q += 1
-    products, s = min((s - 1 + m // s - (m % s == 0), s) for s in range(1, m + 1))
+    products, s = _PATERSON_STOCKMEYER[m]
     return q + products, q, m, s
+
+
+def _action_plan(norm: float) -> tuple[int, int]:
+    """(m, s): the Taylor action's degree and substeps for ||h B||_1 = norm.
+
+    Of the pairs with m <= 30 whose remainder bound on eta = norm / s is at
+    most 2^-53, the one with the fewest matrix-vector products m s.
+    """
+    best = (math.inf, 0, 0)
+    for m in range(1, 31):
+        if m >= best[0]:  # s >= 1: no higher degree takes fewer products
+            break
+        # without its factor 1 - eta/(m+2) < 1 the bound allows a larger
+        # eta, so this s is at most the fewest substeps that meet it
+        s = max(1, math.ceil(norm / (math.factorial(m + 1) * 2.0**-53) ** (1.0 / (m + 1))))
+        while _remainder_too_large(norm / s, m):
+            s += 1
+        best = min(best, (m * s, m, s))
+    return best[1], best[2]
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
@@ -635,6 +668,13 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     return result
 
 
+# One matrix product of order n costs about n / 7 matrix-vector products at
+# n = 516 and n / 12 at n = 1852 (one BLAS thread); the closed form takes the
+# Taylor action while its matrix-vector products cost at most this share of
+# n times the products of one exponential.
+_PRODUCT_COST = 1 / 8
+
+
 def linearized_closed_form(
     op: LinearizedOperator,
     f_const: np.ndarray | None,
@@ -646,16 +686,39 @@ def linearized_closed_form(
     c(t) = exp(-t A) c0 + int_0^t exp(-(t - s) A) g ds for constant g is the
     top of z(t) = exp(t B) [c0; 1] with the augmented matrix
     B = [[-A, g], [0, 0]].  By the semigroup property the times are walked in
-    order from t = 0: each spacing h = t_i - t_(i-1) advances z by
-    Phi(h) = exp(h B), one matrix-vector product.  Phi is recomputed only
-    when h differs from the spacing it was computed for by more than a few
-    ulp of t_i, so the uniform times of the solver, jittered by roundoff,
-    cost one exponential; a repeated time costs nothing.  The times must be
-    finite and nondecreasing from 0.
+    order from t = 0, each positive spacing h = t_i - t_(i-1) advancing z by
+    exp(h B); a repeated time costs nothing.  The times must be finite,
+    nondecreasing from 0 and one-dimensional.
+
+    One plan (m, s) is made per call, at the largest spacing, where
+    eta = ||B||_1 h / s is largest: of the pairs with m <= 30 whose Taylor
+    remainder bound eta^(m+1)/(m+1)! / (1 - eta/(m+2)) is at most 2^-53, the
+    one with the fewest matrix-vector products m s.  ||B||_1 is the larger of
+    the largest column sum of |A| and sum |g|, taken without forming B.
+    Over n positive spacings of a (dim + 1)-order B, with P the matrix
+    products of :func:`matrix_exponential` at the largest spacing:
+
+      * if n m s <= P (dim + 1) _PRODUCT_COST, with _PRODUCT_COST = 1/8, the
+        Taylor action: s substeps of tau = h / s, each Horner's rule
+        y <- c + (tau / k)(g - A y) for k = m, ..., 1 on the state c (the
+        last entry of z stays 1);
+
+      * otherwise the dense walk: Phi(h) = exp(h B) from
+        :func:`matrix_exponential` and one matrix-vector product per
+        spacing.  Phi is recomputed only when h differs from the spacing it
+        was computed for by more than a few ulp of t_i, so the uniform times
+        of the solver, jittered by roundoff, cost one exponential.
+
+    As m s > P at every norm, a run of more than (dim + 1) _PRODUCT_COST
+    positive spacings takes the dense walk without a plan.  The choice
+    depends on these counts only, so the result is deterministic.  A
+    non-finite A or g raises ValueError on either path.
     """
     if len(op.times) != 1:
         raise ValueError("closed form requires an autonomous (single-sample) operator")
     times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1:
+        raise ValueError(f"closed-form times must be one-dimensional, got shape {times.shape}")
     if not np.all(np.isfinite(times)):
         raise ValueError("closed-form times must be finite")
     steps = np.diff(times, prepend=0.0)
@@ -663,12 +726,40 @@ def linearized_closed_form(
         raise ValueError("closed-form times must be nondecreasing from t = 0")
     a = op.matrices[0]
     dim = a.shape[0]
-    out = np.empty((len(times), dim))
     g = np.zeros(dim) if f_const is None else np.asarray(f_const, dtype=np.float64)
+    c0 = np.asarray(c0, dtype=np.float64)
+    for name, x in (("f_const", g), ("c0", c0)):
+        if x.shape != (dim,):
+            raise ValueError(f"closed-form {name} must have shape ({dim},), got {x.shape}")
+    out = np.empty((len(times), dim))
+    n = np.count_nonzero(steps)
+    # P < m s at every norm: degree m by Horner after ceil(log2 s) squarings
+    # is one of matrix_exponential's plans.  So longer runs take the dense
+    # walk without a plan, and its exponential rejects a non-finite A or g.
+    if n <= (dim + 1) * _PRODUCT_COST:
+        norm_a, norm_g = float(np.linalg.norm(a, 1)), float(np.abs(g).sum())
+        if not math.isfinite(norm_a + norm_g):
+            raise ValueError("closed form of a non-finite operator or forcing")
+        norm = max(norm_a, norm_g) * float(steps.max(initial=0.0))  # ||h B||_1, largest h
+        if norm == 0.0:  # no time passes, or exp(h B) is the identity
+            out[:] = c0
+            return out
+        m, s = _action_plan(norm)
+        products = min(_taylor_plan(norm, k) for k in range(1, 31))[0]
+        if n * m * s <= products * (dim + 1) * _PRODUCT_COST:
+            c = c0
+            for i, h in enumerate(steps):
+                for _ in range(s if h > 0 else 0):
+                    y = c
+                    for k in range(m, 0, -1):
+                        y = c + (h / s / k) * (g - a @ y)
+                    c = y
+                out[i] = c
+            return out
     aug = np.zeros((dim + 1, dim + 1))
     aug[:dim, :dim] = -a
     aug[:dim, dim] = g
-    z = np.append(np.asarray(c0, dtype=np.float64), 1.0)
+    z = np.append(c0, 1.0)
     phi, phi_step = None, math.nan
     for i, (t, h) in enumerate(zip(times, steps)):
         if h > 0:

@@ -176,6 +176,18 @@ class TestMatrixExponential:
         # the linearized benchmark's ||h B||_1: no squaring, degree 8, 4 products
         assert min(galerkin._taylor_plan(0.059, m) for m in range(1, 31)) == (4, 0, 8, 2)
 
+    def test_action_plan(self):
+        # the linearized benchmark's ||h B||_1: degree 8, one substep, 8 matvecs
+        assert galerkin._action_plan(0.059) == (8, 1)
+        for norm in np.logspace(-6, 3, 46):
+            m, s = galerkin._action_plan(norm)
+            assert not galerkin._remainder_too_large(norm / s, m)
+            # the closed form sends long runs to the dense walk on this inequality
+            assert min(galerkin._taylor_plan(norm, k) for k in range(1, 31))[0] < m * s
+            for k in range(1, 31):
+                fewer = math.ceil(m * s / k) - 1  # the most substeps with fewer products
+                assert fewer < 1 or galerkin._remainder_too_large(norm / fewer, k)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_matrix_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
@@ -594,6 +606,25 @@ def drift_problem(basis4):
     return op, c0, g
 
 
+@pytest.fixture(scope="module")
+def benchmark_problem():
+    """The linearized benchmark's regime: M = 16, a full-support drift, no forcing."""
+    basis = build_basis(ELL, 16)
+    rng = np.random.default_rng(11)
+    op = assemble_linearized(smooth_random_divfree(ELL, 16, rng, amplitude=0.3), basis, MU)
+    c0 = project_coefficients(smooth_random_divfree(ELL, 16, rng, amplitude=1.0), basis)
+    return op, c0, _solver_times(0.02, 5e-3)
+
+
+def _on_both_paths(monkeypatch, *args):
+    """linearized_closed_form(*args) with the dense walk and the Taylor action forced."""
+    out = {}
+    for path, cost in (("dense", 0.0), ("action", math.inf)):
+        monkeypatch.setattr(galerkin, "_PRODUCT_COST", cost)
+        out[path] = linearized_closed_form(*args)
+    return out
+
+
 _FORCED = pytest.mark.parametrize("forced", [False, True])
 _CLOSED_FORM_TIMES = pytest.mark.parametrize(
     "times",
@@ -612,23 +643,65 @@ _CLOSED_FORM_TIMES = pytest.mark.parametrize(
 class TestClosedForm:
     @_FORCED
     @_CLOSED_FORM_TIMES
-    def test_matches_per_time_exponentials(self, drift_problem, forced, times):
+    def test_matches_per_time_exponentials(self, drift_problem, monkeypatch, forced, times):
         op, c0, g = drift_problem
         f_const = g if forced else None
         ref = _closed_form_per_time(op, f_const, c0, times)
-        got = linearized_closed_form(op, f_const, c0, times)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for path, got in _on_both_paths(monkeypatch, op, f_const, c0, times).items():
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), path
 
     @_FORCED
     @_CLOSED_FORM_TIMES
-    def test_matches_scipy_per_time_exponentials(self, drift_problem, forced, times):
+    def test_matches_scipy_per_time_exponentials(self, drift_problem, monkeypatch, forced, times):
         # an exponential independent of matrix_exponential
         expm = pytest.importorskip("scipy.linalg").expm
         op, c0, g = drift_problem
         f_const = g if forced else None
         ref = _closed_form_per_time(op, f_const, c0, times, expm)
-        got = linearized_closed_form(op, f_const, c0, times)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for path, got in _on_both_paths(monkeypatch, op, f_const, c0, times).items():
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), path
+
+    def test_benchmark_regime_matches_scipy(self, benchmark_problem, monkeypatch):
+        expm = pytest.importorskip("scipy.linalg").expm
+        op, c0, times = benchmark_problem
+        ref = _closed_form_per_time(op, None, c0, times, expm)
+        for path, got in _on_both_paths(monkeypatch, op, None, c0, times).items():
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), path
+
+    def test_benchmark_regime_takes_no_exponential(self, benchmark_problem, monkeypatch):
+        def refused(a):
+            raise AssertionError("matrix_exponential called")
+
+        monkeypatch.setattr(galerkin, "matrix_exponential", refused)
+        op, c0, times = benchmark_problem
+        linearized_closed_form(op, None, c0, times)
+
+    def test_zero_operator_returns_initial_coefficients(self, drift_problem, monkeypatch):
+        op, c0, _ = drift_problem
+        zero = dataclasses.replace(op, matrices=np.zeros_like(op.matrices))
+        times = _solver_times(0.02, 5e-3)
+        for path, got in _on_both_paths(monkeypatch, zero, np.zeros(len(c0)), c0, times).items():
+            assert np.array_equal(got, np.tile(c0, (len(times), 1))), path
+
+    def test_nonfinite_operator_or_forcing_rejected(self, drift_problem, monkeypatch):
+        op, c0, g = drift_problem
+        bad_g = g.copy()
+        bad_g[3] = math.nan
+        bad_op = dataclasses.replace(op, matrices=op.matrices.copy())
+        bad_op.matrices[0, 2, 5] = math.inf
+        for cost in (0.0, math.inf):
+            monkeypatch.setattr(galerkin, "_PRODUCT_COST", cost)
+            for args in ((op, bad_g), (bad_op, g)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    linearized_closed_form(*args, c0, [0.0, 0.01])
+
+    def test_bad_shapes_rejected(self, drift_problem):
+        op, c0, g = drift_problem
+        shape = rf"must have shape \({len(c0)},\)"
+        with pytest.raises(ValueError, match="f_const " + shape):
+            linearized_closed_form(op, g[:1], c0, [0.0, 0.01])
+        with pytest.raises(ValueError, match="c0 " + shape):
+            linearized_closed_form(op, g, c0[:-1], [0.0, 0.01])
 
     def test_zero_time_returns_initial_coefficients(self, drift_problem):
         op, c0, g = drift_problem
@@ -658,8 +731,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize(
         "times",
-        [[0.0, 0.2, 0.1], [-0.1, 0.0], [0.0, math.nan], [0.0, math.inf]],
-        ids=["decreasing", "negative", "nan", "inf"],
+        [[0.0, 0.2, 0.1], [-0.1, 0.0], [0.0, math.nan], [0.0, math.inf], [[0.0, 0.1]]],
+        ids=["decreasing", "negative", "nan", "inf", "2d"],
     )
     def test_bad_times_rejected(self, drift_problem, times):
         op, c0, g = drift_problem
