@@ -597,11 +597,29 @@ def _remainder_too_large(eta: float, m: int) -> bool:
     return eta ** (m + 1) > math.factorial(m + 1) * 2.0**-53 * (1.0 - eta / (m + 2))
 
 
-# (products, s) of Paterson-Stockmeyer at degree m = 1 .. 30: the block size
+def _largest_eta(m: int) -> float:
+    """The largest eta whose degree-m remainder bound is at most 2^-53."""
+    bound = math.factorial(m + 1) * 2.0**-53
+    eta = bound ** (1.0 / (m + 1))
+    # the fixed point of eta^(m+1) = bound (1 - eta/(m+2)), a fast
+    # contraction, then the last ulps on the test itself
+    for _ in range(6):
+        eta = (bound * (1.0 - eta / (m + 2))) ** (1.0 / (m + 1))
+    while _remainder_too_large(eta, m):
+        eta = math.nextafter(eta, 0.0)
+    while not _remainder_too_large(math.nextafter(eta, math.inf), m):
+        eta = math.nextafter(eta, math.inf)
+    return eta
+
+
+# Per Taylor degree m = 1 .. 30: theta_m, the largest eta meeting the
+# remainder bound, and (products, s) of Paterson-Stockmeyer, the block size
 # s of fewest products, s - 1 for X^2 .. X^s and ceil(m/s) - 1 for Horner
-_PATERSON_STOCKMEYER = [None] + [
-    min((s - 1 + m // s - (m % s == 0), s) for s in range(1, m + 1)) for m in range(1, 31)
+_TAYLOR_DEGREES = [None] + [
+    (_largest_eta(m), *min((s - 1 + m // s - (m % s == 0), s) for s in range(1, m + 1)))
+    for m in range(1, 31)
 ]
+_THETA_MAX = max(theta for theta, _, _ in _TAYLOR_DEGREES[1:])
 
 
 def _taylor_plan(norm: float, m: int) -> tuple[int, int, int, int]:
@@ -610,27 +628,33 @@ def _taylor_plan(norm: float, m: int) -> tuple[int, int, int, int]:
     q = max(0, math.ceil(math.log2(norm) - math.log2(bound) / (m + 1)))
     while _remainder_too_large(math.ldexp(norm, -q), m):
         q += 1
-    products, s = _PATERSON_STOCKMEYER[m]
+    _, products, s = _TAYLOR_DEGREES[m]
     return q + products, q, m, s
 
 
-def _action_plan(norm: float) -> tuple[int, int]:
+def _exponential_plan(norm: float) -> tuple[int, int, int, int]:
+    """(products, q, m, s) of :func:`matrix_exponential` for ||a||_1 = norm > 0."""
+    return min(_taylor_plan(norm, m) for m in range(1, 31))
+
+
+def _action_plan(norm: float, budget: float) -> tuple[int, int] | None:
     """(m, s): the Taylor action's degree and substeps for ||h B||_1 = norm.
 
     Of the pairs with m <= 30 whose remainder bound on eta = norm / s is at
-    most 2^-53, the one with the fewest matrix-vector products m s.
+    most 2^-53, the one with the fewest matrix-vector products m s; None
+    when those are more than budget.  s is ceil(norm / theta_m), or one
+    more where that quotient rounded down, so no norm needs a search.
     """
+    if norm > budget * _THETA_MAX:  # then every m s >= norm / theta_m > budget
+        return None
     best = (math.inf, 0, 0)
     for m in range(1, 31):
         if m >= best[0]:  # s >= 1: no higher degree takes fewer products
             break
-        # without its factor 1 - eta/(m+2) < 1 the bound allows a larger
-        # eta, so this s is at most the fewest substeps that meet it
-        s = max(1, math.ceil(norm / (math.factorial(m + 1) * 2.0**-53) ** (1.0 / (m + 1))))
-        while _remainder_too_large(norm / s, m):
-            s += 1
+        s = max(1, math.ceil(norm / _TAYLOR_DEGREES[m][0]))
+        s += _remainder_too_large(norm / s, m)  # when norm / theta_m rounded down
         best = min(best, (m * s, m, s))
-    return best[1], best[2]
+    return best[1:] if best[0] <= budget else None
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
@@ -650,7 +674,7 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix exponential of a non-finite matrix")
     if norm == 0.0:
         return np.eye(len(a))
-    _, q, m, s = min(_taylor_plan(norm, m) for m in range(1, 31))
+    _, q, m, s = _exponential_plan(norm)
     powers = [None, np.ldexp(a, -q)]  # X^i at i = 1 .. s; the identity is added on the diagonal
     for _ in range(s - 1):
         powers.append(powers[-1] @ powers[1])
@@ -693,8 +717,11 @@ def linearized_closed_form(
     One plan (m, s) is made per call, at the largest spacing, where
     eta = ||B||_1 h / s is largest: of the pairs with m <= 30 whose Taylor
     remainder bound eta^(m+1)/(m+1)! / (1 - eta/(m+2)) is at most 2^-53, the
-    one with the fewest matrix-vector products m s.  ||B||_1 is the larger of
-    the largest column sum of |A| and sum |g|, taken without forming B.
+    one with the fewest matrix-vector products m s.  Each degree's s is
+    ceil(||B||_1 h / theta_m), theta_m the largest eta meeting the bound
+    (tabulated at import), so planning takes no search at any norm.
+    ||B||_1 is the larger of the largest column sum of |A| and sum |g|,
+    taken without forming B.
     Over n positive spacings of a (dim + 1)-order B, with P the matrix
     products of :func:`matrix_exponential` at the largest spacing:
 
@@ -710,9 +737,12 @@ def linearized_closed_form(
         of the solver, jittered by roundoff, cost one exponential.
 
     As m s > P at every norm, a run of more than (dim + 1) _PRODUCT_COST
-    positive spacings takes the dense walk without a plan.  The choice
-    depends on these counts only, so the result is deterministic.  A
-    non-finite A or g raises ValueError on either path.
+    positive spacings takes the dense walk without a plan.  So does a short
+    run whose ||B||_1 h is too large for any m s to fit (for one spacing,
+    above about 9 at dim 67 and 470 at dim 1852); the exponential meets it
+    with about log2 ||B||_1 h squarings.  The choice depends on these
+    counts only, so the result is deterministic.  A non-finite A or g raises
+    ValueError on either path.
     """
     if len(op.times) != 1:
         raise ValueError("closed form requires an autonomous (single-sample) operator")
@@ -744,9 +774,12 @@ def linearized_closed_form(
         if norm == 0.0:  # no time passes, or exp(h B) is the identity
             out[:] = c0
             return out
-        m, s = _action_plan(norm)
-        products = min(_taylor_plan(norm, k) for k in range(1, 31))[0]
-        if n * m * s <= products * (dim + 1) * _PRODUCT_COST:
+        plan = None
+        if math.isfinite(norm):  # else the exponential of h B rejects it
+            budget = _exponential_plan(norm)[0] * (dim + 1) * _PRODUCT_COST / n
+            plan = _action_plan(norm, budget)
+        if plan is not None:
+            m, s = plan
             c = c0
             for i, h in enumerate(steps):
                 for _ in range(s if h > 0 else 0):

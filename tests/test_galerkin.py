@@ -178,15 +178,31 @@ class TestMatrixExponential:
 
     def test_action_plan(self):
         # the linearized benchmark's ||h B||_1: degree 8, one substep, 8 matvecs
-        assert galerkin._action_plan(0.059) == (8, 1)
-        for norm in np.logspace(-6, 3, 46):
-            m, s = galerkin._action_plan(norm)
+        assert galerkin._action_plan(0.059, math.inf) == (8, 1)
+        # multiples of theta_30, where norm / theta_30 may round down to s
+        multiples = galerkin._TAYLOR_DEGREES[30][0] * np.arange(1, 100)
+        for norm in [*np.logspace(-6, 3, 46), *multiples]:
+            m, s = galerkin._action_plan(norm, math.inf)
             assert not galerkin._remainder_too_large(norm / s, m)
             # the closed form sends long runs to the dense walk on this inequality
-            assert min(galerkin._taylor_plan(norm, k) for k in range(1, 31))[0] < m * s
+            assert galerkin._exponential_plan(norm)[0] < m * s
             for k in range(1, 31):
                 fewer = math.ceil(m * s / k) - 1  # the most substeps with fewer products
                 assert fewer < 1 or galerkin._remainder_too_large(norm / fewer, k)
+            assert galerkin._action_plan(norm, m * s - 1) is None
+
+    def test_taylor_degree_table(self):
+        # theta_m is the last eta that meets the remainder bound
+        for m in range(1, 31):
+            theta = galerkin._TAYLOR_DEGREES[m][0]
+            assert not galerkin._remainder_too_large(theta, m)
+            assert galerkin._remainder_too_large(np.nextafter(theta, math.inf), m)
+
+    @pytest.mark.parametrize("norm", [1.3e8, 1e20, 1e300, 1.7e308])
+    def test_action_plan_at_large_norms(self, norm):
+        # no plan fits a budget of the exponential's products at these norms
+        budget = galerkin._exponential_plan(norm)[0] * 1e3
+        assert galerkin._action_plan(norm, budget) is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_matrix_rejected(self, bad):
@@ -728,6 +744,23 @@ class TestClosedForm:
         assert len(set(np.diff(times))) > 1  # the spacings differ in their last bits
         linearized_closed_form(op, g, c0, times)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale, t", [(1.0, 1e9), (1e300, 1e-3)])
+    def test_large_norms_take_the_dense_walk(self, drift_problem, monkeypatch, scale, t):
+        # ||h B||_1 of 1e11 and 1e298: one exponential, no Taylor action
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return matrix_exponential(a)
+
+        monkeypatch.setattr(galerkin, "matrix_exponential", counted)
+        op, c0, g = drift_problem
+        lam = (1.0 + op.diffusion) * scale  # c(t) = g / lam + exp(-t lam)(c0 - g / lam)
+        heat = dataclasses.replace(op, matrices=np.diag(lam)[None])
+        got = linearized_closed_form(heat, g, c0, [0.0, t])
+        assert len(calls) == 1
+        assert np.max(np.abs(got[1] - g / lam)) <= 1e-13 * np.max(np.abs(g / lam))
 
     @pytest.mark.parametrize(
         "times",
