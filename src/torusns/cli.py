@@ -45,7 +45,6 @@ from .galerkin import (
     FieldTrajectory,
     SolverAbort,
     SolverConfig,
-    _require_divfree,
     assemble_linearized,
     cumulative_trapezoid,
     energy_identity_defect,
@@ -60,7 +59,6 @@ from .helmholtz import (
     decompose,
     derivative_commutation_defect,
     leray_project,
-    recover_pressure,
 )
 from .operators import (
     NormTable,
@@ -74,6 +72,7 @@ from .operators import (
     rot,
     laplacian,
     _quadrature_grid,
+    _require_divfree,
     _self_convect_stack,
 )
 
@@ -252,8 +251,7 @@ def _run_decay(args) -> None:
     )
     exact_final = problems.shear_field(args.ell, cfg.cutoff, 1.0) * final_amp
     decay_error = l2_norm_exact(traj.final - exact_final)
-    pressures = [recover_pressure(None, u) for u in traj.fields]
-    res = residual(traj, pressures, None, cfg.mu)
+    res = residual(traj, None, cfg.mu)
     payload = _emit_run_outputs(
         args,
         traj,

@@ -19,7 +19,6 @@ from .galerkin import (
     Forcing,
     _ns_stage,
     _require_cover,
-    _require_divfree,
     _trajectory_forcing,
     cumulative_trapezoid,
     trapezoid,
@@ -28,6 +27,7 @@ from .helmholtz import dual_norm
 from .operators import (
     NormTable,
     _laplacian_symbol,
+    _require_divfree,
     lp_norm,
     multi_indices,
     norm_table,

@@ -39,7 +39,6 @@ import numpy as np
 from .eigenbasis import DivFreeBasis, project_coefficients, reconstruct
 from .fields import (
     _FMT,
-    SpectralScalarField,
     SpectralVectorField,
     bandwidth_of,
     embed,
@@ -51,18 +50,15 @@ from .fields import (
 )
 from .operators import (
     NormTable,
-    _div_stack,
     _fast_len,
     _l2_norm,
     _laplacian_symbol,
+    _require_divfree,
     _self_convect_stack,
-    grad,
     inner_l2,
     l2_norm_exact,
-    laplacian,
     lp_norm,
     norm_table,
-    self_convection,
 )
 from .helmholtz import _project_stack
 
@@ -302,12 +298,6 @@ def _trajectory_forcing(f: Forcing, traj: FieldTrajectory) -> Callable[[float], 
     """The forcing as the evaluators of ``traj`` read it: t -> f(t) truncated
     to the run's cutoff, over the run's horizon."""
     return _forcing_function(f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff))
-
-
-def _require_divfree(u: SpectralVectorField, what: str) -> None:
-    scale = l2_norm_exact(u) + 1e-30
-    if _l2_norm(_div_stack(u.coeffs, u.ell), u.ell) > 1e-10 * scale * (1.0 + u.bandwidth):
-        raise ValueError(f"{what} must be divergence-free")
 
 
 def _step_halving(integrate: Callable, config: SolverConfig, distance: Callable):
@@ -808,8 +798,8 @@ def linearized_closed_form(
 # ---------------------------------------------------------------------------
 
 
-def _time_derivatives(traj: FieldTrajectory) -> list[SpectralVectorField]:
-    """Second-order finite differences of the trajectory samples."""
+def _time_derivatives(traj: FieldTrajectory) -> list[np.ndarray]:
+    """Second-order finite differences of the trajectory samples' stacks."""
     times = traj.times
     if len(times) < 3:
         raise ValueError("finite-difference time derivative needs >= 3 samples")
@@ -820,7 +810,7 @@ def _time_derivatives(traj: FieldTrajectory) -> list[SpectralVectorField]:
         lo = min(max(i - 1, 0), len(times) - 3)
         w0, w1, w2 = _fd_weights(times[i], *times[lo : lo + 3])
         d = w0 * stacks[lo] + w1 * stacks[lo + 1] + w2 * stacks[lo + 2]
-        out.append(traj.fields[i].with_coeffs(d))
+        out.append(d)
     return out
 
 
@@ -832,27 +822,27 @@ def _fd_weights(t: float, t0: float, t1: float, t2: float) -> tuple[float, float
     return w0, w1, w2
 
 
-def residual(
-    traj: FieldTrajectory,
-    pressure: Sequence[SpectralScalarField] | None,
-    f: Forcing,
-    mu: float,
-) -> np.ndarray:
-    """Momentum-equation residual per sample,
+def residual(traj: FieldTrajectory, f: Forcing, mu: float) -> np.ndarray:
+    """Momentum-equation residual per sample of a divergence-free trajectory,
 
-        || du/dt - mu Lap u + (u . grad) u + grad p - f ||_{L2}.
+        || du/dt - mu Lap u + (u . grad) u + grad p - f ||_{L2}
 
-    du/dt comes from the stored rhs samples when present, otherwise from
-    second-order finite differences.
+    with grad p = (I - P)(f - (u . grad) u): du/dt minus the solver's stage
+    mu Lap u + P(f - div(u (x) u)), one kernel call per sample.  du/dt is the
+    stored rhs when present, so the residual of solver output is 0 by
+    construction; otherwise second-order finite differences, the independent
+    check.  A sample that is not divergence-free raises ``ValueError``.
     """
     forcing = _trajectory_forcing(f, traj)
-    dtu = list(traj.rhs) if traj.rhs is not None else _time_derivatives(traj)
+    dtu = [r.coeffs for r in traj.rhs] if traj.rhs is not None else _time_derivatives(traj)
+    lapmult = _laplacian_symbol(traj.ell, traj.fields[0].bandwidth)
+    ws = {}  # the kernel's grids, reused by every sample
     out = np.empty(len(traj))
     for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
-        r = dtu[i] - laplacian(u) * mu + self_convection(u) - forcing(float(t))
-        if pressure is not None:
-            r = r + grad(pressure[i])
-        out[i] = l2_norm_exact(r)
+        _require_divfree(u, "a sample whose momentum residual is taken")
+        c = u.coeffs
+        stage = _ns_stage((c,), forcing(float(t)).coeffs, traj.ell, traj.cutoff, ws)
+        out[i] = _l2_norm(dtu[i] - ((c * lapmult) * float(mu) + stage), traj.ell)
     return out
 
 

@@ -8,7 +8,9 @@ to k,
 
 The complementary part is a gradient; its zero-mean potential is recovered
 by inverting the gradient on each mode.  Projection, decomposition and the
-derivative-commutation identity are exact at coefficient level.
+derivative-commutation identity are exact at coefficient level.  Pressure
+recovery takes the transport term of a divergence-free velocity in the
+solver's divergence form, one kernel call per field.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpectralScalarField, SpectralVectorField, wave_cubes
-from .operators import grad_norm, partial_derivative, self_convection
+from .operators import _require_divfree, _self_convect_stack, grad_norm, partial_derivative
 
 __all__ = [
     "leray_project",
@@ -87,15 +89,18 @@ def recover_pressure(
 ) -> SpectralScalarField:
     """Pressure of the momentum balance: zero-mean p with
 
-        grad(p) = (I - P)(f - (u . grad) u).
+        grad(p) = (I - P)(f - (u . grad) u)
+
+    for divergence-free u, whose transport term is taken as the solver's
+    div(u (x) u).  A u that is not divergence-free raises ``ValueError``.
     """
-    residual = -self_convection(u)
+    _require_divfree(u, "the velocity whose pressure is recovered")
+    residual = -_self_convect_stack((u.coeffs,), u.ell, u.cutoff)
     if f is not None:
         if f.ell != u.ell or f.cutoff != u.cutoff:
             raise ValueError("mismatched ell/cutoff between forcing and velocity")
-        residual = f + residual
-    rough = residual - leray_project(residual)
-    return gradient_potential(rough)
+        residual = f.coeffs + residual
+    return gradient_potential(u.with_coeffs(residual - _project_stack(residual, u.bandwidth)))
 
 
 def dual_norm(f: SpectralVectorField) -> float:

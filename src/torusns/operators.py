@@ -143,6 +143,12 @@ def l2_norm_exact(u: Field) -> float:
     return _l2_norm(u.coeffs, u.ell)
 
 
+def _require_divfree(u: SpectralVectorField, what: str) -> None:
+    scale = l2_norm_exact(u) + 1e-30
+    if _l2_norm(_div_stack(u.coeffs, u.ell), u.ell) > 1e-10 * scale * (1.0 + u.bandwidth):
+        raise ValueError(f"{what} must be divergence-free")
+
+
 def inner_l2(u: Field, v: Field) -> float:
     """Exact L2(Q) inner product of two real fields of the same rank."""
     u, v = align(u, v)

@@ -54,6 +54,22 @@ ELL = 2.0 * math.pi
 MU = 0.1
 
 
+def _counted_kernels(monkeypatch):
+    """Patch the solver's divergence-form kernel and the advective one; the
+    two returned lists collect the arguments of their calls."""
+    logs = []
+    for module, name in ((galerkin, "_self_convect_stack"), (operators, "_convect_stack")):
+        log, kernel = [], getattr(module, name)
+
+        def counted(*args, log=log, kernel=kernel):
+            log.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        logs.append(log)
+    return logs
+
+
 @pytest.fixture(scope="module")
 def basis4():
     return build_basis(ELL, 4)
@@ -993,20 +1009,7 @@ class TestArrayLoop:
     )
     @pytest.mark.parametrize("runs", [1, 2])
     def test_kernel_calls_per_solve(self, rng, monkeypatch, scheme, tolerance, per_step, runs):
-        calls, advective = [], []
-        kernel = galerkin._self_convect_stack
-        advective_kernel = operators._convect_stack
-
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        def counted_advective(*args):
-            advective.append(args)
-            return advective_kernel(*args)
-
-        monkeypatch.setattr(galerkin, "_self_convect_stack", counted)
-        monkeypatch.setattr(operators, "_convect_stack", counted_advective)
+        calls, advective = _counted_kernels(monkeypatch)
         u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.5)
         cfg = SolverConfig(
             mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme, attach_error_estimate=runs == 2
@@ -1079,18 +1082,40 @@ class TestResidual:
             shear_field(ELL, 4, shear_decay_amplitude(float(t), MU, ELL)) for t in times
         )
         traj = FieldTrajectory(times, fields)
-        res = residual(traj, None, None, MU)  # rhs absent: finite differences
+        res = residual(traj, None, MU)  # rhs absent: finite differences
         assert float(np.max(res)) <= 1e-8
 
     def test_zero_everything(self):
         zero = vector_from_modes(ELL, 4, {})
         traj = FieldTrajectory(np.array([0.0, 0.1, 0.2]), (zero, zero, zero))
-        assert np.max(residual(traj, None, None, MU)) == 0.0
+        assert np.max(residual(traj, None, MU)) == 0.0
 
-    def test_solver_output_with_recovered_pressure(self, shear_run):
-        pressures = [recover_pressure(None, u) for u in shear_run.fields]
-        res = residual(shear_run, pressures, None, MU)
-        assert float(np.max(res)) <= 1e-10
+    @pytest.mark.parametrize("run", ["shear", "two_shell"])
+    def test_solver_output_with_recovered_pressure(self, run, request, monkeypatch):
+        if run == "shear":
+            traj, forcing, mu = request.getfixturevalue("shear_run"), None, MU
+        else:
+            from torusns.fields import truncate
+
+            prob = two_shell_problem()
+            cfg = SolverConfig(mu=prob.mu, horizon=0.05, cutoff=4, dt=1e-3, scheme="if_rk4")
+            traj = solve_navier_stokes(prob.forcing, truncate(prob.initial, 4), cfg)
+            forcing, mu = prob.forcing, prob.mu
+        calls, advective = _counted_kernels(monkeypatch)
+        res = residual(traj, forcing, mu)
+        # d_t u is the stored rhs, which this re-evaluates stage by stage
+        assert float(np.max(res)) == 0.0
+        assert len(calls) == len(traj)
+        assert len(advective) == 0
+
+    @pytest.mark.parametrize("evaluate", ["recover_pressure", "residual"])
+    def test_non_solenoidal_input_raises(self, evaluate, rng):
+        u = random_vector_field(ELL, 4, rng)
+        with pytest.raises(ValueError, match="divergence-free"):
+            if evaluate == "recover_pressure":
+                recover_pressure(None, u)
+            else:
+                residual(FieldTrajectory(np.array([0.0, 0.1, 0.2]), (u, u, u)), None, MU)
 
     def test_fd_residual_second_order(self):
         prob = two_shell_problem()
@@ -1098,9 +1123,8 @@ class TestResidual:
         for dt in (2e-3, 1e-3):
             times = np.arange(0, round(0.1 / dt) + 1) * dt
             fields = tuple(prob.velocity(float(t)) for t in times)
-            pressures = [prob.pressure(float(t)) for t in times]
             traj = FieldTrajectory(times, fields)
-            res = residual(traj, pressures, prob.forcing, prob.mu)
+            res = residual(traj, prob.forcing, prob.mu)
             values.append(float(np.max(res)))
         assert 3.0 <= values[0] / values[1] <= 5.5
 
