@@ -102,6 +102,13 @@ def shell_mask(bandwidth: int, cutoff: int) -> np.ndarray:
     return wave_cubes(bandwidth)[3] <= cutoff
 
 
+def projection_cubes(bandwidth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complex (K1, K2, K3) and 1/K_sq (0 at k = 0): the Leray projection's multipliers."""
+    k1, k2, k3, ksq = wave_cubes(bandwidth)
+    inv_ksq = np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq > 0)
+    return np.stack((k1, k2, k3)).astype(np.complex128), inv_ksq.astype(np.complex128)
+
+
 @dataclass(frozen=True)
 class Field:
     """Real periodic field given by truncated Fourier coefficients.

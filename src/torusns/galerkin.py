@@ -53,6 +53,7 @@ from .operators import (
     _fast_len,
     _l2_norm,
     _laplacian_symbol,
+    _plan,
     _require_divfree,
     _self_convect_stack,
     inner_l2,
@@ -377,8 +378,10 @@ def _ns_stage(stacks, f: np.ndarray, ell: float, cutoff: int, ws: dict) -> np.nd
     """P(f - div(sum_l C(j,l) u_l (x) u_(j-l))) for the stacks (u_0, ..., u_j)
     of solenoidal fields and the forcing stack f, on the kernel's workspace
     ``ws``.  The solver's stage is that of (c,); its stored rhs sample d_t c
-    is (c * lapmult) * mu plus this."""
-    return _project_stack(f - _self_convect_stack(stacks, ell, cutoff, ws), bandwidth_of(cutoff))
+    is (c * lapmult) * mu plus this, a fresh array."""
+    transport = _self_convect_stack(stacks, ell, cutoff, ws)
+    rest = np.subtract(f, transport, out=transport)
+    return _project_stack(rest, bandwidth_of(cutoff), _plan(ws, stacks[0], ell, cutoff).cubes)
 
 
 def _integrate_ns(forcing: Callable, u: SpectralVectorField, config: SolverConfig, dt: float):
@@ -529,7 +532,7 @@ def assemble_linearized(
                 "a basis field is not solenoidal"
             )
     diffusion = mu * basis.m * (2.0 * math.pi / basis.ell) ** 2
-    matrices += np.diag(diffusion)[None, :, :]
+    matrices.reshape(len(times), -1)[:, :: basis.dim + 1] += diffusion  # the diagonals
     return LinearizedOperator(basis, times, matrices, diffusion)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralScalarField, SpectralVectorField, wave_cubes
+from .fields import SpectralScalarField, SpectralVectorField, projection_cubes, wave_cubes
 from .operators import _require_divfree, _self_convect_stack, grad_norm, partial_derivative
 
 __all__ = [
@@ -34,14 +34,16 @@ __all__ = [
 ]
 
 
-def _project_stack(stack: np.ndarray, bandwidth: int) -> np.ndarray:
-    k1, k2, k3, ksq = wave_cubes(bandwidth)
-    kdotc = k1 * stack[0] + k2 * stack[1] + k3 * stack[2]
-    scale = np.zeros(ksq.shape, dtype=np.float64)
-    nz = ksq > 0
-    scale[nz] = 1.0 / ksq[nz]
-    corr = kdotc * scale
-    return np.stack([stack[0] - k1 * corr, stack[1] - k2 * corr, stack[2] - k3 * corr])
+def _project_stack(stack: np.ndarray, bandwidth: int, cubes=None) -> np.ndarray:
+    """P of a coefficient stack, a fresh array; ``cubes`` default to ``projection_cubes``."""
+    k, inv_ksq = projection_cubes(bandwidth) if cubes is None else cubes
+    terms = k * stack
+    corr = np.add(terms[0], terms[1])
+    corr += terms[2]
+    corr *= inv_ksq
+    for i in range(3):
+        np.multiply(k[i], corr, out=terms[i])
+    return np.subtract(stack, terms, out=terms)
 
 
 def leray_project(u: SpectralVectorField) -> SpectralVectorField:

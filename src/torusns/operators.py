@@ -22,12 +22,13 @@ forward, and the advective form where u_i u_j overflows; on the Bochner
 chain's u_l = d_t^l u it takes div(sum_l C(j,l) u_l (x) u_(j-l)), 3(j+1)
 inverse, 6 forward.  Both kernels prune the forward transform to the kept
 modes |k_i| <= K, the pruned form of the 3/2 rule (Canuto, Hussaini,
-Quarteroni & Zang, Spectral Methods, 2006): the last axis is transformed and
-cut to k3 <= K, the middle axis is transformed and cut to |k2| <= K, and the
-first axis is transformed on those lines only.
-The kept coefficients are bitwise those of the full ``rfftn``.  The inverse
-is pruned too, bitwise equal to ``irfftn``, and writes into a per-run
-workspace whose arrays never escape (see :func:`_sample_stack`).
+Quarteroni & Zang, Spectral Methods, 2006): x3 is transformed and cut to
+k3 <= K, x2 is transformed and cut to |k2| <= K, and x1 is transformed on
+those lines only; the inverse is pruned to the lines that carry modes.  Each
+pass runs along the last, contiguous axis of its buffer (the layouts are in
+:func:`_sample_stack` and :func:`_spectrum_stack`), and numpy transforms
+each line on its own, so the results are bitwise those of ``rfftn`` and
+``irfftn``.  Buffers and constants live in a per-run workspace.
 
 L2 norms and inner products are exact Parseval sums.  L^p norms for p != 2
 are rectangle-rule quadrature on a user-chosen grid of at least 2B+1 points,
@@ -38,6 +39,7 @@ approximations.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,7 @@ from .fields import (
     align,
     bandwidth_of,
     hermitianize,
+    projection_cubes,
     shell_mask,
     wave_cubes,
 )
@@ -210,14 +213,14 @@ def _sample_stack(stack: np.ndarray, n: int, ws: dict | None = None) -> np.ndarr
     """Exact point samples of the fields in ``stack`` on the n^3 grid.
 
     Only the k3 >= 0 half of each cube is placed.  The inverse is pruned in
-    ``irfftn``'s axis order, so the samples are bitwise those of ``irfftn``:
-    axis 1 on the (2B+1)(B+1) lines that carry modes, axis 2 on n(B+1)
-    lines, then a real transform of axis 3 from its B+1 columns.  Every pass
-    writes into the workspace ``ws``, which one integration or one Bochner
-    chain reuses at every stage (a fresh one when None), the samples
-    included; no workspace array reaches a caller of the kernels,
-    ``sample_values`` or ``norm_table``.  The grid must resolve the
-    bandwidth B of the stack, n >= 2B+1; a coarser grid is rejected.
+    ``irfftn``'s axis order, bitwise equal to it, each pass along the last
+    axis of its buffer: k1 on the (2B+1)(B+1) lines that carry modes, laid
+    out (C, k2, k3, k1), k2 on n(B+1) lines, (C, x1, k3, k2), and a real
+    transform of k3 from its B+1 columns, copied to (C, x1, x2, k3).  Every
+    pass writes into the workspace ``ws``, reused at every stage of a run (a
+    fresh one when None), the samples included; no workspace array reaches a
+    caller of the kernels, ``sample_values`` or ``norm_table``.  The grid
+    must resolve the bandwidth B of the stack, n >= 2B+1.
     """
     bw = (stack.shape[1] - 1) // 2
     if n < 2 * bw + 1:
@@ -226,44 +229,50 @@ def _sample_stack(stack: np.ndarray, n: int, ws: dict | None = None) -> np.ndarr
         )
     ws = {} if ws is None else ws
     c = stack.shape[0]
-    lines = _buffer(ws, "lines", (c, n, 2 * bw + 1, bw + 1))
-    lines[:, bw + 1 : n - bw] = 0.0
+    lines = _buffer(ws, "lines", (c, 2 * bw + 1, bw + 1, n))
+    lines[..., bw + 1 : n - bw] = 0.0
     for dst1, src1 in _axis_slices(bw, n):
-        lines[:, dst1] = stack[:, src1, :, bw:]
-    np.fft.ifft(lines, axis=1, norm="forward", out=lines)
-    grid = _buffer(ws, "grid", (c, n, n, bw + 1))
-    grid[:, :, bw + 1 : n - bw] = 0.0
+        lines[..., dst1] = stack[:, src1, :, bw:].transpose(0, 2, 3, 1)
+    np.fft.ifft(lines, axis=3, norm="forward", out=lines)
+    grid = _buffer(ws, "grid", (c, n, bw + 1, n))
+    grid[..., bw + 1 : n - bw] = 0.0
     for dst2, src2 in _axis_slices(bw, n):
-        grid[:, :, dst2] = lines[:, :, src2]
-    np.fft.ifft(grid, axis=2, norm="forward", out=grid)
+        grid[..., dst2] = lines[:, src2].transpose(0, 3, 2, 1)
+    np.fft.ifft(grid, axis=3, norm="forward", out=grid)
+    columns = _buffer(ws, "columns", (c, n, n, bw + 1))
+    np.copyto(columns, grid.transpose(0, 1, 3, 2))
     samples = _buffer(ws, "samples", (c, n, n, n), np.float64)
-    return np.fft.irfft(grid, n, axis=3, norm="forward", out=samples)
+    return np.fft.irfft(columns, n, axis=3, norm="forward", out=samples)
 
 
 def _spectrum_stack(values: np.ndarray, keep: int, ws: dict | None = None) -> np.ndarray:
     """Centered coefficients |k_i| <= keep of the real samples ``values``.
 
     ``values`` has shape (C, n, n, n) with n >= 2 keep + 1.  The forward
-    transform is pruned to the kept modes, in ``rfftn``'s axis order: a real
-    transform of axis 3 kept at k3 <= keep, a transform of axis 2 kept at
-    |k2| <= keep, and a transform of axis 1 of those lines only, so each kept
+    transform is pruned to the kept modes in ``rfftn``'s axis order, each
+    pass along the last axis of its buffer: a real transform of x3, kept at
+    k3 <= keep and copied to (C, x1, k3, x2); x2, kept at |k2| <= keep and
+    copied to (C, k2, k3, x1); x1 on those lines only.  Each kept
     coefficient is bitwise that of ``rfftn``.  The k3 < 0 half is the
-    conjugate reflection, c_{-k} = conj(c_k).  Every pass writes in place into
-    the workspace ``ws`` (a fresh one when None), the returned array included.
+    conjugate reflection, c_{-k} = conj(c_k).  Every pass writes into the
+    workspace ``ws`` (a fresh one when None), the returned array included.
     """
     ws = {} if ws is None else ws
     c, n = values.shape[0], values.shape[-1]
     half = _buffer(ws, "half", (c, n, n, n // 2 + 1))
-    rows = np.fft.rfft(values, axis=3, norm="forward", out=half)[..., : keep + 1]
-    np.fft.fft(rows, axis=2, norm="forward", out=rows)
+    np.fft.rfft(values, axis=3, norm="forward", out=half)
+    rows = _buffer(ws, "rows", (c, n, keep + 1, n))
+    np.copyto(rows, half[..., : keep + 1].transpose(0, 1, 3, 2))
+    np.fft.fft(rows, axis=3, norm="forward", out=rows)
     side = 2 * keep + 1
-    kept = _buffer(ws, "kept", (c, n, side, keep + 1))
-    np.concatenate((rows[:, :, n - keep :], rows[:, :, : keep + 1]), axis=2, out=kept)
-    np.fft.fft(kept, axis=1, norm="forward", out=kept)
+    kept = _buffer(ws, "kept", (c, side, keep + 1, n))
+    for src2, dst2 in _axis_slices(keep, n):
+        kept[:, dst2] = rows[..., src2].transpose(0, 3, 2, 1)
+    np.fft.fft(kept, axis=3, norm="forward", out=kept)
     out = _buffer(ws, "spectrum", (c, side, side, side))
     for src1, dst1 in _axis_slices(keep, n):
-        out[:, dst1, :, keep:] = kept[:, src1]
-    out[..., :keep] = np.conj(out[:, ::-1, ::-1, 2 * keep : keep : -1])
+        out[:, dst1, :, keep:] = kept[..., src1].transpose(0, 3, 1, 2)
+    np.conjugate(out[:, ::-1, ::-1, 2 * keep : keep : -1], out=out[..., :keep])
     return out
 
 
@@ -300,15 +309,32 @@ def _dealias_grid(u: np.ndarray, out_cutoff: int) -> tuple[int, int, int, int]:
     return bw, out_bw, keep, _fast_len(max(2 * bw + keep + 1, 4))
 
 
-def _to_shell(spectrum: np.ndarray, out_bw: int, out_cutoff: int) -> np.ndarray:
-    """The (3, 2K+1, 2K+1, 2K+1) ``spectrum`` of a product in the
-    ``out_cutoff`` cube, Hermitian-symmetrized and shell-masked."""
-    keep = (spectrum.shape[1] - 1) // 2
+_Plan = namedtuple("_Plan", "key grid fac cubes div outside")  # see _plan
+
+
+def _plan(ws: dict, stack: np.ndarray, ell: float, out_cutoff: int) -> _Plan:
+    """The constants of products kept at ``out_cutoff``, built into ``ws`` once
+    per (bandwidth, cutoff, ell): the sizes of :func:`_dealias_grid`, 2 pi i /
+    ell, the projection's cubes, the divergence's k_m per tensor row and the
+    modes outside the shell."""
+    key = (stack.shape[1], out_cutoff, ell)
+    if getattr(ws.get("plan"), "key", None) != key:
+        grid = _dealias_grid(stack, out_cutoff)
+        div = np.repeat(projection_cubes(grid[2])[0][:, None], 3, 1)
+        cubes, outside = projection_cubes(grid[1]), ~shell_mask(grid[1], out_cutoff)
+        ws["plan"] = _Plan(key, grid, 1j * (2.0 * math.pi / ell), cubes, div, outside)
+    return ws["plan"]
+
+
+def _to_shell(spectrum: np.ndarray, plan: _Plan) -> np.ndarray:
+    """The (3, 2K+1, 2K+1, 2K+1) ``spectrum`` of a product in the plan's
+    output cube, Hermitian-symmetrized and shell-masked, a fresh array."""
+    keep, out_bw = (spectrum.shape[1] - 1) // 2, plan.grid[1]
     coeffs = np.zeros((3,) + (2 * out_bw + 1,) * 3, dtype=np.complex128)
     lo, hi = out_bw - keep, out_bw + keep + 1
     coeffs[:, lo:hi, lo:hi, lo:hi] = spectrum
     coeffs = hermitianize(coeffs)
-    np.copyto(coeffs, 0.0, where=~shell_mask(out_bw, out_cutoff))
+    np.copyto(coeffs, 0.0, where=plan.outside)
     return coeffs
 
 
@@ -319,17 +345,17 @@ def _convect_stack(
     stacks; returns the symmetrized, shell-masked stack at ``out_cutoff``,
     a fresh array, with its grids in the workspace ``ws``."""
     ws = {} if ws is None else ws
-    bw, out_bw, keep, n = _dealias_grid(u, out_cutoff)
-    k1, k2, k3, _ = wave_cubes(bw)
-    grad_mult = 1j * (2.0 * math.pi / ell) * np.stack((k1, k2, k3))
+    plan = _plan(ws, u, ell, out_cutoff)
+    bw, _, keep, n = plan.grid
+    grad_mult = plan.fac * np.stack(wave_cubes(bw)[:3])
     # w and the nine derivatives of u, built in place: no copy of du
-    src = _buffer(ws, "stacks", (12, *k1.shape))
+    src = _buffer(ws, "stacks", (12, *u.shape[1:]))
     src[:3] = w
-    np.multiply(u[:, None], grad_mult[None], out=src[3:].reshape(3, 3, *k1.shape))
+    np.multiply(u[:, None], grad_mult[None], out=src[3:].reshape(3, 3, *u.shape[1:]))
     vals = _sample_stack(src, n, ws)
     prod = _buffer(ws, "products", (3, n, n, n), np.float64)
     np.einsum("jxyz,ijxyz->ixyz", vals[:3], vals[3:].reshape(3, 3, n, n, n), out=prod)
-    return _to_shell(_spectrum_stack(prod, keep, ws), out_bw, out_cutoff)
+    return _to_shell(_spectrum_stack(prod, keep, ws), plan)
 
 
 # a symmetric tensor is held as its six entries i <= j; row i of it is _ROWS[i]
@@ -345,22 +371,26 @@ def _self_convect_stack(stacks, ell: float, out_cutoff: int, ws: dict | None = N
     The result is a fresh array; the grids are in the workspace ``ws``."""
     ws = {} if ws is None else ws
     j = len(stacks) - 1
-    _, out_bw, keep, n = _dealias_grid(stacks[0], out_cutoff)
+    plan = _plan(ws, stacks[0], ell, out_cutoff)
+    _, _, keep, n = plan.grid
     stack = stacks[0] if j == 0 else np.concatenate(
         stacks, out=_buffer(ws, "stacks", (3 * (j + 1), *stacks[0].shape[1:]))
     )
     vals = _sample_stack(stack, n, ws).reshape(j + 1, 3, n, n, n)
     prod = _buffer(ws, "products", (6, n, n, n), np.float64)
-    k1, k2, k3, _ = wave_cubes(keep)
-    fac = 1j * (2.0 * math.pi / ell)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         for p, (a, b) in enumerate(_PAIRS):
             np.multiply(vals[0, a], vals[j, b], out=prod[p])
             for l in range(1, j + 1):
                 prod[p] += math.comb(j, l) * (vals[l, a] * vals[j - l, b])
         spec = _spectrum_stack(prod, keep, ws)
-        div_uu = np.stack([fac * (k1 * spec[a] + k2 * spec[b] + k3 * spec[c]) for a, b, c in _ROWS])
-        coeffs = _to_shell(div_uu, out_bw, out_cutoff)
+        # terms[m, i] = spec[_ROWS[i][m]], _ROWS being symmetric, and row i of
+        # div sums k_m terms[m, i] over m; take's mode "raise" would copy
+        terms = np.take(spec, _ROWS, 0, _buffer(ws, "terms", plan.div.shape), "clip")
+        np.multiply(plan.div, terms, out=terms)
+        div_uu = np.add(terms[0], terms[1], out=terms[0])
+        div_uu += terms[2]
+        coeffs = _to_shell(np.multiply(plan.fac, div_uu, out=div_uu), plan)
     if not np.all(np.isfinite(coeffs)):  # summed from its first term, keeping -0.0
         coeffs = _convect_stack(stacks[0], stacks[j], ell, out_cutoff, ws)
         for l in range(1, j + 1):

@@ -1029,15 +1029,21 @@ class TestStageWorkspace:
     bit, and a warm stage allocates little beyond its result."""
 
     def test_no_history(self, rng):
-        us = {c: leray_project(random_vector_field(ELL, c, rng)).coeffs for c in (25, 16)}
+        us = {c: leray_project(random_vector_field(ELL, c, rng)).coeffs for c in (25, 20, 16)}
         f = leray_project(random_vector_field(ELL, 16, rng, amplitude=0.3)).coeffs
-        fresh = galerkin._ns_stage((us[16],), f, ELL, 16, {})
+        fresh = galerkin._ns_stage((us[16],), f, ELL, 16, {}).tobytes()
         ws = {}
-        galerkin._ns_stage((us[25],), np.zeros_like(us[25]), ELL, 25, ws)
-        assert np.array_equal(galerkin._ns_stage((us[16],), f, ELL, 16, ws), fresh)
-        # a chain call on (u, d_t u) samples 6 components
-        galerkin._ns_stage((us[16], 0.5 * us[16]), f, ELL, 16, ws)
-        assert np.array_equal(galerkin._ns_stage((us[16],), f, ELL, 16, ws), fresh)
+        # bandwidth 5; bandwidth 4 at a second cutoff (20) and at a second
+        # ell; a chain call on (u, d_t u), which samples 6 components
+        for stacks, g, ell, cutoff in [
+            ((us[25],), np.zeros_like(us[25]), ELL, 25),
+            ((us[20],), np.zeros_like(us[20]), ELL, 20),
+            ((us[16],), f, 3.3, 16),
+            ((us[16], 0.5 * us[16]), f, ELL, 16),
+        ]:
+            got = galerkin._ns_stage(stacks, g, ell, cutoff, ws).tobytes()
+            assert got == galerkin._ns_stage(stacks, g, ell, cutoff, {}).tobytes()
+            assert galerkin._ns_stage((us[16],), f, ELL, 16, ws).tobytes() == fresh
 
     def test_warm_stage_allocation(self, rng):
         u = smooth_random_divfree(ELL, 36, rng, amplitude=0.5).coeffs
@@ -1052,8 +1058,11 @@ class TestStageWorkspace:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # about 2 MB when every stage allocated its grids; the result is 0.1 MB
-        assert peak < 0.7e6
+        # about 2 MB when every stage allocated its grids, 0.42 MB with the
+        # grids in the workspace, 0.32 MB measured with the run's constants
+        # there too (the result is 0.1 MB, hermitianize's temporaries 0.2 MB);
+        # the bound leaves a 20% margin
+        assert peak < 0.38e6
 
 
 class TestEnergyIdentity:
