@@ -356,10 +356,12 @@ def random_vector_field(
 # Only one representative of each +-k pair is stored (k = 0 counts as its own
 # pair): the lexicographically larger of k and -k, i.e. k1 > 0, or k1 = 0 and
 # k2 > 0, or k1 = k2 = 0 and k3 >= 0.  The missing partner is restored as the
-# complex conjugate on read.  The writer omits modes with c_k = 0 and emits
-# the rows component by component, each in increasing lexicographic order of
-# k, with 17 significant digits so every float reads back exactly; these
-# rules make the bytes a function of the field.  A block ends before the
+# complex conjugate on read.  The writer rejects non-finite coefficients,
+# omits modes with c_k = 0 and emits the rows component by component, each in
+# increasing lexicographic order of k, with 17 significant digits so every
+# float reads back exactly; these rules make the bytes a function of the
+# field.  It prints the integer indices into a row template, shared by blocks
+# of one support, and then the digits into that.  A block ends before the
 # first non-blank line that starts with neither a digit nor a sign; the
 # reader accepts its rows in any order, and rejects a header whose dense
 # cube, ncomponents (2B+1)^3 coefficients, exceeds _MAX_COEFFS = 2^24.
@@ -367,27 +369,37 @@ def random_vector_field(
 
 _FMT = "{:.17g}"
 _MAX_COEFFS = 2**24  # 256 MiB of complex128
-# "%.17g" % x is the same text as _FMT.format(x) for every float
-_ROW = "%d %d %d %d %.17g %.17g\n"
+# _ROW % (k1, k2, k3, comp) is a row template; its "%.17g" gives _FMT.format's text for every float
+_ROW = "%d %d %d %d %%.17g %%.17g\n"
 _ROW_DTYPE = np.dtype([("k", np.int64, (4,)), ("c", np.float64, (2,))])
 # a line break, then a line whose first token cannot start an integer
 _BLOCK_END = re.compile(r"\n[ \t]*[^\s0-9+-]")
 
 
 def write_field(u: Field, stream: io.TextIOBase) -> None:
-    stream.write(f"TORUSFIELD 1 {_FMT.format(u.ell)} {u.cutoff} {u.ncomponents}\n")
+    """Write one block, integer indices into a row template then digits; ValueError if non-finite."""
+    _write_block(u, stream, {})
+
+
+def _write_block(u: Field, stream: io.TextIOBase, templates: dict) -> None:
+    """:func:`write_field` sharing ``templates``, keyed on (bandwidth, support bytes)."""
     b = u.bandwidth
     cube = (2 * b + 1,) * 3
-    # C order over each centered cube is lexicographic in k, so the stored
-    # representatives are the second half of the flattened cube, k = 0 first;
-    # nonzero() walks the components in order, each half in C order
+    # C order is lexicographic in k: the stored representatives end the flat cube, k = 0 first
     center = (2 * b + 1) ** 3 // 2
     half = u.coeffs.reshape(u.ncomponents, -1)[:, center:]
-    comp, idx = np.nonzero(np.abs(half) > 0)
-    k1, k2, k3 = np.unravel_index(center + idx, cube)
-    c = half[comp, idx]
-    rows = np.column_stack((k1 - b, k2 - b, k3 - b, comp + 1, c.real, c.imag))
-    stream.write(_ROW * len(rows) % tuple(rows.ravel().tolist()))
+    comp, idx = np.nonzero(~np.isfinite(half))
+    if len(comp):
+        k = tuple(int(i) - b for i in np.unravel_index(center + idx[0], cube))
+        raise ValueError(f"non-finite coefficient: mode {k}, component {comp[0] + 1}")
+    stream.write(f"TORUSFIELD 1 {_FMT.format(u.ell)} {u.cutoff} {u.ncomponents}\n")
+    support = half != 0
+    key = (b, support.tobytes())
+    if key not in templates:
+        comp, idx = np.nonzero(support)
+        rows = np.column_stack((*np.unravel_index(center + idx, cube), comp)) - (b, b, b, -1)
+        templates[key] = _ROW * len(rows) % tuple(rows.ravel().tolist())
+    stream.write(templates[key] % tuple(half[support].view(np.float64).tolist()))
 
 
 def next_line(text: str, pos: int) -> tuple[list[str], int]:

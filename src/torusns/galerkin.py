@@ -39,6 +39,7 @@ import numpy as np
 from .eigenbasis import DivFreeBasis, project_coefficients, reconstruct
 from .fields import (
     _FMT,
+    _write_block,
     SpectralVectorField,
     bandwidth_of,
     embed,
@@ -46,7 +47,6 @@ from .fields import (
     next_line,
     parse_field_block,
     truncate,
-    write_field,
 )
 from .operators import (
     NormTable,
@@ -887,9 +887,10 @@ def save_trajectory(traj: FieldTrajectory, path) -> None:
         fh.write(
             f"TRAJ 1 {_FMT.format(traj.ell)} {traj.cutoff} {len(traj)}\n"
         )
+        templates = {}  # samples that share a support share their row template
         for t, u in zip(traj.times, traj.fields):
             fh.write(f"T {_FMT.format(float(t))}\n")
-            write_field(u, fh)
+            _write_block(u, fh, templates)
 
 
 def load_trajectory(path) -> FieldTrajectory:

@@ -76,7 +76,8 @@ class TestDecay:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["pass"] is True
         assert cert["norms"]["decay_error_l2"] <= 1e-6
-        assert cert["norms"]["pressure_residual_max"] <= 1e-8
+        # finite differences of the samples; re-evaluating the stored rhs reads 0
+        assert 0 < cert["norms"]["pressure_residual_max"] <= 1e-8
         assert cert["lps"][0]["admissible"] is True
 
     def test_csv_columns(self, decay_dir):

@@ -1,9 +1,11 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
+from torusns.eigenbasis import build_basis, save_basis
 from torusns.fields import (
     _FMT,
     SpectralScalarField,
@@ -239,6 +241,63 @@ def test_writer_matches_reference(ell, rng, cutoff, vector):
     _reference_write_field(f, ref)
     assert new.getvalue() == ref.getvalue()
     assert cutoff < 5 or " -0" in ref.getvalue()
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        ({(0, 1, 0): (0.0, math.nan, 1.0)}, "mode (0, 1, 0), component 2"),
+        ({(1, -1, 0): (0.0, 1.0, -math.inf)}, "mode (1, -1, 0), component 3"),
+        # the first in the file's row order is named: by component, then by k
+        ({(1, 0, 0): (math.inf, 0.0, 0.0), (0, 1, 1): (0.0, math.nan, 0.0)},
+         "mode (1, 0, 0), component 1"),
+        ({(1, 0, 0): (math.inf, 0.0, 0.0), (0, 1, 1): (math.nan, 0.0, 0.0)},
+         "mode (0, 1, 1), component 1"),
+    ],
+)
+def test_writer_rejects_non_finite(ell, bad, named):
+    modes = {(0, 0, 1): (0.5, 0.25j, 0.0), (1, 1, 0): (1.0, -1.0, 2.0), **bad}
+    f = vector_from_modes(ell, 2, modes)
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(f"non-finite coefficient: {named}")):
+        write_field(f, out)
+    assert out.getvalue() == ""
+
+
+def test_trajectory_shares_row_templates(ell, rng, tmp_path):
+    first = _ragged_field(ell, 6, rng, True)
+    support = first.coeffs != 0
+    redraw = random_vector_field(ell, 6, rng).coeffs
+    # the first support thrice, around two others, one with as many modes as
+    # the first (its components' supports swapped); values differ each time
+    fields = (
+        first,
+        SpectralVectorField(ell, 6, np.where(support, redraw, 0.0)),
+        _ragged_field(ell, 6, rng, True),
+        SpectralVectorField(ell, 6, np.where(support[[1, 0, 2]], redraw, 0.0)),
+        SpectralVectorField(ell, 6, np.where(support, 3.0 * redraw, 0.0)),
+    )
+    for other in fields[2:4]:
+        assert not np.array_equal(other.coeffs != 0, support)
+    times = np.array([0.0, 0.125, 0.25, 0.375, 0.5])
+    save_trajectory(FieldTrajectory(times, fields), tmp_path / "a.traj")
+    ref = io.StringIO()
+    ref.write(f"TRAJ 1 {_FMT.format(ell)} 6 5\n")
+    for t, u in zip(times, fields):
+        ref.write(f"T {_FMT.format(float(t))}\n")
+        _reference_write_field(u, ref)
+    assert (tmp_path / "a.traj").read_text() == ref.getvalue()
+
+
+def test_basis_dump_matches_reference(ell, tmp_path):
+    basis = build_basis(ell, 4)
+    save_basis(basis, tmp_path / "basis.txt")
+    ref = io.StringIO()
+    for tag, modes in (("BASIS", basis), ("BASIS-GRAD", basis.gradient)):
+        for m, j, f in modes.indexed():
+            ref.write(f"{tag} {m} {j}\n")
+            _reference_write_field(f, ref)
+    assert (tmp_path / "basis.txt").read_text() == ref.getvalue()
 
 
 def test_trajectory_write_read_write_identity(ell, rng, tmp_path):
