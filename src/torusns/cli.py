@@ -693,6 +693,8 @@ def _check_args(args) -> None:
                 cfg = replace(cfg, dt=math.ldexp(cfg.dt, 1 - args.dt_study))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if args.command == "decay" and cfg.nsteps < 2:
+            raise ConfigError(f"decay's finite-difference residual needs 2 steps, got {cfg.nsteps}")
         _norm_grid(args.grid, cfg.cutoff)
         # the stored samples and their rhs stay within the field-file ceiling
         if 2 * (cfg.nsteps + 1) * 3 * (2 * bandwidth_of(cfg.cutoff) + 1) ** 3 > _MAX_COEFFS:

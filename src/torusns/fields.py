@@ -360,11 +360,11 @@ def random_vector_field(
 # omits modes with c_k = 0 and emits the rows component by component, each in
 # increasing lexicographic order of k, with 17 significant digits so every
 # float reads back exactly; these rules make the bytes a function of the
-# field.  It prints the integer indices into a row template, shared by blocks
-# of one support, and then the digits into that.  A block ends before the
-# first non-blank line that starts with neither a digit nor a sign; the
-# reader accepts its rows in any order, and rejects a header whose dense
-# cube, ncomponents (2B+1)^3 coefficients, exceeds _MAX_COEFFS = 2^24.
+# field.  It prints the integer indices into a row template, shared by
+# consecutive blocks of one support, and then the digits into that.  A block
+# ends before the first non-blank line that starts with neither a digit nor a
+# sign; the reader accepts its rows in any order, and rejects a header whose
+# dense cube, ncomponents (2B+1)^3 coefficients, exceeds _MAX_COEFFS = 2^24.
 # ---------------------------------------------------------------------------
 
 _FMT = "{:.17g}"
@@ -377,12 +377,13 @@ _BLOCK_END = re.compile(r"\n[ \t]*[^\s0-9+-]")
 
 
 def write_field(u: Field, stream: io.TextIOBase) -> None:
-    """Write one block, integer indices into a row template then digits; ValueError if non-finite."""
-    _write_block(u, stream, {})
+    """Write one block, indices into a row template then digits; ValueError if non-finite."""
+    _write_block(u, stream, None)
 
 
-def _write_block(u: Field, stream: io.TextIOBase, templates: dict) -> None:
-    """:func:`write_field` sharing ``templates``, keyed on (bandwidth, support bytes)."""
+def _write_block(u: Field, stream: io.TextIOBase, prev: tuple | None) -> tuple:
+    """:func:`write_field` reusing ``prev``, the previous block's (key, row template), if
+    its key (bandwidth, support bytes) is this block's; returns this block's pair."""
     b = u.bandwidth
     cube = (2 * b + 1,) * 3
     # C order is lexicographic in k: the stored representatives end the flat cube, k = 0 first
@@ -395,11 +396,12 @@ def _write_block(u: Field, stream: io.TextIOBase, templates: dict) -> None:
     stream.write(f"TORUSFIELD 1 {_FMT.format(u.ell)} {u.cutoff} {u.ncomponents}\n")
     support = half != 0
     key = (b, support.tobytes())
-    if key not in templates:
+    if prev is None or prev[0] != key:
         comp, idx = np.nonzero(support)
         rows = np.column_stack((*np.unravel_index(center + idx, cube), comp)) - (b, b, b, -1)
-        templates[key] = _ROW * len(rows) % tuple(rows.ravel().tolist())
-    stream.write(templates[key] % tuple(half[support].view(np.float64).tolist()))
+        prev = key, _ROW * len(rows) % tuple(rows.ravel().tolist())
+    stream.write(prev[1] % tuple(half[support].view(np.float64).tolist()))
+    return prev
 
 
 def next_line(text: str, pos: int) -> tuple[list[str], int]:

@@ -801,20 +801,17 @@ def linearized_closed_form(
 # ---------------------------------------------------------------------------
 
 
-def _time_derivatives(traj: FieldTrajectory) -> list[np.ndarray]:
-    """Second-order finite differences of the trajectory samples' stacks."""
+def _time_derivatives(traj: FieldTrajectory) -> Iterator[np.ndarray]:
+    """Second-order finite differences of the samples' stacks, each made as it is reached."""
     times = traj.times
     if len(times) < 3:
         raise ValueError("finite-difference time derivative needs >= 3 samples")
     stacks = [f.coeffs for f in traj.fields]
-    out = []
     for i in range(len(times)):
         # the three samples centred on i, shifted inwards at the two ends
         lo = min(max(i - 1, 0), len(times) - 3)
         w0, w1, w2 = _fd_weights(times[i], *times[lo : lo + 3])
-        d = w0 * stacks[lo] + w1 * stacks[lo + 1] + w2 * stacks[lo + 2]
-        out.append(d)
-    return out
+        yield w0 * stacks[lo] + w1 * stacks[lo + 1] + w2 * stacks[lo + 2]
 
 
 def _fd_weights(t: float, t0: float, t1: float, t2: float) -> tuple[float, float, float]:
@@ -841,11 +838,11 @@ def residual(traj: FieldTrajectory, f: Forcing, mu: float) -> np.ndarray:
     lapmult = _laplacian_symbol(traj.ell, traj.fields[0].bandwidth)
     ws = {}  # the kernel's grids, reused by every sample
     out = np.empty(len(traj))
-    for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
+    for i, (t, u, d) in enumerate(zip(traj.times, traj.fields, dtu)):
         _require_divfree(u, "a sample whose momentum residual is taken")
         c = u.coeffs
         stage = _ns_stage((c,), forcing(float(t)).coeffs, traj.ell, traj.cutoff, ws)
-        out[i] = _l2_norm(dtu[i] - ((c * lapmult) * float(mu) + stage), traj.ell)
+        out[i] = _l2_norm(d - ((c * lapmult) * float(mu) + stage), traj.ell)
     return out
 
 
@@ -887,10 +884,10 @@ def save_trajectory(traj: FieldTrajectory, path) -> None:
         fh.write(
             f"TRAJ 1 {_FMT.format(traj.ell)} {traj.cutoff} {len(traj)}\n"
         )
-        templates = {}  # samples that share a support share their row template
+        prev = None  # consecutive samples that share a support share their row template
         for t, u in zip(traj.times, traj.fields):
             fh.write(f"T {_FMT.format(float(t))}\n")
-            _write_block(u, fh, templates)
+            prev = _write_block(u, fh, prev)
 
 
 def load_trajectory(path) -> FieldTrajectory:

@@ -314,6 +314,16 @@ class TestExitCodes:
             _check_args(args)
         assert not (tmp_path / "out").exists()
 
+    def test_one_step_decay_is_config_error(self, tmp_path):
+        # a one-step run has 2 samples, too few for the finite-difference residual
+        out = tmp_path / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["decay", "--T", "0.01", "--dt", "0.01", "--M", "4", "--out-dir", str(out)])
+        assert code == 2
+        assert "residual needs 2 steps, got 1" in err.getvalue()
+        assert not out.exists()
+
     def test_largest_m36_run_passes_the_size_check(self, tmp_path):
         argv = ["taylor_green", "--M", "36", "--T", "1.271", "--dt", "1e-3"]
         args = build_parser().parse_args(argv + ["--out-dir", str(tmp_path / "out")])
