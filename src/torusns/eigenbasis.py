@@ -201,12 +201,20 @@ def reconstruct(basis: DivFreeBasis, coeffs: np.ndarray) -> SpectralVectorField:
     if coeffs.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
     side = 2 * bandwidth_of(basis.cutoff) + 1
-    out = np.zeros((3, side**3), dtype=np.complex128)
+    size = side**3
     at = _positions(basis.kvec, basis.cutoff)
-    terms = coeffs[:, None] * basis.coef
-    np.add.at(out.T, at, terms)
-    np.add.at(out.T, -1 - at, np.conj(terms))
-    return SpectralVectorField(basis.ell, basis.cutoff, out.reshape(3, side, side, side))
+    # component j of slot p is bin j size + p; each slot sums its direct
+    # terms, then its conjugate terms (at -k_b), in row order, from 0
+    slots = np.concatenate((at, size - 1 - at)) + size * np.arange(3)[:, None]
+    terms = (coeffs[:, None] * basis.coef).T
+    out = np.empty((3, side, side, side), dtype=np.complex128)
+    for part, direct, mirrored in (
+        (out.real, terms.real, terms.real),
+        (out.imag, terms.imag, -terms.imag),
+    ):
+        weights = np.concatenate((direct, mirrored), axis=1)
+        part[...] = np.bincount(slots.ravel(), weights.ravel(), 3 * size).reshape(part.shape)
+    return SpectralVectorField(basis.ell, basis.cutoff, out)
 
 
 def save_basis(basis: DivFreeBasis, path) -> None:

@@ -100,15 +100,12 @@ class SolverConfig:
     dt : time step, positive and finite (the actual step is T/N with
         N = round(T/dt), which must be a finite number).
     scheme : 'imex_euler' or 'if_rk4'.
-    attach_error_estimate : when True the solver integrates again at
-        dt_effective/2 and attaches the largest distance, in the solver's
-        own norm, between samples of the two runs at equal times.
 
-    Both solvers store every step.  :func:`solve_linearized` takes mu and
-    the cutoff from the operator.  The transport products always use the
-    smallest alias-free grid, and a Navier-Stokes run warns once
-    (RuntimeWarning) when the advective CFL number ||u||_inf dt (2 pi/ell)
-    max|k| exceeds 0.5.
+    Both solvers integrate once, at dt_effective, and store every step.
+    :func:`solve_linearized` takes mu and the cutoff from the operator.  The
+    transport products always use the smallest alias-free grid, and a
+    Navier-Stokes run warns once (RuntimeWarning) when the advective CFL
+    number ||u||_inf dt (2 pi/ell) max|k| exceeds 0.5.
     """
 
     mu: float
@@ -116,7 +113,6 @@ class SolverConfig:
     cutoff: int
     dt: float
     scheme: str = "if_rk4"
-    attach_error_estimate: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.mu < math.inf:
@@ -152,7 +148,6 @@ class FieldTrajectory:
     times: np.ndarray
     fields: tuple[SpectralVectorField, ...]
     rhs: tuple[SpectralVectorField, ...] | None = None
-    error_estimate: float | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
@@ -301,17 +296,6 @@ def _trajectory_forcing(f: Forcing, traj: FieldTrajectory) -> Callable[[float], 
     return _forcing_function(f, traj.ell, traj.horizon, partial(truncate, cutoff=traj.cutoff))
 
 
-def _step_halving(integrate: Callable, config: SolverConfig, distance: Callable):
-    """integrate(dt_effective)'s samples and, only if ``config`` asks, the
-    step-halving estimate (Hairer, Norsett & Wanner 1993, II.4): the largest
-    ``distance`` between a sample and the dt/2 run's sample at that time."""
-    coarse = integrate(config.dt_effective)
-    if not config.attach_error_estimate:
-        return *coarse, None
-    fine = integrate(config.dt_effective / 2)[1]
-    return *coarse, float(max(distance(a, b) for a, b in zip(coarse[1], fine[::2])))
-
-
 # ---------------------------------------------------------------------------
 # Nonlinear solver.
 # ---------------------------------------------------------------------------
@@ -327,7 +311,7 @@ def solve_navier_stokes(
     The returned trajectory is divergence-free at every sample and carries
     the evolution right-hand side as rhs samples.  Aborts with
     :class:`SolverAbort` on suspected blow-up (non-finite or exploding
-    coefficients).  Its step-halving distance is the L2 norm.
+    coefficients).
     """
     cutoff = config.cutoff
     if u0.cutoff > cutoff:
@@ -335,10 +319,9 @@ def solve_navier_stokes(
     _require_divfree(u0, "initial field")
     u = embed(u0, cutoff)
     forcing = _forcing_function(f, u.ell, config.horizon, lambda g: truncate(g, cutoff).coeffs)
-    integrate = partial(_integrate_ns, forcing, u, config)
-    times, coeffs, rhs, est = _step_halving(integrate, config, lambda a, b: _l2_norm(a - b, u.ell))
+    times, coeffs, rhs = _integrate_ns(forcing, u, config)
     fields, rhs = tuple(map(u.with_coeffs, coeffs)), tuple(map(u.with_coeffs, rhs))
-    return FieldTrajectory(times, fields, rhs, error_estimate=est)
+    return FieldTrajectory(times, fields, rhs)
 
 
 def _march(
@@ -384,13 +367,12 @@ def _ns_stage(stacks, f: np.ndarray, ell: float, cutoff: int, ws: dict) -> np.nd
     return _project_stack(rest, bandwidth_of(cutoff), _plan(ws, stacks[0], ell, cutoff).cubes)
 
 
-def _integrate_ns(forcing: Callable, u: SpectralVectorField, config: SolverConfig, dt: float):
+def _integrate_ns(forcing: Callable, u: SpectralVectorField, config: SolverConfig):
     """Times, coefficient stacks and rhs samples d_t c from u at the steps
-    T/round(T/dt); ``forcing`` is t -> the forcing stack at u's cutoff."""
+    of ``config``; ``forcing`` is t -> the forcing stack at u's cutoff."""
     ell, mu, bw = u.ell, config.mu, u.bandwidth
     lapmult = _laplacian_symbol(ell, bw)
-    nsteps = max(1, round(config.horizon / dt))
-    dt = config.horizon / nsteps
+    nsteps, dt = config.nsteps, config.dt_effective
     blowup_scale = 1e8 * (l2_norm_exact(u) + 1.0)
     cfl_grid = _fast_len(max(2 * bw + 1, 8))
     warned_cfl = False
@@ -410,8 +392,8 @@ def _integrate_ns(forcing: Callable, u: SpectralVectorField, config: SolverConfi
             umax = lp_norm(u.with_coeffs(c), math.inf, cfl_grid)
             if umax * dt * (2.0 * math.pi / ell) * bw > 0.5:
                 msg = f"advective CFL number exceeds 0.5 at t={t:.6g}; results may be inaccurate"
-                # skips this frame, _step_halving and solve_navier_stokes
-                warnings.warn(msg, RuntimeWarning, stacklevel=4)
+                # skips this frame and solve_navier_stokes
+                warnings.warn(msg, RuntimeWarning, stacklevel=3)
                 warned_cfl = True
     return tuple(zip(*samples))
 
@@ -544,9 +526,7 @@ def solve_linearized(
 ) -> FieldTrajectory:
     """Integrate dc/dt + A(t) c = f(t) over the eigenbasis coefficients.
 
-    ``u0`` is the initial field or its coefficients over ``op.basis``.  The
-    step-halving estimate is attached only when ``config`` asks for it; its
-    distance is the largest difference of one basis coefficient.
+    ``u0`` is the initial field or its coefficients over ``op.basis``.
     For autonomous operators compare against :func:`linearized_closed_form`.
     A drift sampled at several times must cover the horizon.
     """
@@ -562,25 +542,23 @@ def solve_linearized(
         config.horizon,
         lambda g: project_coefficients(truncate(g, basis.cutoff), basis),
     )
-    integrate = partial(_integrate_linear, op, gfun, c0, config)
-    times, coeffs, rhs, est = _step_halving(integrate, config, lambda a, b: np.max(np.abs(a - b)))
+    times, coeffs, rhs = _integrate_linear(op, gfun, c0, config)
     fields = tuple(reconstruct(basis, c) for c in coeffs)
     rhs = tuple(reconstruct(basis, r) for r in rhs)
-    return FieldTrajectory(times, fields, rhs, error_estimate=est)
+    return FieldTrajectory(times, fields, rhs)
 
 
 def _integrate_linear(
-    op: LinearizedOperator, gfun: Callable, c0: np.ndarray, config: SolverConfig, dt: float
+    op: LinearizedOperator, gfun: Callable, c0: np.ndarray, config: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, coefficients and rhs samples g(t) - A(t) c at the steps T/round(T/dt)."""
-    nsteps = max(1, round(config.horizon / dt))
+    """Times, coefficients and rhs samples g(t) - A(t) c at the steps of ``config``."""
     diff = op.diffusion
 
     def gee(c: np.ndarray, t: float) -> np.ndarray:
         # g minus the drift part (A(t) - diag(diff)) c, without forming it
         return gfun(t) - op.at(t) @ c + diff * c
 
-    steps = _march(1.0, diff, gee, c0, config.horizon / nsteps, nsteps, config.scheme)
+    steps = _march(1.0, diff, gee, c0, config.dt_effective, config.nsteps, config.scheme)
     times, coeffs, stages = (np.array(x) for x in zip(*steps))
     return times, coeffs, stages - diff * coeffs
 

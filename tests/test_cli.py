@@ -634,6 +634,25 @@ class TestLinearized:
         cert = json.loads((tmp_path / "lin" / "certificate.json").read_text())
         assert cert["norms"]["matrix_exponential_agreement"] <= 1e-8
 
+    def test_integrates_once(self, tmp_path, monkeypatch):
+        # the closed form measures the integrator's error, so no dt/2 run
+        import torusns.galerkin as galerkin
+
+        marches, stages = [], []
+        march = galerkin._march
+
+        def counted(mu, lam, stage, *rest):
+            marches.append(rest)
+            return march(mu, lam, lambda c, t: stages.append(t) or stage(c, t), *rest)
+
+        monkeypatch.setattr(galerkin, "_march", counted)
+        argv = ["linearized", "--M", "4", "--T", "0.01", "--dt", "5e-3"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--out-dir", str(tmp_path / "lin")]) == 0
+        # 2 IF_RK4 steps of 4 stages, plus k1 at the final time
+        assert len(marches) == 1 and len(stages) == 4 * 2 + 1
+        assert "matrix exponential agreement: " in out.getvalue()
 
     @pytest.mark.parametrize("pair", ["0,2", "1,3"])
     def test_bochner_beyond_first_time_derivative_rejected(self, tmp_path, pair):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from torusns.eigenbasis import (
+    _positions,
     build_basis,
     gradient_coefficients,
     load_basis,
@@ -17,6 +18,7 @@ from torusns.eigenbasis import (
 from torusns.fields import (
     Field,
     SpectralVectorField,
+    bandwidth_of,
     random_scalar_field,
     random_vector_field,
     truncate,
@@ -176,6 +178,39 @@ class TestCoefficients:
                 matrix = np.stack([f.coeffs.ravel() for f in fields])
                 expected = np.real(matrix.conj() @ flat) * ELL**3
                 assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("cutoff", [1, 4, 16, 36])
+    def test_reconstruct_matches_scatter(self, rng, tmp_path, cutoff):
+        # reference: the two complex scatters the per-slot sums replaced,
+        # direct slots then conjugate slots, each in row order
+        def scatter(basis, coeffs):
+            side = 2 * bandwidth_of(basis.cutoff) + 1
+            out = np.zeros((3, side**3), dtype=np.complex128)
+            at = _positions(basis.kvec, basis.cutoff)
+            terms = coeffs[:, None] * basis.coef
+            np.add.at(out.T, at, terms)
+            np.add.at(out.T, -1 - at, np.conj(terms))
+            return out.reshape(3, side, side, side)
+
+        built = build_basis(ELL, cutoff)
+        save_basis(built, tmp_path / "basis.txt")
+        perm = rng.permutation(built.dim)
+        permuted = dataclasses.replace(
+            built, **{k: getattr(built, k)[perm] for k in ("kvec", "coef", "m", "j")}
+        )
+        # a basis field's amplitude is real or imaginary, so a slot of it
+        # sums at most two nonzero parts: random complex amplitudes make the
+        # order of every slot's sum show in its bits
+        shape = built.coef.shape
+        scrambled = dataclasses.replace(
+            permuted, coef=rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        signed = rng.standard_normal(built.dim)
+        signed[::3], signed[1::5] = 0.0, -0.0
+        for basis in (built, load_basis(tmp_path / "basis.txt"), permuted, scrambled):
+            for coeffs in (rng.standard_normal(basis.dim), signed):
+                got = reconstruct(basis, coeffs).coeffs
+                assert got.tobytes() == scatter(basis, coeffs).tobytes()
 
     def test_divfree_iff_gradient_coefficients_vanish(self, basis4, rng):
         u = leray_project(random_vector_field(ELL, 4, rng))

@@ -464,15 +464,13 @@ class TestLinearizedSolve:
         w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
         op = assemble_linearized(w, basis4, MU)
         u0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.5))
-        cfg = SolverConfig(
-            mu=MU, horizon=0.5, cutoff=4, dt=1e-3, scheme="if_rk4", attach_error_estimate=True
-        )
+        cfg = SolverConfig(mu=MU, horizon=0.5, cutoff=4, dt=1e-3, scheme="if_rk4")
         traj = solve_linearized(op, None, u0, cfg)
         c0 = project_coefficients(u0, basis4)
         exact = linearized_closed_form(op, None, c0, traj.times)
         numeric = np.stack([project_coefficients(u, basis4) for u in traj.fields])
         assert np.max(np.abs(exact - numeric)) <= 1e-8
-        assert traj.error_estimate is not None and traj.error_estimate <= 1e-8
+        assert _linear_step_halving(op, None, c0, cfg) <= 1e-8
 
     def test_projected_ode_residual(self, basis4, rng):
         w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
@@ -521,7 +519,7 @@ class TestLinearizedSolve:
         cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
         traj = solve_linearized(op, forcing, c0, cfg)
         gfun = _forcing_function(forcing, ELL, 0.1, lambda g: project_coefficients(g, basis4))
-        coeffs = _integrate_linear(op, gfun, c0, cfg, cfg.dt_effective)[1]
+        coeffs = _integrate_linear(op, gfun, c0, cfg)[1]
         rhs = np.stack([r.coeffs for r in traj.rhs])
         ref = np.stack(
             [reconstruct(basis4, gfun(t) - op.at(t) @ c).coeffs for t, c in zip(traj.times, coeffs)]
@@ -541,36 +539,11 @@ class TestLinearizedSolve:
 
         monkeypatch.setattr(galerkin.LinearizedOperator, "at", counted)
         op, forcing, c0 = self._sampled_problem(basis4)
-        cfg = SolverConfig(
-            mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme, attach_error_estimate=True
-        )
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
         solve_linearized(op, forcing, c0, cfg)
-        n_coarse, n_fine = cfg.nsteps, 2 * cfg.nsteps
-        # per run the stages of every step plus k1 at the final time; the
+        # one run: the stages of every step plus k1 at the final time; the
         # stored rhs samples reuse the k1 values
-        assert len(calls) == 2 + per_step * (n_coarse + n_fine)
-
-    @pytest.mark.parametrize("attach", [False, True])
-    def test_estimate_only_when_asked(self, basis4, monkeypatch, attach):
-        runs = []
-        march = galerkin._march
-
-        def counted(*args):
-            runs.append(args[4])  # the step
-            return march(*args)
-
-        monkeypatch.setattr(galerkin, "_march", counted)
-        op, forcing, c0 = self._sampled_problem(basis4)
-        cfg = SolverConfig(
-            mu=MU, horizon=0.1, cutoff=4, dt=4e-3, attach_error_estimate=attach
-        )
-        traj = solve_linearized(op, forcing, c0, cfg)
-        if attach:
-            assert runs == [cfg.dt_effective, cfg.horizon / (2 * cfg.nsteps)]
-            assert traj.error_estimate > 0.0
-        else:
-            assert runs == [cfg.dt_effective]
-            assert traj.error_estimate is None
+        assert len(calls) == 1 + per_step * cfg.nsteps
 
     def test_closed_form_requires_autonomous(self, basis4, rng):
         w0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.2))
@@ -595,10 +568,34 @@ def _closed_form_per_time(op, f_const, c0, times, expm=matrix_exponential):
     return out
 
 
-def _integrate_linear_dense(op, gfun, c0, config, dt):
+def _step_halving(f, u0, cfg):
+    """A Navier-Stokes run and its step-halving estimate (Hairer, Norsett &
+    Wanner 1993, II.4): the largest L2 distance between a sample and the
+    sample of the run at dt/2 at that time."""
+    coarse = solve_navier_stokes(f, u0, cfg)
+    fine = solve_navier_stokes(f, u0, dataclasses.replace(cfg, dt=cfg.dt_effective / 2))
+    return coarse, max(l2_norm_exact(a - b) for a, b in zip(coarse.fields, fine.fields[::2]))
+
+
+def _linear_step_halving(op, f, c0, cfg):
+    """The step-halving estimate of a linearized run from the solver's own
+    coefficients: the largest difference of one basis coefficient between a
+    sample and the sample of the run at dt/2 at that time."""
+    from torusns.fields import truncate
+    from torusns.galerkin import _forcing_function, _integrate_linear
+
+    basis = op.basis
+    gfun = _forcing_function(
+        f, basis.ell, cfg.horizon, lambda g: project_coefficients(truncate(g, basis.cutoff), basis)
+    )
+    coarse = _integrate_linear(op, gfun, c0, cfg)[1]
+    fine = _integrate_linear(op, gfun, c0, dataclasses.replace(cfg, dt=cfg.dt_effective / 2))[1]
+    return float(max(np.max(np.abs(a - b)) for a, b in zip(coarse, fine[::2])))
+
+
+def _integrate_linear_dense(op, gfun, c0, config):
     """The integrator with a dense A(t) - diag(diffusion) formed at every stage."""
-    nsteps = max(1, round(config.horizon / dt))
-    dt = config.horizon / nsteps
+    nsteps, dt = config.nsteps, config.dt_effective
     diff = op.diffusion
 
     def gee(c, t):
@@ -806,8 +803,8 @@ class TestMatrixFreeStages:
         forcing = FieldTrajectory(np.array([0.0, 0.1]), (forcing, forcing * -0.5))
         gfun = _forcing_function(forcing, ELL, 0.1, lambda g: project_coefficients(g, basis4))
         cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
-        ref = _integrate_linear_dense(op, gfun, c0, cfg, cfg.dt_effective)
-        times, got, _ = _integrate_linear(op, gfun, c0, cfg, cfg.dt_effective)
+        ref = _integrate_linear_dense(op, gfun, c0, cfg)
+        times, got, _ = _integrate_linear(op, gfun, c0, cfg)
         assert np.array_equal(times, _solver_times(0.1, 4e-3))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -901,37 +898,23 @@ class TestNavierStokes:
         fine = solve_navier_stokes(
             prob.forcing, u0, dataclasses.replace(plain, dt=plain.dt_effective / 2)
         )
-        assert coarse.error_estimate is None and len(fine) == 2 * len(coarse) - 1
+        # the dt/2 run takes twice the steps and samples every coarse time
+        assert len(fine) == 2 * len(coarse) - 1
         assert np.allclose(fine.times[::2], coarse.times, rtol=0.0, atol=1e-15)
-        traj = solve_navier_stokes(
-            prob.forcing, u0, dataclasses.replace(plain, attach_error_estimate=True)
-        )
-        expected = max(l2_norm_exact(a - b) for a, b in zip(coarse.fields, fine.fields[::2]))
-        assert traj.error_estimate == expected
-        for a, b in zip(traj.fields, coarse.fields):
-            assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_error_estimate_attached(self):
         prob = two_shell_problem()
         from torusns.fields import truncate
 
         u0 = truncate(prob.initial, 4)
-        cfg = SolverConfig(
-            mu=prob.mu,
-            horizon=0.1,
-            cutoff=4,
-            dt=2e-3,
-            scheme="imex_euler",
-            attach_error_estimate=True,
-        )
-        traj = solve_navier_stokes(prob.forcing, u0, cfg)
+        cfg = SolverConfig(mu=prob.mu, horizon=0.1, cutoff=4, dt=2e-3, scheme="imex_euler")
+        traj, estimate = _step_halving(prob.forcing, u0, cfg)
         err = max(
             l2_norm_exact(u - prob.velocity(float(t)))
             for t, u in zip(traj.times, traj.fields)
         )
-        assert traj.error_estimate is not None
         # first-order scheme: estimate is about half the true error
-        assert err <= 3.0 * traj.error_estimate
+        assert err <= 3.0 * estimate
 
 
 def _solver_transport(v):
@@ -971,28 +954,23 @@ class TestArrayLoop:
     transport kernel once per stage, reusing N(u_{n+1}) as the next k1."""
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
-    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize("runs", [1])
     @pytest.mark.parametrize("forced", [False, True])
-    def test_matches_field_operators_bitwise(self, rng, scheme, runs, forced):
-        """Every step is stored; runs = 2 also integrates at dt/2 for the
-        step-halving estimate, which leaves the trajectory as it is."""
+    def test_matches_field_operators_bitwise(self, rng, monkeypatch, scheme, runs, forced):
+        """Every step is stored, from ``runs`` = 1 march at dt_effective."""
+        marches = []
+        march = galerkin._march
+        monkeypatch.setattr(galerkin, "_march", lambda *a: marches.append(a[4]) or march(*a))
         u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.5)
         f = random_vector_field(ELL, 4, rng, amplitude=0.3) if forced else None
-        cfg = SolverConfig(
-            mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme, attach_error_estimate=runs == 2
-        )
+        cfg = SolverConfig(mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme)
         traj = solve_navier_stokes(f, u0, cfg)
         force = f if forced else SpectralVectorField.zero(ELL, 4)
         stored = _field_loop(force, u0, cfg)
         # the advective reference: the same loop on (u . grad) u
         advective = _field_loop(force, u0, cfg, transport=self_convection)
+        assert marches == [cfg.dt_effective] * runs
         assert len(traj) == len(stored) == cfg.nsteps + 1
-        if runs == 2:
-            fine = _field_loop(force, u0, dataclasses.replace(cfg, dt=cfg.dt_effective / 2))
-            expected = max(l2_norm_exact(a - b) for a, b in zip(stored, fine[::2]))
-            assert traj.error_estimate == expected
-        else:
-            assert traj.error_estimate is None
         for u, rhs, ref, adv in zip(traj.fields, traj.rhs, stored, advective):
             assert np.array_equal(u.coeff_stack(), ref.coeff_stack())
             expected = laplacian(u) * MU + leray_project(force - _solver_transport(u))
@@ -1007,19 +985,15 @@ class TestArrayLoop:
         "scheme, tolerance, per_step",
         [("if_rk4", None, 4), ("imex_euler", None, 1)],
     )
-    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize("runs", [1])
     def test_kernel_calls_per_solve(self, rng, monkeypatch, scheme, tolerance, per_step, runs):
         calls, advective = _counted_kernels(monkeypatch)
         u0 = smooth_random_divfree(ELL, 4, rng, amplitude=0.5)
-        cfg = SolverConfig(
-            mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme, attach_error_estimate=runs == 2
-        )
+        cfg = SolverConfig(mu=MU, horizon=0.02, cutoff=4, dt=2e-3, scheme=scheme)
         solve_navier_stokes(None, u0, cfg)
-        # per run, one for the t = 0 rhs sample, then per step the stages
-        # after k1 and N(u_{n+1}), which is also the next step's k1; the
-        # dt/2 run of the estimate takes twice the steps
-        steps = cfg.nsteps * (1 if runs == 1 else 3)
-        assert len(calls) == runs + per_step * steps
+        # a solve is one run: one call for the t = 0 rhs sample, then per
+        # step the stages after k1 and N(u_{n+1}), also the next step's k1
+        assert len(calls) == runs * (1 + per_step * cfg.nsteps)
         # the divergence form never falls back to the advective kernel here
         assert len(advective) == 0
 
@@ -1141,25 +1115,15 @@ class TestResidual:
 class TestTwoSchemeAgreement:
     def test_single_pair(self, rng):
         u0 = smooth_random_divfree(ELL, 5, rng, amplitude=0.3)
-        runs = {}
+        runs, estimates = {}, {}
         for scheme in ("imex_euler", "if_rk4"):
-            cfg = SolverConfig(
-                mu=0.2,
-                horizon=0.1,
-                cutoff=5,
-                dt=1e-3,
-                scheme=scheme,
-                attach_error_estimate=True,
-            )
-            runs[scheme] = solve_navier_stokes(None, u0, cfg)
+            cfg = SolverConfig(mu=0.2, horizon=0.1, cutoff=5, dt=1e-3, scheme=scheme)
+            runs[scheme], estimates[scheme] = _step_halving(None, u0, cfg)
         diff = max(
             l2_norm_exact(a - b)
             for a, b in zip(runs["imex_euler"].fields, runs["if_rk4"].fields)
         )
-        bound = 2.0 * (
-            2.0 * runs["imex_euler"].error_estimate
-            + (16.0 / 15.0) * runs["if_rk4"].error_estimate
-        )
+        bound = 2.0 * (2.0 * estimates["imex_euler"] + (16.0 / 15.0) * estimates["if_rk4"])
         assert diff <= bound
 
 
@@ -1232,9 +1196,8 @@ class TestGoldenDigests:
         g = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
         forcing = FieldTrajectory(np.array([0.0, 0.1]), (g, g * 0.25))
         c0 = rng.standard_normal(basis4.dim)
-        cfg = SolverConfig(
-            mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme, attach_error_estimate=True
-        )
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
         traj = solve_linearized(op, forcing, c0, cfg)
-        got = _digest([traj.times] + [u.coeffs for u in traj.fields], traj.error_estimate)
+        estimate = _linear_step_halving(op, forcing, c0, cfg)
+        got = _digest([traj.times] + [u.coeffs for u in traj.fields], estimate)
         assert got == self.LINEAR[scheme]
