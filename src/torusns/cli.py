@@ -46,7 +46,6 @@ from .galerkin import (
     SolverAbort,
     SolverConfig,
     assemble_linearized,
-    cumulative_trapezoid,
     energy_identity_defect,
     linearized_closed_form,
     load_trajectory,
@@ -84,6 +83,8 @@ EXIT_INVARIANT = 4
 # pairs of one run; each is a product over samples and modes, which the
 # stored trajectory's ceiling _MAX_COEFFS bounds
 _MAX_BOCHNER_TERMS = 2**14
+# entries of selftest's dense Gram matrix; admits --M <= 48
+_MAX_GRAM_ENTRIES = 2**25
 
 
 class ConfigError(Exception):
@@ -146,11 +147,7 @@ def _write_norms_csv(
 ) -> None:
     s_exp, r_exp = lps_pair
     rows = ["t,l2,h1,h2,linf,div,lps_partial"]
-    spatial = np.array(table.lp[r_exp])
-    if math.isinf(s_exp):
-        partial = np.maximum.accumulate(spatial)
-    else:
-        partial = cumulative_trapezoid(spatial**s_exp, traj.times) ** (1.0 / s_exp)
+    partial = estimates.lps_partial(table.lp[r_exp], traj.times, s_exp)
     columns = (traj.times, table.l2, table.hs(1), table.hs(2), table.linf, table.div, partial)
     rows += [",".join(_fmt(x) for x in row) for row in zip(*columns)]
     path.write_text("\n".join(rows) + "\n")
@@ -562,7 +559,21 @@ def _parse_pair(text: str, kinds, what: str):
     return tuple(out)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SUBCOMMANDS = {
+    "decay": (_run_decay, "single shear mode; exact heat closed form"),
+    "manufactured": (_run_manufactured, "manufactured solution run or dt study"),
+    "taylor_green": (_run_taylor_green, "Taylor-Green vortex benchmark"),
+    "linearized": (_run_linearized, "drift-linearized run with matrix-exponential cross-check"),
+    "custom": (_run_custom, "run from field files"),
+    "certify": (_run_certify, "evaluate certificates for a stored trajectory"),
+    "selftest": (_run_selftest, "run the invariant suite"),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The torus-ns parser.  Every subcommand is registered with its help;
+    given ``command``, only that subcommand's flags are filled in, which
+    parses an argv naming it as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="torus-ns",
         description="Fourier-Galerkin Navier-Stokes runs and certificates on the periodic torus",
@@ -572,16 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
     bochner_pair = partial(_parse_pair, kinds=(int, int), what="--bochner")
 
     # each subcommand takes only the flags its runner reads
-    for name, run, helptext in (
-        ("decay", _run_decay, "single shear mode; exact heat closed form"),
-        ("manufactured", _run_manufactured, "manufactured solution run or dt study"),
-        ("taylor_green", _run_taylor_green, "Taylor-Green vortex benchmark"),
-        ("linearized", _run_linearized, "drift-linearized run with matrix-exponential cross-check"),
-        ("custom", _run_custom, "run from field files"),
-        ("certify", _run_certify, "evaluate certificates for a stored trajectory"),
-        ("selftest", _run_selftest, "run the invariant suite"),
-    ):
+    for name, (run, helptext) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
+        if command not in (None, name):
+            continue
         p.set_defaults(run=run)
         p.add_argument("--config", help="flat key=value config file; flags win")
         if name == "selftest":
@@ -660,11 +665,30 @@ def _check_out_dir(out_dir: Path) -> None:
             raise ConfigError(f"output path {path} exists and is not a directory")
 
 
+def _gram_entries(cutoff: int) -> int:
+    """Entries of selftest's Gram matrix at shell cutoff ``cutoff``: 3 rows per
+    mode |k|^2 <= cutoff by 3 (2B+1)^3 complex columns.  Nothing is allocated."""
+    bw = math.isqrt(max(cutoff, 0))
+    columns = 3 * (2 * bw + 1) ** 3
+    if 3 * columns > _MAX_GRAM_ENTRIES:  # the 3 rows of k = 0 are too many already
+        return 3 * columns
+    axis = range(-bw, bw + 1)
+    modes = sum(
+        2 * math.isqrt(cutoff - a * a - b * b) + 1
+        for a in axis for b in axis if a * a + b * b <= cutoff
+    )
+    return 3 * modes * columns
+
+
 def _check_args(args) -> None:
     """Check the flags a runner reads before it starts, so that a rejected
     run writes nothing.  Resolves the output directory, the default LPS pair
     and, for a solver run, ``args.solver``, the :class:`SolverConfig`."""
-    if "out_dir" not in args:  # selftest writes nothing
+    if "out_dir" not in args:  # selftest writes nothing, but builds its basis at --M
+        if _gram_entries(args.M) > _MAX_GRAM_ENTRIES:
+            raise ConfigError(
+                f"selftest --M {args.M} needs a Gram matrix of more than {_MAX_GRAM_ENTRIES} entries"
+            )
         return
     args.out_dir = Path(os.environ.get("TORUS_NS_OUT", args.out_dir))
     _check_out_dir(args.out_dir)
@@ -710,10 +734,11 @@ def _check_args(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        # argparse hands an argv that starts with a subcommand to its subparser alone
+        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = build_parser(command).parse_args(argv)
         _check_args(args)
         # A run whose values overflow fails its certificate, which reports
         # sides that are not finite as a failure; numpy's overflow and

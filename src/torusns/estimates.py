@@ -43,6 +43,7 @@ __all__ = [
     "lps_admissible",
     "lps_norm",
     "lps_report",
+    "lps_partial",
     "BochnerScaleNorm",
     "bochner_scale_norm",
 ]
@@ -237,17 +238,62 @@ def _check_lps_exponents(s_exponent: float, r_exponent: float) -> None:
         raise ValueError("space exponent must lie in (1, infinity]")
 
 
+def _direct_failed(direct, peak) -> np.ndarray:
+    """Where the direct power form ``direct`` of (int f^s)^(1/s) overflowed,
+    or underflowed to 0, while the maximum ``peak`` of f is finite and
+    positive: there m (int (f/m)^s)^(1/s), m = peak, is taken instead."""
+    return (~np.isfinite(direct) | (direct == 0.0)) & (peak > 0.0) & np.isfinite(peak)
+
+
 def lps_report(
     norms: NormTable, times: np.ndarray, s_exponent: float, r_exponent: float
 ) -> LpsReport:
-    """Time-quadrature of the tabulated spatial L^r norms to the power s."""
+    """Time-quadrature of the tabulated spatial L^r norms to the power s.
+
+    The norms f are raised to the power s directly.  Where f^s overflows or
+    underflows (large s), the value is m (int (f/m)^s)^(1/s) with m = max f."""
     _check_lps_exponents(s_exponent, r_exponent)
     spatial = np.array(norms.lp[r_exponent])
+    peak = np.max(spatial)
     if math.isinf(s_exponent):
-        value = float(np.max(spatial))
+        value = float(peak)
     else:
-        value = float(trapezoid(spatial**s_exponent, times) ** (1.0 / s_exponent))
+        with np.errstate(over="ignore"):
+            value = float(trapezoid(spatial**s_exponent, times) ** (1.0 / s_exponent))
+        if _direct_failed(value, peak):
+            scaled = trapezoid((spatial / peak) ** s_exponent, times)
+            value = float(peak * scaled ** (1.0 / s_exponent))
     return LpsReport(s_exponent, r_exponent, lps_admissible(s_exponent, r_exponent), value)
+
+
+def lps_partial(spatial: np.ndarray, times: np.ndarray, s_exponent: float) -> np.ndarray:
+    """The running L^s time norm (int_0^t f^s)^(1/s) of the spatial norms f at
+    every sample time t, by the trapezoid rule; the running max for s = inf.
+
+    Where f^s overflows or underflows, the entry is m (int_0^t (f/m)^s)^(1/s)
+    with m the running max of f, the integral kept in units of m^s, which
+    are rescaled when m grows."""
+    spatial = np.asarray(spatial, dtype=np.float64)
+    running = np.maximum.accumulate(spatial)
+    if math.isinf(s_exponent):
+        return running
+    with np.errstate(over="ignore"):
+        partial = cumulative_trapezoid(spatial**s_exponent, times) ** (1.0 / s_exponent)
+    redo = _direct_failed(partial, running)
+    if redo.any():
+        acc = prev = m = 0.0
+        times = np.asarray(times, dtype=np.float64).tolist()
+        for i, (t, f) in enumerate(zip(times, spatial.tolist())):
+            if f > m:  # the integral so far in units of f^s
+                shrink = (m / f) ** s_exponent
+                acc, prev, m = acc * shrink, prev * shrink, f
+            cur = (f / m) ** s_exponent if m > 0.0 else 0.0
+            if i:
+                acc += 0.5 * (t - t_prev) * (prev + cur)
+            if redo[i]:
+                partial[i] = m * acc ** (1.0 / s_exponent)
+            prev, t_prev = cur, t
+    return partial
 
 
 def lps_norm(

@@ -338,7 +338,8 @@ def _march(
     """
     denom = 1.0 + dt * mu * lam
     eh = np.exp(-mu * lam * dt / 2.0)
-    ef = eh * eh
+    # once per march: 2.0 * eh * x and dt * eh * x multiply left to right
+    ef, eh2, dteh = eh * eh, 2.0 * eh, dt * eh
     c = c0
     for n in range(nsteps + 1):
         t = n * dt
@@ -351,9 +352,10 @@ def _march(
         else:
             k2 = stage(eh * (c + 0.5 * dt * k1), t + 0.5 * dt)
             k3 = stage(eh * c + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = stage(ef * c + dt * eh * k3, t + dt)
-            c = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
-        if not np.all(np.isfinite(c)):
+            efc = ef * c
+            k4 = stage(efc + dteh * k3, t + dt)
+            c = efc + (dt / 6.0) * (ef * k1 + eh2 * (k2 + k3) + k4)
+        if not np.isfinite(c).all():
             raise SolverAbort(f"blow-up suspected at t={(n + 1) * dt:.6g}")
 
 

@@ -138,7 +138,7 @@ def partial_derivative(u: Field, alpha: tuple[int, int, int]) -> Field:
 
 def _l2_norm(coeffs: np.ndarray, ell: float) -> float:
     """Exact L2(Q) norm of the field of period ell with array ``coeffs``."""
-    return math.sqrt(ell**3 * float(np.sum(np.abs(coeffs) ** 2)))
+    return math.sqrt(ell**3 * float((np.abs(coeffs) ** 2).sum()))
 
 
 def l2_norm_exact(u: Field) -> float:
@@ -328,12 +328,19 @@ def _plan(ws: dict, stack: np.ndarray, ell: float, out_cutoff: int) -> _Plan:
 
 def _to_shell(spectrum: np.ndarray, plan: _Plan) -> np.ndarray:
     """The (3, 2K+1, 2K+1, 2K+1) ``spectrum`` of a product in the plan's
-    output cube, Hermitian-symmetrized and shell-masked, a fresh array."""
+    output cube, Hermitian-symmetrized and shell-masked, a fresh array.
+
+    When K equals the output bandwidth, as for every solver, residual and
+    Bochner-chain stage, the spectrum is symmetrized as it is; a wider output
+    cube (``convect`` with ``out_cutoff`` above the input's) first embeds it
+    in zeros.  Either way the bytes are those of the embedding."""
     keep, out_bw = (spectrum.shape[1] - 1) // 2, plan.grid[1]
-    coeffs = np.zeros((3,) + (2 * out_bw + 1,) * 3, dtype=np.complex128)
-    lo, hi = out_bw - keep, out_bw + keep + 1
-    coeffs[:, lo:hi, lo:hi, lo:hi] = spectrum
-    coeffs = hermitianize(coeffs)
+    if keep < out_bw:
+        cube = np.zeros((3,) + (2 * out_bw + 1,) * 3, dtype=np.complex128)
+        lo, hi = out_bw - keep, out_bw + keep + 1
+        cube[:, lo:hi, lo:hi, lo:hi] = spectrum
+        spectrum = cube
+    coeffs = hermitianize(spectrum)
     np.copyto(coeffs, 0.0, where=plan.outside)
     return coeffs
 
@@ -368,7 +375,9 @@ def _self_convect_stack(stacks, ell: float, out_cutoff: int, ws: dict | None = N
     symmetric tensor, with 3(j+1) inverse and 6 forward real FFTs.  For
     solenoidal u_l it is sum_l C(j,l) (u_l . grad) u_(j-l), the advective sum
     of :func:`_convect_stack`, to which it falls back where it overflows.
-    The result is a fresh array; the grids are in the workspace ``ws``."""
+    Each tensor entry is its first term u_0a u_jb, taken for the entries
+    (a, a..2) in one broadcast multiply, plus the binomial terms l >= 1 in
+    order.  The result is a fresh array; the grids are in the workspace ``ws``."""
     ws = {} if ws is None else ws
     j = len(stacks) - 1
     plan = _plan(ws, stacks[0], ell, out_cutoff)
@@ -379,9 +388,11 @@ def _self_convect_stack(stacks, ell: float, out_cutoff: int, ws: dict | None = N
     vals = _sample_stack(stack, n, ws).reshape(j + 1, 3, n, n, n)
     prod = _buffer(ws, "products", (6, n, n, n), np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        for p, (a, b) in enumerate(_PAIRS):
-            np.multiply(vals[0, a], vals[j, b], out=prod[p])
-            for l in range(1, j + 1):
+        # first terms u_0a u_jb, one call per row (a, a..2) of _PAIRS
+        for a, row in ((0, prod[0:3]), (1, prod[3:5]), (2, prod[5:6])):
+            np.multiply(vals[0, a], vals[j, a:], out=row)
+        for l in range(1, j + 1):
+            for p, (a, b) in enumerate(_PAIRS):
                 prod[p] += math.comb(j, l) * (vals[l, a] * vals[j - l, b])
         spec = _spectrum_stack(prod, keep, ws)
         # terms[m, i] = spec[_ROWS[i][m]], _ROWS being symmetric, and row i of
@@ -391,7 +402,7 @@ def _self_convect_stack(stacks, ell: float, out_cutoff: int, ws: dict | None = N
         div_uu = np.add(terms[0], terms[1], out=terms[0])
         div_uu += terms[2]
         coeffs = _to_shell(np.multiply(plan.fac, div_uu, out=div_uu), plan)
-    if not np.all(np.isfinite(coeffs)):  # summed from its first term, keeping -0.0
+    if not np.isfinite(coeffs).all():  # summed from its first term, keeping -0.0
         coeffs = _convect_stack(stacks[0], stacks[j], ell, out_cutoff, ws)
         for l in range(1, j + 1):
             term = _convect_stack(stacks[l], stacks[j - l], ell, out_cutoff, ws)
@@ -444,10 +455,13 @@ def symmetrized_convection(
 
 
 def _pointwise_magnitude(u: Field, n: int) -> np.ndarray:
-    vals = sample_values(u, n)
+    vals = sample_values(u, n)  # a fresh array, squared in place
     if u.ncomponents == 1:  # |x|, which sqrt(x**2) is not for subnormal x
         return np.abs(vals)
-    return np.sqrt(np.sum(vals**2, axis=0))
+    sq = np.square(vals, out=vals)
+    mag = np.add(sq[0], sq[1])  # (x^2 + y^2) + z^2, the order of np.sum over axis 0
+    mag += sq[2]
+    return np.sqrt(mag, out=mag)
 
 
 def _check_lp_exponent(p: float) -> None:
@@ -458,8 +472,8 @@ def _check_lp_exponent(p: float) -> None:
 def _lp_quadrature(mag: np.ndarray, p: float, cell: float) -> float:
     """L^p norm of the sampled magnitudes ``mag`` on cells of volume ``cell``."""
     if math.isinf(p):
-        return float(np.max(mag))
-    return float((cell * np.sum(mag**p)) ** (1.0 / p))
+        return float(mag.max())
+    return float((cell * (mag**p).sum()) ** (1.0 / p))
 
 
 def lp_norm(u: Field, p: float, n: int) -> float:
@@ -516,11 +530,12 @@ def norm_table(fields, grid_n: int | None = None, exponents=()) -> NormTable:
         _check_lp_exponent(r)
     u0 = fields[0]
     lam = -_laplacian_symbol(u0.ell, u0.bandwidth)
-    weights, volume = (1.0, lam, lam**2), u0.ell**3
+    weights, volume = (lam, lam**2), u0.ell**3
     rows = []
     for u in fields:
         power = np.abs(u.coeffs) ** 2
-        row = [math.sqrt(volume * float(np.sum(w * power))) for w in weights]
+        row = [math.sqrt(volume * float(power.sum()))]
+        row += [math.sqrt(volume * float((w * power).sum())) for w in weights]
         row.append(_l2_norm(_div_stack(u.coeffs, u.ell), u.ell))
         if rs:
             mag = _pointwise_magnitude(u, grid_n)

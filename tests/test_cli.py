@@ -424,6 +424,72 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
 
+class TestParser:
+    """``main`` fills in only the invoked subcommand's flags; what it parses
+    is what the full parser parses."""
+
+    ARGV = [
+        ["decay", "--mu", "0.2", "--T", "0.5", "--dt", "2e-3", "--M", "9", "--ell", "3.3",
+         "--amplitude", "0.5", "--grid", "20", "--lps", "4,6", "--lps", "inf,2",
+         "--bochner", "1,1", "--admissible-only", "--scheme", "IMEX_EULER"],
+        ["manufactured", "--dt-study", "3", "--jobs", "2", "--M", "2"],
+        ["taylor_green", "--amplitude", "2", "--T", "0.1"],
+        ["linearized", "--w", "w.field", "--u0", "u0.field", "--f", "f.field", "--bochner", "0,1"],
+        ["custom", "--u0", "u0.field", "--f", "f.field", "--M", "16"],
+        ["certify", "--traj", "run.traj", "--f", "f.field", "--bochner", "0,2", "--mu", "0.3"],
+        ["selftest", "--M", "9", "--basis", "basis.txt"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=[a[0] for a in ARGV])
+    def test_namespace_matches_full_parser(self, monkeypatch, argv):
+        import torusns.cli as cli
+
+        parsed = []
+
+        def stop(args):
+            parsed.append(args)
+            raise ConfigError("parsed")
+
+        monkeypatch.setattr(cli, "_check_args", stop)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 2
+        assert vars(parsed[0]) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [["custom", "--u0", "u0.field", "stray"], ["decay", "--M", "four"]])
+    def test_errors_match_full_parser(self, argv):
+        # an unrecognized argument is reported with the top-level usage,
+        # which lists every subcommand
+        errors = []
+        for parse in (main, build_parser().parse_args):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                parse(argv)
+            errors.append((exc.value.code, err.getvalue()))
+        assert errors[0] == errors[1] and errors[0][0] == 2
+
+    def test_help_lists_every_subcommand(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        for name in ("decay", "manufactured", "taylor_green", "linearized", "custom",
+                     "certify", "selftest"):
+            assert re.search(rf"^\s+{name}\s+\S", out.getvalue(), re.M), name
+
+    def test_subcommand_help_lists_its_flags(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            main(["linearized", "--help"])
+        assert all(flag in out.getvalue() for flag in ("--w", "--u0", "--amplitude", "--lps"))
+
+    def test_unknown_subcommand_exits_2(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["explode", "--M", "4"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'explode'" in err.getvalue()
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -436,6 +502,70 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+
+class TestGoldenArtifacts:
+    """sha256 of the artifacts of small seeded runs, pinned so that a change
+    meant to keep every byte of run.traj, norms.csv and certificate.json
+    shows when it does not.  The digests assume numpy's pocketfft and an IEEE
+    double BLAS, as in the tier-1 environment."""
+
+    DIGESTS = {
+        "custom": {
+            "run.traj": "396c289a4a2f3ddf82a8f9393f445a9520167d36ae1cc2c31bf0d827fe10bbe5",
+            "norms.csv": "70ee1bf7f33dc25355ef2d4fd0747d1f4c2f42f44a8ac3a0331de226e342820a",
+            "certificate.json": "e3db1fcc9e5416baf274c532234cba397275af8d9290bd4d0fc1a49169cab36c",
+        },
+        "linearized": {
+            "run.traj": "9b7c34fe23835516e3ac460bb70de58647607740b92050d1cc0b41542eeed330",
+            "norms.csv": "2ac1fc34cea4461daa22a09343073df90899d8fb52135f3cd86d6a575c6e3751",
+            "certificate.json": "fb2dba490fa5f3c17008003ff461edf14fa66ce4f3f933c1a4c0b8be5d44284b",
+        },
+        "certify": {
+            "certificate.json": "266d3996a29a97d092d0358175a1fecf6ec1b15c1c86a0b0ab1d094dabbd77ec",
+        },
+    }
+
+    @staticmethod
+    def _inputs(command, d):
+        """The run's input files in ``d``, from a fixed rng, and its flags."""
+        from torusns.problems import smooth_random_divfree
+
+        rng = np.random.default_rng(5147)
+        if command == "custom":
+            # steps large enough that each step's increment moves the last
+            # bits of the samples: a reordered product in the step shows
+            save_field(smooth_random_divfree(ELL, 4, rng, amplitude=2.0), d / "u0.field")
+            return ["--u0", str(d / "u0.field"), "--M", "4", "--T", "0.1", "--dt", "1e-2",
+                    "--mu", "1.0"]
+        if command == "linearized":
+            save_field(smooth_random_divfree(ELL, 4, rng, amplitude=0.3), d / "w.field")
+            save_field(smooth_random_divfree(ELL, 4, rng, amplitude=1.0), d / "u0.field")
+            return ["--w", str(d / "w.field"), "--u0", str(d / "u0.field"),
+                    "--M", "4", "--T", "0.01", "--dt", "5e-3", "--mu", "0.1"]
+        # an exact heat flow at M = 9: the Bochner chain runs the general kernel
+        from torusns.fields import wave_cubes
+
+        u0 = smooth_random_divfree(ELL, 9, rng, amplitude=1.0)
+        rate = 0.1 * wave_cubes(u0.bandwidth)[3] * (2.0 * math.pi / ELL) ** 2
+        times = np.linspace(0.0, 0.5, 6)
+        flow = tuple(u0.with_coeffs(u0.coeffs * np.exp(-rate * t)) for t in times)
+        save_trajectory(FieldTrajectory(times, flow), d / "input.traj")
+        return ["--traj", str(d / "input.traj"), "--bochner", "1,1", "--mu", "0.1"]
+
+    @pytest.mark.parametrize("command", ["custom", "linearized", "certify"])
+    def test_artifact_digests(self, tmp_path, monkeypatch, command):
+        import hashlib
+
+        monkeypatch.delenv("TORUS_NS_OUT", raising=False)
+        argv = [command, *self._inputs(command, tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS[command]
+        }
+        assert digests == self.DIGESTS[command]
 
 
 class TestConfigHandling:
@@ -567,6 +697,22 @@ class TestSelftest:
         r = run_cli("selftest", "--M", "4", "--basis", "bad.txt", cwd=tmp_path)
         assert r.returncode == 4
         assert any("eigenbasis_gram" in l and "FAIL" in l for l in r.stdout.splitlines())
+
+    @pytest.mark.parametrize("cutoff, admitted", [(48, True), (49, False), (100000, False)])
+    def test_cutoff_ceiling(self, cutoff, admitted):
+        # the Gram check's dense matrix: 27.0 M entries at M = 48, 43.1 M at
+        # M = 49; M = 100000 would allocate gigabytes of wave cubes first.
+        # Checked before anything is built.
+        args = build_parser().parse_args(["selftest", "--M", str(cutoff)])
+        if admitted:
+            _check_args(args)
+            return
+        with pytest.raises(ConfigError, match="Gram matrix of more than 33554432 entries"):
+            _check_args(args)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["selftest", "--M", str(cutoff)]) == 2
+        assert err.getvalue().startswith("configuration error: selftest --M")
 
     @pytest.mark.parametrize("defect", ["ell", "unparsable", "missing"])
     def test_unloadable_basis_is_config_error(self, tmp_path, defect):

@@ -333,6 +333,68 @@ class TestLps:
         assert math.isfinite(lps_norm(shear_run, math.inf, math.inf, 16).value)
 
 
+def _log_space_lps(spatial, times, s):
+    """(int_0^t f^s)^(1/s) at every sample time t by the trapezoid rule, summed
+    as logs: exp(logsumexp(log w + s log f) / s), free of over- and underflow."""
+    logs = s * np.log(spatial)
+    out = np.zeros(len(spatial))
+    for i in range(1, len(spatial)):
+        weights = np.zeros(i + 1)
+        dt = np.diff(times[: i + 1])
+        weights[:-1] += 0.5 * dt
+        weights[1:] += 0.5 * dt
+        terms = np.log(weights) + logs[: i + 1]
+        top = np.max(terms)
+        out[i] = math.exp((top + math.log(np.sum(np.exp(terms - top)))) / s)
+    return out
+
+
+class TestLpsLargeExponent:
+    """f^s overflows (f > 1) or underflows (f < 1) for large finite s; the time
+    quadrature then scales f by its maximum.  Every other value keeps its bytes."""
+
+    TIMES = np.linspace(0.0, 0.5, 30)
+    # a growing run, so that the running maximum moves, and a decaying one
+    SPATIAL = {
+        "growing": 40.0 + 7.0 * np.sin(3.0 * TIMES) + 5.0 * TIMES,
+        "decaying": 2e-3 * np.exp(-4.0 * TIMES),
+    }
+
+    @staticmethod
+    def _table(spatial):
+        return operators.NormTable((), (), {6.0: tuple(spatial)}, None)
+
+    @pytest.mark.parametrize("kind", ["growing", "decaying"])
+    def test_large_s_matches_log_space_reference(self, kind):
+        spatial, s = self.SPATIAL[kind], 300.0
+        with np.errstate(over="ignore"):
+            direct = trapezoid(spatial**s, self.TIMES) ** (1.0 / s)
+        assert not 0.0 < direct < math.inf  # the direct form fails here
+        reference = _log_space_lps(spatial, self.TIMES, s)
+        value = estimates.lps_report(self._table(spatial), self.TIMES, s, 6.0).value
+        assert value == pytest.approx(reference[-1], rel=1e-12)
+        assert value <= self.TIMES[-1] ** (1.0 / s) * np.max(spatial)
+        partial = estimates.lps_partial(spatial, self.TIMES, s)
+        assert partial[0] == 0.0
+        np.testing.assert_allclose(partial[1:], reference[1:], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["growing", "decaying"])
+    def test_direct_form_keeps_its_bytes(self, kind):
+        spatial, s = self.SPATIAL[kind] / np.max(self.SPATIAL[kind]), 4.0
+        value = estimates.lps_report(self._table(spatial), self.TIMES, s, 6.0).value
+        assert value.hex() == float(trapezoid(spatial**s, self.TIMES) ** (1.0 / s)).hex()
+        partial = estimates.lps_partial(spatial, self.TIMES, s)
+        direct = galerkin.cumulative_trapezoid(spatial**s, self.TIMES) ** (1.0 / s)
+        assert partial.tobytes() == direct.tobytes()
+
+    def test_nonfinite_norms_stay_direct(self):
+        spatial = self.SPATIAL["growing"].copy()
+        spatial[10] = math.inf
+        assert estimates.lps_report(self._table(spatial), self.TIMES, 300.0, 6.0).value == math.inf
+        partial = estimates.lps_partial(spatial, self.TIMES, 300.0)
+        assert np.all(np.isinf(partial[10:])) and np.all(np.isfinite(partial[:10]))
+
+
 class TestNormTable:
     EXPONENTS = (3.0, 4.5, 6.0, math.inf)
 

@@ -188,11 +188,13 @@ class TestConvection:
         slow = cli._brute_convect(w, u, 8)
         assert l2_norm_exact(fast - slow) <= 1e-12 * l2_norm_exact(slow)
 
-    @pytest.mark.parametrize("cutoff,out_cutoff", [(9, None), (25, None), (16, 49)])
+    @pytest.mark.parametrize("cutoff,out_cutoff", [(9, None), (25, None), (16, 49), (4, 36)])
     def test_brute_force_oracle_on_threshold_grids(self, ell, rng, cutoff, out_cutoff):
-        # The kernel grid 2B + K + 1 is 5-smooth here (10, 16 and 16 points)
+        # The kernel grid 2B + K + 1 is 5-smooth here (10, 16, 16 and 9 points)
         # and so is the grid one point smaller, so an off-by-one in the grid
-        # rule aliases.  (16, 49) keeps bandwidth K = 7, between B = 4 and 2B.
+        # rule aliases.  (16, 49) keeps bandwidth K = 7, between B = 4 and 2B;
+        # (4, 36) keeps K = 2B = 4 in an output cube of bandwidth 6, which
+        # the spectrum is embedded in.
         w = _sparse_vector_field(ell, cutoff, rng)
         u = _sparse_vector_field(ell, cutoff, rng)
         assert l2_norm_exact(div(w)) > 0.0 and l2_norm_exact(div(u)) > 0.0
@@ -324,6 +326,49 @@ class TestDivergenceForm:
         got = _self_convect_stack((u0, u1), ell, 3)
         assert len(calls) == 2
         assert got.tobytes() == expected.tobytes()
+
+
+def _six_call_self_convect_stack(stacks, ell, out_cutoff):
+    """The divergence-form kernel as it was before its trims, for finite
+    products: one multiply per tensor entry for its first term, and the
+    spectrum embedded in a fresh zero cube before it is symmetrized."""
+    ws = {}
+    j = len(stacks) - 1
+    plan = operators._plan(ws, stacks[0], ell, out_cutoff)
+    _, out_bw, keep, n = plan.grid
+    vals = _sample_stack(np.concatenate(stacks), n, ws).reshape(j + 1, 3, n, n, n)
+    prod = np.empty((6, n, n, n))
+    for p, (a, b) in enumerate(operators._PAIRS):
+        np.multiply(vals[0, a], vals[j, b], out=prod[p])
+        for l in range(1, j + 1):
+            prod[p] += math.comb(j, l) * (vals[l, a] * vals[j - l, b])
+    terms = plan.div * np.take(_spectrum_stack(prod, keep, ws), operators._ROWS, 0)
+    div_uu = terms[0] + terms[1]
+    div_uu += terms[2]
+    coeffs = np.zeros((3,) + (2 * out_bw + 1,) * 3, dtype=np.complex128)
+    lo, hi = out_bw - keep, out_bw + keep + 1
+    coeffs[:, lo:hi, lo:hi, lo:hi] = plan.fac * div_uu
+    coeffs = hermitianize(coeffs)
+    np.copyto(coeffs, 0.0, where=plan.outside)
+    return coeffs
+
+
+class TestKernelTrims:
+    """The divergence-form kernel's first terms, taken per tensor row, and its
+    direct symmetrization keep every byte of the six-call, embedded kernel."""
+
+    @pytest.mark.parametrize("cutoff", [4, 16, 36])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_bytes_of_the_six_call_kernel(self, rng, cutoff, order):
+        ell = 3.3
+        stacks = [
+            leray_project(random_vector_field(ell, cutoff, rng)).coeffs for _ in range(order + 1)
+        ]
+        expected = _six_call_self_convect_stack(stacks, ell, cutoff)
+        assert np.all(np.isfinite(expected))
+        ws = {}
+        for _ in range(2):  # a fresh and a warm workspace
+            assert _self_convect_stack(stacks, ell, cutoff, ws).tobytes() == expected.tobytes()
 
 
 def _rfftn_spectrum(values, keep, ws=None):
