@@ -25,12 +25,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import estimates, problems
-from .eigenbasis import DivFreeBasis, build_basis, load_basis, project_coefficients
+from .eigenbasis import DivFreeBasis, build_basis, gradient_coefficients, load_basis, project_coefficients
 from .fields import (
     _FMT,
     _MAX_COEFFS,
@@ -83,8 +84,9 @@ EXIT_INVARIANT = 4
 # pairs of one run; each is a product over samples and modes, which the
 # stored trajectory's ceiling _MAX_COEFFS bounds
 _MAX_BOCHNER_TERMS = 2**14
-# entries of selftest's dense Gram matrix; admits --M <= 48
-_MAX_GRAM_ENTRIES = 2**25
+# largest --M of a run that builds the eigenbasis: its dim^2 <= 2^27 (dim
+# 11487), so one dense (dim, dim) float64 matrix stays under 1 GiB
+_MAX_BASIS_CUTOFF = 124
 
 
 class ConfigError(Exception):
@@ -429,18 +431,20 @@ def _selftest_checks(cutoff: int, basis: DivFreeBasis):
         return worst <= 1e-13, f"max relative defect {worst:.2e}"
 
     def check_basis_gram():
-        fields = [*basis.fields(), *basis.gradient.fields()]
-        mat = np.stack([f.coeffs.ravel() for f in fields])
-        gram = np.real(mat.conj() @ mat.T) * basis.ell**3
-        dev = float(np.max(np.abs(gram - np.eye(len(fields)))))
+        # row i of the Gram matrix of every field against the basis, minus e_i
+        dev = 0.0
+        for i, f in enumerate(chain(basis.fields(), basis.gradient.fields())):
+            row = np.concatenate((project_coefficients(f, basis), gradient_coefficients(f, basis)))
+            row[i] -= 1.0
+            dev = max(dev, float(np.max(np.abs(row))))
         return dev <= 1e-12, f"Gram deviation {dev:.2e}"
 
     def check_eigen_identities():
         kappa2 = (2.0 * math.pi / basis.ell) ** 2
         worst = 0.0
-        for m, _, f in basis.entries:
+        for m, _, f in basis.indexed():  # the constants too: rot rot e_j = 0
             worst = max(worst, l2_norm_exact(rot(rot(f)) - f * (m * kappa2)))
-        for m, _, f in basis.gradient_entries:
+        for m, _, f in basis.gradient.indexed():
             worst = max(worst, l2_norm_exact(grad(div(f)) + f * (m * kappa2)))
         return worst <= 1e-11, f"max eigen defect {worst:.2e}"
 
@@ -665,30 +669,16 @@ def _check_out_dir(out_dir: Path) -> None:
             raise ConfigError(f"output path {path} exists and is not a directory")
 
 
-def _gram_entries(cutoff: int) -> int:
-    """Entries of selftest's Gram matrix at shell cutoff ``cutoff``: 3 rows per
-    mode |k|^2 <= cutoff by 3 (2B+1)^3 complex columns.  Nothing is allocated."""
-    bw = math.isqrt(max(cutoff, 0))
-    columns = 3 * (2 * bw + 1) ** 3
-    if 3 * columns > _MAX_GRAM_ENTRIES:  # the 3 rows of k = 0 are too many already
-        return 3 * columns
-    axis = range(-bw, bw + 1)
-    modes = sum(
-        2 * math.isqrt(cutoff - a * a - b * b) + 1
-        for a in axis for b in axis if a * a + b * b <= cutoff
-    )
-    return 3 * modes * columns
-
-
 def _check_args(args) -> None:
     """Check the flags a runner reads before it starts, so that a rejected
     run writes nothing.  Resolves the output directory, the default LPS pair
     and, for a solver run, ``args.solver``, the :class:`SolverConfig`."""
-    if "out_dir" not in args:  # selftest writes nothing, but builds its basis at --M
-        if _gram_entries(args.M) > _MAX_GRAM_ENTRIES:
-            raise ConfigError(
-                f"selftest --M {args.M} needs a Gram matrix of more than {_MAX_GRAM_ENTRIES} entries"
-            )
+    if args.command in ("selftest", "linearized") and args.M > _MAX_BASIS_CUTOFF:
+        raise ConfigError(
+            f"{args.command} --M {args.M} is more than {_MAX_BASIS_CUTOFF}, the largest "
+            "cutoff whose (dim, dim) eigenbasis matrix fits in 1 GiB"
+        )
+    if "out_dir" not in args:  # selftest writes nothing
         return
     args.out_dir = Path(os.environ.get("TORUS_NS_OUT", args.out_dir))
     _check_out_dir(args.out_dir)

@@ -90,8 +90,6 @@ def test_benchmark_attribute_uses_exist():
 
 # Public names with no caller in src/ or perfbench/ that are kept on purpose.
 KEEP_UNREFERENCED = {
-    # the curl-free oracle of tests/test_eigenbasis.py
-    ("eigenbasis", "gradient_coefficients"),
     # writes the basis dumps that `selftest --basis` reads
     ("eigenbasis", "save_basis"),
     # the closed-form decay of the acceptance criteria

@@ -7,13 +7,21 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusns.cli import ConfigError, _apply_config_file, _check_args, build_parser, main
+from torusns.cli import (
+    ConfigError,
+    _apply_config_file,
+    _check_args,
+    _selftest_checks,
+    build_parser,
+    main,
+)
 from torusns.fields import load_field, random_vector_field, save_field
 from torusns.galerkin import FieldTrajectory, load_trajectory, save_trajectory
 from torusns.helmholtz import leray_project
@@ -698,21 +706,59 @@ class TestSelftest:
         assert r.returncode == 4
         assert any("eigenbasis_gram" in l and "FAIL" in l for l in r.stdout.splitlines())
 
-    @pytest.mark.parametrize("cutoff, admitted", [(48, True), (49, False), (100000, False)])
-    def test_cutoff_ceiling(self, cutoff, admitted):
-        # the Gram check's dense matrix: 27.0 M entries at M = 48, 43.1 M at
-        # M = 49; M = 100000 would allocate gigabytes of wave cubes first.
-        # Checked before anything is built.
-        args = build_parser().parse_args(["selftest", "--M", str(cutoff)])
+    def test_relabelled_field_fails_eigen_check(self, tmp_path):
+        # the constant e_3 dropped and the first m = 1 field relabelled as
+        # it: still orthonormal, but rot rot of that "constant" is not 0
+        save_basis(build_basis(ELL, 4), tmp_path / "basis.txt")
+        blocks = re.split(r"(?m)^(?=BASIS)", (tmp_path / "basis.txt").read_text())
+        assert blocks[3].startswith("BASIS 0 3\n") and blocks[4].startswith("BASIS 1 1\n")
+        blocks[4] = blocks[4].replace("BASIS 1 1\n", "BASIS 0 3\n", 1)
+        (tmp_path / "bad.txt").write_text("".join(blocks[:3] + blocks[4:]))
+        r = run_cli("selftest", "--M", "4", "--basis", "bad.txt", cwd=tmp_path)
+        assert r.returncode == 4, r.stdout + r.stderr
+        failed = [line.split()[0] for line in r.stdout.splitlines() if "  FAIL  " in line]
+        assert failed == ["eigenbasis_eigen_identities"]
+
+    @pytest.mark.parametrize("name", ["eigenbasis_gram", "eigenbasis_eigen_identities"])
+    def test_basis_checks_hold_one_field_at_a_time(self, name):
+        # a dense (fields, coefficients) stack reads 86.5 MiB (Gram) and
+        # 17.5 MiB (eigen) at M = 16; one field at a time stays near 0.3 MB
+        check = dict(_selftest_checks(16, build_basis(ELL, 16)))[name]
+        tracemalloc.start()
+        try:
+            ok, detail = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok, detail
+        assert peak < 2e6
+
+    def test_cutoff_ceiling_is_a_gibibyte_matrix(self):
+        # one (dim, dim) float64 matrix of the basis at M = 124 fits in 1 GiB
+        assert build_basis(ELL, 124).dim ** 2 <= 2**27 < build_basis(ELL, 125).dim ** 2
+
+    @pytest.mark.parametrize("command", ["selftest", "linearized"])
+    @pytest.mark.parametrize(
+        "cutoff, admitted", [(124, True), (125, False), (400, False), (100000, False)]
+    )
+    def test_cutoff_ceiling(self, tmp_path, command, cutoff, admitted):
+        # checked before anything is built or written; linearized --M 400
+        # would otherwise allocate its 33 GiB (dim, dim) coupling matrix
+        out = tmp_path / "out"
+        argv = [command, "--M", str(cutoff)]
+        if command == "linearized":
+            argv += ["--T", "1e-3", "--dt", "1e-3", "--out-dir", str(out)]
+        args = build_parser().parse_args(argv)
         if admitted:
             _check_args(args)
             return
-        with pytest.raises(ConfigError, match="Gram matrix of more than 33554432 entries"):
+        with pytest.raises(ConfigError, match=f"--M {cutoff} is more than 124"):
             _check_args(args)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            assert main(["selftest", "--M", str(cutoff)]) == 2
-        assert err.getvalue().startswith("configuration error: selftest --M")
+            assert main(argv) == 2
+        assert err.getvalue().startswith(f"configuration error: {command} --M {cutoff}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("defect", ["ell", "unparsable", "missing"])
     def test_unloadable_basis_is_config_error(self, tmp_path, defect):
