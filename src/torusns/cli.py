@@ -678,6 +678,8 @@ def _check_args(args) -> None:
             f"{args.command} --M {args.M} is more than {_MAX_BASIS_CUTOFF}, the largest "
             "cutoff whose (dim, dim) eigenbasis matrix fits in 1 GiB"
         )
+    if args.command == "manufactured" and args.M < 2:
+        raise ConfigError(f"manufactured --M {args.M} cannot hold the solution on shells 1 and 2")
     if "out_dir" not in args:  # selftest writes nothing
         return
     args.out_dir = Path(os.environ.get("TORUS_NS_OUT", args.out_dir))

@@ -95,14 +95,6 @@ class DivFreeBasis(PairFields):
 
     gradient: PairFields
 
-    @property
-    def entries(self) -> tuple[tuple[int, int, SpectralVectorField], ...]:
-        return tuple(self.indexed())[3:]
-
-    @property
-    def gradient_entries(self) -> tuple[tuple[int, int, SpectralVectorField], ...]:
-        return tuple(self.gradient.indexed())
-
 
 def _frozen(kvec, coef, m, j) -> tuple[np.ndarray, ...]:
     """Read-only kvec (n, 3), coef (n, 3), m and j arrays."""

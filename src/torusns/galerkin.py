@@ -5,10 +5,11 @@ Two problems are integrated:
   * the drift-linearized momentum equation, reduced to the real ODE system
     dc/dt + A(t) c = f(t) over the divergence-free eigenbasis, where
     A(t) = diag(mu m (2 pi/ell)^2) + W(t) couples the modes through the
-    drift w; for autonomous A the matrix-exponential solution is available
-    as an independent cross-check, :func:`linearized_closed_form`, which
-    applies the exponential to the state by a Taylor action on short runs
-    and forms it once on long ones;
+    drift w.  A steady drift gives one dense matrix A, and the
+    matrix-exponential solution, :func:`linearized_closed_form`, is an
+    independent cross-check (a Taylor action on short runs, the exponential
+    formed once on long ones).  A sampled drift forms no matrix: W(t) c is
+    one Navier-Stokes kernel call per stage on the interpolated drift;
 
   * the nonlinear equation in evolution form,
     du/dt = mu Lap u + P(f - (u . grad) u),
@@ -23,7 +24,7 @@ both step n's k1 and the stored rhs sample's source.
 Forcing may be supplied as a steady field, a time-sampled trajectory
 (mid-step values by linear interpolation), or a callable t -> field
 (evaluated exactly at the stage times); sampled forcing and sampled
-drifts share one interpolation rule, :func:`_interpolate`.
+drift coefficients share one interpolation rule, :func:`_interpolate`.
 """
 
 from __future__ import annotations
@@ -407,21 +408,16 @@ def _integrate_ns(forcing: Callable, u: SpectralVectorField, config: SolverConfi
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """Dense Galerkin matrices A(t) of the drift-linearized problem.
-
-    ``matrices[i]`` is the full matrix at ``times[i]`` including the diagonal
-    diffusion part ``diffusion`` = mu m (2 pi/ell)^2; the drift coupling is
-    ``matrices[i] - diag(diffusion)``.
-    """
+    """The drift-linearized operator over ``basis``: ``diffusion`` = mu m
+    (2 pi/ell)^2 on the diagonal plus the coupling through ``drift``.
+    ``matrix`` is the dense Galerkin matrix A, diffusion included, of a
+    steady drift (one sample), and None for a drift sampled at several
+    times, whose coupling the solver applies by the kernel."""
 
     basis: DivFreeBasis
-    times: np.ndarray
-    matrices: np.ndarray
+    drift: FieldTrajectory
+    matrix: np.ndarray | None
     diffusion: np.ndarray
-
-    def at(self, t: float) -> np.ndarray:
-        """Full matrix at time t (rule of :func:`_interpolate`)."""
-        return _interpolate(self.times, self.matrices, t)
 
 
 # byte budget of one (rows, dim) complex temporary of the assembly, so
@@ -434,17 +430,19 @@ def assemble_linearized(
     basis: DivFreeBasis,
     mu: float,
 ) -> LinearizedOperator:
-    """Galerkin matrices of the drift coupling plus diagonal diffusion.
+    """Galerkin matrix of the drift coupling plus diagonal diffusion.
 
-    Entry (a, b) of the coupling is (w . grad v_b, v_a) + (v_b . grad w, v_a),
-    summed in Fourier space over the triads r = p + q, r = +-k_a, q = +-k_b:
-    each basis field is one +-k pair, so only the drift modes k_a -+ k_b
-    enter.  The identity (v_b . grad w, v_a) + (w, v_b . grad v_a) =
-    -((div v_b) w, v_a) = 0 is checked to 1e-11, which rejects a basis field
-    that is not solenoidal; a drift that is not solenoidal is rejected by its
-    divergence.
+    A drift sampled at several times gets no matrix, and a basis field is
+    checked to be solenoidal by c_b . k_b = 0.  For a steady drift, entry
+    (a, b) of the coupling is (w . grad v_b, v_a) + (v_b . grad w, v_a),
+    summed in Fourier space over the triads r = p + q, r = +-k_a,
+    q = +-k_b: each basis field is one +-k pair, so only the drift modes
+    k_a -+ k_b enter.  The identity (v_b . grad w, v_a) + (w, v_b . grad v_a)
+    = -((div v_b) w, v_a) = 0 is checked to 1e-11, which rejects a basis
+    field that is not solenoidal.  A drift that is not solenoidal is
+    rejected by its divergence.
 
-    The matrices are built a block of rows at a time, the rows sized so that
+    The matrix is built a block of rows at a time, the rows sized so that
     a (rows, dim) complex temporary fits a fixed byte budget.  The drift is
     gathered once per distinct k_b, which the polarizations of a pair share,
     and spread over the columns by one gather; every entry takes the same
@@ -452,13 +450,19 @@ def assemble_linearized(
     """
     if isinstance(w, SpectralVectorField):
         w = FieldTrajectory(np.zeros(1), (w,))
-    times, samples = w.times, w.fields
-    for s in samples:
+    for s in w.fields:
         if s.ell != basis.ell:
             raise ValueError("incompatible domains: drift period differs from basis")
         _require_divfree(s, "drift field")
-
+    diffusion = mu * basis.m * (2.0 * math.pi / basis.ell) ** 2
     kvec, coef = basis.kvec, basis.coef
+    # [b] entries: c_b . k_b
+    kb_cb = np.einsum("bj,bj->b", kvec, coef)
+    if len(w) > 1:
+        if np.any(np.abs(kb_cb) > 1e-11 * np.linalg.norm(kvec, axis=1) * np.linalg.norm(coef, axis=1)):
+            raise ValueError("a basis field is not solenoidal: c_b . k_b is not 0")
+        return LinearizedOperator(basis, w, None, diffusion)
+
     conj = coef.conj()
     # |k_a +- k_b|^2 <= 4 M: drift modes beyond that never couple the basis
     w_cutoff = 4 * basis.cutoff
@@ -469,8 +473,6 @@ def assemble_linearized(
     # distinct k_b (ulin, ukvec) and spread over the columns by ucol
     ulin, first, ucol = np.unique(lin, return_index=True, return_inverse=True)
     ukvec = kvec[first]
-    # [b] entries: c_b . k_b
-    kb_cb = np.einsum("bj,bj->b", kvec, coef)
     # the four sign pairs of (r, q) come in conjugate pairs, so an entry is
     # 2 Re of the terms at (k_a, k_b) and (k_a, -k_b), each i kappa ell^3 X:
     # entry = -2 kappa ell^3 Im X
@@ -480,44 +482,41 @@ def assemble_linearized(
     # taking a single leftover row
     rows = max(2, _ASSEMBLY_BLOCK_BYTES // (16 * basis.dim))
     bounds = [*range(0, basis.dim - 1, rows), basis.dim]
-    matrices = np.empty((len(times), basis.dim, basis.dim))
-    for it, wt in enumerate(samples):
-        wflat = truncate(wt, w_cutoff).coeffs.reshape(3, -1)
-        # block maxima folded by np.maximum, which keeps a nan as np.max does
-        t1_max = t2_max = defect = 0.0
-        for r in map(slice, bounds, bounds[1:]):
-            at_diff = side**3 // 2 + lin[r, None] - ulin
-            at_sum = side**3 // 2 + lin[r, None] + ulin
-            # the drift modes w_p at p = k_a - k_b and k_a + k_b, contracted
-            # one component at a time with k_b and with conj c_a
-            wd_kb, ws_kb, wd_ca, ws_ca = (np.zeros(at_diff.shape, complex) for _ in range(4))
-            for j in range(3):
-                for at, to_kb, to_ca in ((at_diff, wd_kb, wd_ca), (at_sum, ws_kb, ws_ca)):
-                    w_p = wflat[j, at]
-                    to_kb += w_p * ukvec[:, j]
-                    to_ca += w_p * conj[r, j, None]
-            wd_kb, ws_kb, wd_ca, ws_ca = (x[:, ucol] for x in (wd_kb, ws_kb, wd_ca, ws_ca))
-            # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a
-            gram, gram_bar, ka_cb = conj[r] @ coef.T, conj[r] @ conj.T, kvec[r] @ coef.T
-            # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a)
-            t1 = fac * np.imag(wd_kb * gram - ws_kb * gram_bar)
-            # (v_b . grad w, v_a): (c_q . p)(w_p . conj c_a)
-            t2 = fac * np.imag((ka_cb - kb_cb) * wd_ca + np.conj(ka_cb + kb_cb) * ws_ca)
-            # (w, v_b . grad v_a): -(c_q . r)(w_p . conj c_a)
-            s2 = -fac * np.imag(ka_cb * wd_ca + np.conj(ka_cb) * ws_ca)
-            t1_max = np.maximum(t1_max, np.max(np.abs(t1)))
-            t2_max = np.maximum(t2_max, np.max(np.abs(t2)))
-            defect = np.maximum(defect, np.max(np.abs(t2 + s2)))
-            matrices[it, r] = t1 + t2
-        scale = max(1.0, float(t1_max + t2_max))
-        if defect > 1e-11 * scale:
-            raise ValueError(
-                f"coupling-form identity violated (defect {defect:.3e}); "
-                "a basis field is not solenoidal"
-            )
-    diffusion = mu * basis.m * (2.0 * math.pi / basis.ell) ** 2
-    matrices.reshape(len(times), -1)[:, :: basis.dim + 1] += diffusion  # the diagonals
-    return LinearizedOperator(basis, times, matrices, diffusion)
+    matrix = np.empty((basis.dim, basis.dim))
+    wflat = truncate(w.initial, w_cutoff).coeffs.reshape(3, -1)
+    # block maxima folded by np.maximum, which keeps a nan as np.max does
+    t1_max = t2_max = defect = 0.0
+    for r in map(slice, bounds, bounds[1:]):
+        at_diff = side**3 // 2 + lin[r, None] - ulin
+        at_sum = side**3 // 2 + lin[r, None] + ulin
+        # the drift modes w_p at p = k_a - k_b and k_a + k_b, contracted
+        # one component at a time with k_b and with conj c_a
+        wd_kb, ws_kb, wd_ca, ws_ca = (np.zeros(at_diff.shape, complex) for _ in range(4))
+        for j in range(3):
+            for at, to_kb, to_ca in ((at_diff, wd_kb, wd_ca), (at_sum, ws_kb, ws_ca)):
+                w_p = wflat[j, at]
+                to_kb += w_p * ukvec[:, j]
+                to_ca += w_p * conj[r, j, None]
+        wd_kb, ws_kb, wd_ca, ws_ca = (x[:, ucol] for x in (wd_kb, ws_kb, wd_ca, ws_ca))
+        # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a
+        gram, gram_bar, ka_cb = conj[r] @ coef.T, conj[r] @ conj.T, kvec[r] @ coef.T
+        # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a)
+        t1 = fac * np.imag(wd_kb * gram - ws_kb * gram_bar)
+        # (v_b . grad w, v_a): (c_q . p)(w_p . conj c_a)
+        t2 = fac * np.imag((ka_cb - kb_cb) * wd_ca + np.conj(ka_cb + kb_cb) * ws_ca)
+        # (w, v_b . grad v_a): -(c_q . r)(w_p . conj c_a)
+        s2 = -fac * np.imag(ka_cb * wd_ca + np.conj(ka_cb) * ws_ca)
+        t1_max = np.maximum(t1_max, np.max(np.abs(t1)))
+        t2_max = np.maximum(t2_max, np.max(np.abs(t2)))
+        defect = np.maximum(defect, np.max(np.abs(t2 + s2)))
+        matrix[r] = t1 + t2
+    if defect > 1e-11 * max(1.0, float(t1_max + t2_max)):
+        raise ValueError(
+            f"coupling-form identity violated (defect {defect:.3e}); "
+            "a basis field is not solenoidal"
+        )
+    matrix.reshape(-1)[:: basis.dim + 1] += diffusion  # the diagonal
+    return LinearizedOperator(basis, w, matrix, diffusion)
 
 
 def solve_linearized(
@@ -533,16 +532,13 @@ def solve_linearized(
     A drift sampled at several times must cover the horizon.
     """
     basis = op.basis
-    _require_cover(op.times, config.horizon, "drift")
+    _require_cover(op.drift.times, config.horizon, "drift")
     if isinstance(u0, SpectralVectorField):
         _require_divfree(u0, "initial field")
         u0 = project_coefficients(u0, basis)
     c0 = np.asarray(u0, dtype=np.float64)
     gfun = _forcing_function(
-        f,
-        basis.ell,
-        config.horizon,
-        lambda g: project_coefficients(truncate(g, basis.cutoff), basis),
+        f, basis.ell, config.horizon, lambda g: project_coefficients(truncate(g, basis.cutoff), basis)
     )
     times, coeffs, rhs = _integrate_linear(op, gfun, c0, config)
     fields = tuple(reconstruct(basis, c) for c in coeffs)
@@ -553,12 +549,22 @@ def solve_linearized(
 def _integrate_linear(
     op: LinearizedOperator, gfun: Callable, c0: np.ndarray, config: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, coefficients and rhs samples g(t) - A(t) c at the steps of ``config``."""
-    diff = op.diffusion
+    """Times, coefficients and rhs samples g(t) - A(t) c at the steps of ``config``.
+
+    A sampled drift's coupling is P div(w (x) v + v (x) w), one kernel call,
+    v the field of c and w(t) the drift's interpolated coefficients, cut to
+    shell 4M (only its modes k_a -+ k_b couple the basis) and raised to M."""
+    basis, diff, a = op.basis, op.diffusion, op.matrix
+    wide = max(basis.cutoff, min(op.drift.cutoff, 4 * basis.cutoff))
+    stacks = [truncate(w, wide).coeffs for w in op.drift.fields] if a is None else None
+    ws = {}  # the kernel's grids, reused by every stage
 
     def gee(c: np.ndarray, t: float) -> np.ndarray:
-        # g minus the drift part (A(t) - diag(diff)) c, without forming it
-        return gfun(t) - op.at(t) @ c + diff * c
+        if a is not None:  # g minus (A - diag(diff)) c, without forming it
+            return gfun(t) - a @ c + diff * c
+        v, w = reconstruct(basis, c), _interpolate(op.drift.times, stacks, t)
+        coupling = _ns_stage((w, embed(v, wide).coeffs), 0.0, v.ell, v.cutoff, ws)
+        return gfun(t) + project_coefficients(v.with_coeffs(coupling), basis)
 
     steps = _march(1.0, diff, gee, c0, config.dt_effective, config.nsteps, config.scheme)
     times, coeffs, stages = (np.array(x) for x in zip(*steps))
@@ -717,7 +723,8 @@ def linearized_closed_form(
     counts only, so the result is deterministic.  A non-finite A or g raises
     ValueError on either path.
     """
-    if len(op.times) != 1:
+    a = op.matrix
+    if a is None:
         raise ValueError("closed form requires an autonomous (single-sample) operator")
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1:
@@ -727,7 +734,6 @@ def linearized_closed_form(
     steps = np.diff(times, prepend=0.0)
     if np.any(steps < 0):
         raise ValueError("closed-form times must be nondecreasing from t = 0")
-    a = op.matrices[0]
     dim = a.shape[0]
     g = np.zeros(dim) if f_const is None else np.asarray(f_const, dtype=np.float64)
     c0 = np.asarray(c0, dtype=np.float64)

@@ -145,9 +145,10 @@ def test_criterion_03_eigenbasis():
     gram_dev = float(np.max(np.abs(np.real(mat.conj() @ mat.T) * ELL**3 - np.eye(len(fields)))))
     kappa2 = (2 * math.pi / ELL) ** 2
     eig_dev = 0.0
-    for m, _, f in basis.entries:
+    # the constants (m = 0) take part: rot rot e_j = 0
+    for m, _, f in basis.indexed():
         eig_dev = max(eig_dev, l2_norm_exact(rot(rot(f)) - f * (m * kappa2)))
-    for m, _, f in basis.gradient_entries:
+    for m, _, f in basis.gradient.indexed():
         eig_dev = max(eig_dev, l2_norm_exact(grad(div(f)) + f * (m * kappa2)))
     ok = gram_dev <= 1e-12 and eig_dev <= 1e-11
     report(3, ok, f"Gram deviation {gram_dev:.2e} <= 1e-12, eigen defect {eig_dev:.2e} <= 1e-11")

@@ -161,6 +161,65 @@ def test_public_names_have_a_caller():
     assert _unreferenced_public_names() == set()
 
 
+# Public methods and properties of exported classes with no caller in src/
+# or perfbench/ that are kept on purpose, each an oracle of the tests.
+KEEP_UNREFERENCED_MEMBERS = {
+    # the manufactured pressure p*, against which recover_pressure is checked
+    ("problems", "ManufacturedProblem", "pressure"),
+    # d_t^j u* in closed form, against which the Bochner chain and the
+    # momentum balance of the manufactured solution are checked
+    ("problems", "ManufacturedProblem", "velocity_derivative"),
+    # max |c_-k - conj c_k|, the check that a field is real
+    ("fields", "Field", "hermitian_defect"),
+    # the k = 0 coefficient, the check of zero-mean fields
+    ("fields", "SpectralScalarField", "mean"),
+    # one coefficient by wave vector, the check of single modes
+    ("fields", "SpectralScalarField", "coefficient"),
+}
+
+
+def _public_members():
+    """(module, class, method node) of every public method or property of a
+    class in a module's ``__all__`` or of its bases in that module."""
+    for module, tree in _src_sources().items():
+        if module not in MODULES:
+            continue
+        classes = {c.name: c for c in tree.body if isinstance(c, ast.ClassDef)}
+        names = [n for n in _module_all(tree) if n in classes]
+        for name in names:  # grows by the bases it reaches
+            bases = [b.id for b in classes[name].bases if isinstance(b, ast.Name)]
+            names += [b for b in bases if b in classes and b not in names]
+        for name in names:
+            for node in classes[name].body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield module, name, node
+
+
+def _unreferenced_public_members():
+    """(module, class, name) of every public member that no ast Attribute
+    names: in src/torusns outside the member's own definition, or in
+    perfbench/.  Names are matched without their class, so a member shares
+    the callers of every other attribute of its name."""
+    external = _references(n for tree in _perfbench_sources().values() for n in ast.walk(tree))
+    src_nodes = [n for tree in _src_sources().values() for n in ast.walk(tree)]
+    dead = set()
+    for module, cls, node in _public_members():
+        inside = {id(n) for n in ast.walk(node)}
+        used = any(
+            isinstance(n, ast.Attribute) and n.attr == node.name and id(n) not in inside
+            for n in src_nodes
+        )
+        if not used and node.name not in external:
+            dead.add((module, cls, node.name))
+    return dead
+
+
+def test_public_members_have_a_caller():
+    members = {(module, cls, node.name) for module, cls, node in _public_members()}
+    assert KEEP_UNREFERENCED_MEMBERS <= members
+    assert _unreferenced_public_members() - KEEP_UNREFERENCED_MEMBERS == set()
+
+
 def test_solver_config_fields_have_a_caller():
     """Every SolverConfig field is passed as a keyword argument somewhere in
     src/torusns outside galerkin.py, or in perfbench/."""

@@ -933,6 +933,19 @@ class TestStudy:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "study").exists()
 
+    @pytest.mark.parametrize("study", [[], ["--dt-study", "3"]], ids=["run", "dt_study"])
+    def test_manufactured_below_shell_two_is_config_error(self, tmp_path, study):
+        # the solution lives on shells 1 and 2: at M = 1 a run printed an
+        # error of 3.9 and a study an observed order of -1.3e-16, exiting 0
+        out = tmp_path / "out"
+        argv = ["manufactured", "--M", "1", "--dt", "4e-3", "--T", "0.1", *study]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out-dir", str(out)])
+        assert code == 2
+        assert "cannot hold the solution on shells 1 and 2" in err.getvalue()
+        assert not out.exists()
+
     def test_jobs_fanout_matches_serial(self, tmp_path):
         outputs = {}
         for jobs, sub in (("1", "serial"), ("2", "par")):

@@ -76,10 +76,11 @@ class TestBasisConstruction:
         pairs = _pairs_per_shell(basis4)
         div_counts: dict[int, int] = {}
         grad_counts: dict[int, int] = {}
-        for m, _, _ in basis4.entries:
+        for m, _, _ in basis4.indexed():
             div_counts[m] = div_counts.get(m, 0) + 1
-        for m, _, _ in basis4.gradient_entries:
+        for m, _, _ in basis4.gradient.indexed():
             grad_counts[m] = grad_counts.get(m, 0) + 1
+        assert div_counts[0] == 3 and 0 not in grad_counts  # the constants
         for m, p in pairs.items():
             assert div_counts[m] == 4 * p
             assert grad_counts[m] == 2 * p
@@ -91,23 +92,23 @@ class TestBasisConstruction:
         assert np.max(np.abs(gram - np.eye(len(fields)))) <= 1e-12
 
     def test_entries_divergence_and_curl_free(self, basis4):
-        for _, _, f in basis4.entries:
+        for _, _, f in basis4.indexed():
             assert np.max(np.abs(div(f).coeffs)) <= 1e-14
             assert f.hermitian_defect() == 0.0
-        for _, _, f in basis4.gradient_entries:
+        for _, _, f in basis4.gradient.indexed():
             assert np.max(np.abs(rot(f).coeff_stack())) <= 1e-14
             assert f.hermitian_defect() == 0.0
 
     def test_eigen_identities(self, basis4):
         kappa2 = (2 * math.pi / ELL) ** 2
-        for m, _, f in basis4.entries:
+        for m, _, f in basis4.indexed():  # the constants too: rot rot e_j = 0
             assert l2_norm_exact(rot(rot(f)) - f * (m * kappa2)) <= 1e-11
-        for m, _, f in basis4.gradient_entries:
+        for m, _, f in basis4.gradient.indexed():
             assert l2_norm_exact(grad(div(f)) + f * (m * kappa2)) <= 1e-11
 
     def test_deterministic_rebuild(self, basis4):
         other = build_basis(ELL, 4)
-        for (m1, j1, f1), (m2, j2, f2) in zip(basis4.entries, other.entries):
+        for (m1, j1, f1), (m2, j2, f2) in zip(basis4.indexed(), other.indexed(), strict=True):
             assert (m1, j1) == (m2, j2)
             assert np.array_equal(f1.coeff_stack(), f2.coeff_stack())
 
@@ -118,7 +119,7 @@ class TestBasisConstruction:
 
 class TestCoefficients:
     def test_basis_entry_gives_unit_vector(self, basis4):
-        c = project_coefficients(basis4.entries[0][2], basis4)
+        c = project_coefficients(list(basis4.fields())[3], basis4)  # after the constants
         expected = np.zeros(basis4.dim)
         expected[3] = 1.0
         assert np.max(np.abs(c - expected)) <= 1e-12
@@ -288,9 +289,9 @@ class TestDump:
         save_basis(basis4, path)
         loaded = load_basis(path)
         assert loaded.cutoff == basis4.cutoff and loaded.ell == basis4.ell
-        assert len(loaded.entries) == len(basis4.entries)
-        assert len(loaded.gradient_entries) == len(basis4.gradient_entries)
-        for (m1, j1, f1), (m2, j2, f2) in zip(basis4.entries, loaded.entries):
+        assert loaded.dim == basis4.dim
+        assert loaded.gradient.dim == basis4.gradient.dim
+        for (m1, j1, f1), (m2, j2, f2) in zip(basis4.indexed(), loaded.indexed()):
             assert (m1, j1) == (m2, j2)
             assert np.max(np.abs(f1.coeff_stack() - f2.coeff_stack())) == 0.0
 

@@ -117,17 +117,16 @@ class TestTrajectory:
         assert l2_norm_exact(mid - ref) <= 1e-14 * l2_norm_exact(ref)
 
     def test_interpolation_rule_shared(self, basis4, rng):
-        # FieldTrajectory.at, LinearizedOperator.at and sampled forcing use
-        # one rule: a time just below a sample returns it bitwise, a lone
-        # sample is constant, a time beyond the span by more than 1e-9 raises
+        # FieldTrajectory.at and sampled forcing use one rule, and so does a
+        # sampled drift's stage: a time just below a sample returns it
+        # bitwise, a lone sample is constant, a time beyond the span by more
+        # than 1e-9 raises
         times = np.array([0.0, 0.1, 0.2])
         ws = [leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3)) for _ in times]
         traj = FieldTrajectory(times, tuple(ws))
-        op = assemble_linearized(traj, basis4, MU)
         forcing = galerkin._forcing_function(traj, ELL, 0.2, lambda g: g.coeff_stack())
         callers = [
             (traj.at, [w.coeff_stack() for w in ws], lambda x: x.coeff_stack()),
-            (op.at, op.matrices, lambda x: x),
             (forcing, [w.coeff_stack() for w in ws], lambda x: x),
         ]
         for at, samples, values in callers:
@@ -142,12 +141,14 @@ class TestTrajectory:
             with pytest.raises(ValueError, match="outside the sampled span"):
                 at(-2e-9)
         lone = FieldTrajectory(np.zeros(1), (ws[0],))
-        lone_op = assemble_linearized(ws[0], basis4, MU)
         lone_forcing = galerkin._forcing_function(lone, ELL, 5.0, lambda g: g)
         for t in (0.0, 1e-10, 0.3, 5.0):
             assert lone.at(t) is ws[0]
-            assert np.array_equal(lone_op.at(t), lone_op.matrices[0])
             assert lone_forcing(t) is ws[0]
+        # a lone drift sample is the steady drift, matrix and all
+        lone_op, steady_op = (assemble_linearized(w, basis4, MU) for w in (lone, ws[0]))
+        assert np.array_equal(lone_op.matrix, steady_op.matrix)
+        assert assemble_linearized(traj, basis4, MU).matrix is None
 
     def test_save_load_roundtrip(self, shear_run, tmp_path):
         path = tmp_path / "run.traj"
@@ -174,7 +175,7 @@ class TestMatrixExponential:
         inputs.append(-np.eye(20) + np.diag(np.full(19, 3.0), 1))
         # the closed form's augmented [[-A, g], [0, 0]] at M = 4
         w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
-        a = assemble_linearized(w, basis4, MU).matrices[0]
+        a = assemble_linearized(w, basis4, MU).matrix
         aug = np.zeros((len(a) + 1, len(a) + 1))
         aug[:-1, :-1], aug[:-1, -1] = -a, rng.standard_normal(len(a))
         inputs += [aug * 0.005, aug * 2.0]
@@ -235,14 +236,14 @@ class TestAssembly:
         op = assemble_linearized(SpectralZero(), basis4, MU)
         kappa2 = (2 * math.pi / ELL) ** 2
         expected = MU * kappa2 * basis4.m
-        assert np.max(np.abs(op.matrices[0] - np.diag(expected))) == 0.0
+        assert np.max(np.abs(op.matrix - np.diag(expected))) == 0.0
 
     def test_constant_drift_transport_blocks(self):
         basis1 = build_basis(ELL, 1)
         c = np.array([0.3, -0.7, 0.2])
         w = vector_from_modes(ELL, 1, {(0, 0, 0): tuple(c)})
         op = assemble_linearized(w, basis1, MU)
-        wpart = op.matrices[0] - np.diag(op.diffusion)
+        wpart = op.matrix - np.diag(op.diffusion)
         kappa = 2 * math.pi / ELL
         shells = [s for s in _shells1()]
         # entries per +-pair: (a1,cos),(a1,sin),(a2,cos),(a2,sin)
@@ -257,7 +258,7 @@ class TestAssembly:
     def test_transport_antisymmetry(self, basis4, rng):
         w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
         op = assemble_linearized(w, basis4, MU)
-        wpart = op.matrices[0] - np.diag(op.diffusion)
+        wpart = op.matrix - np.diag(op.diffusion)
         # for divergence-free drift the pure transport part is antisymmetric;
         # the full coupling satisfies the integration-by-parts identity checked
         # during assembly, so here we check (w . grad v', v) = -(w . grad v, v')
@@ -278,6 +279,8 @@ class TestAssembly:
             # the coupling-form identity holds only for solenoidal basis fields
             ("curl_free", "coupling-form identity.*basis field is not solenoidal"),
             ("curl_free_last", "coupling-form identity.*basis field is not solenoidal"),
+            # a sampled drift forms no identity: c_b . k_b = 0 is checked instead
+            ("curl_free_sampled", r"basis field is not solenoidal: c_b \. k_b is not 0"),
             ("two_pairs", r"single \+-k pair"),
         ],
     )
@@ -300,6 +303,8 @@ class TestAssembly:
             assert basis4.dim == 67 and (basis4.kvec[63:] == (2, 0, 0)).all()
             monkeypatch.setattr(galerkin, "_ASSEMBLY_BLOCK_BYTES", 3 * 16 * basis4.dim)
             w = vector_from_modes(ELL, 5, {(2, 0, -1): (0, 1, 0)})
+        if swap == "curl_free_sampled":
+            w = FieldTrajectory(np.array([0.0, 0.1]), (w, w * 0.5))
         if swap == "two_pairs":
             # a basis dump whose block of entry 5 holds two +-k pairs
             fields = list(basis4.fields())
@@ -322,16 +327,16 @@ class TestAssembly:
         permuted = dataclasses.replace(
             basis, **{f: getattr(basis, f)[perm] for f in ("kvec", "coef", "m", "j")}
         )
-        got = assemble_linearized(w, permuted, MU).matrices
+        got = assemble_linearized(w, permuted, MU).matrix
         # the smallest blocks (two rows: one row would take BLAS's matrix-vector
         # kernel), 7-row blocks (7 divides neither 67 nor 247) and one block
         mats = []
         for budget in (1, 7 * 16 * basis.dim, 16 * basis.dim**2):
             monkeypatch.setattr(galerkin, "_ASSEMBLY_BLOCK_BYTES", budget)
-            mats.append(assemble_linearized(w, basis, MU).matrices)
+            mats.append(assemble_linearized(w, basis, MU).matrix)
         for m in mats[1:]:
             assert np.array_equal(m, mats[0])
-        assert np.array_equal(got, mats[0][:, perm][:, :, perm])
+        assert np.array_equal(got, mats[0][perm][:, perm])
 
     def test_assembly_peak_memory(self, rng):
         basis = build_basis(ELL, 16)
@@ -345,25 +350,22 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         # 44.8 MB when every (dim, dim) intermediate was formed whole; the
-        # matrices themselves are 2.1 MB at dim 515
-        assert peak <= 4 * op.matrices.nbytes
+        # matrix itself is 2.1 MB at dim 515
+        assert peak <= 4 * op.matrix.nbytes
 
     @pytest.mark.parametrize("drift", ["cutoff4", "cutoff9", "wide", "trajectory", "zero"])
     def test_matches_grid_assembly(self, rng, drift):
         basis = build_basis(ELL, 9 if drift == "cutoff9" else 4)
         w_cutoff = 9 if drift in ("cutoff9", "wide") else 4
         w = leray_project(random_vector_field(ELL, w_cutoff, rng, amplitude=0.3))
-        if drift == "trajectory":
-            w2 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.3))
-            w = FieldTrajectory(np.array([0.0, 0.5]), (w, w2))
+        if drift == "trajectory":  # a lone sample: a steady drift
+            w = FieldTrajectory(np.zeros(1), (w,))
         elif drift == "zero":
             w = w * 0.0
         op = assemble_linearized(w, basis, MU)
-        ref = _grid_coupling(w, basis)
-        assert len(op.matrices) == len(ref)
-        for i, expected in enumerate(ref):
-            err = np.max(np.abs(op.matrices[i] - np.diag(op.diffusion) - expected))
-            assert err <= 1e-13 * np.max(np.abs(expected))
+        [expected] = _grid_coupling(w, basis)
+        err = np.max(np.abs(op.matrix - np.diag(op.diffusion) - expected))
+        assert err <= 1e-13 * np.max(np.abs(expected))
 
     def test_wide_drift_entries_exact(self, basis4, rng):
         # drift modes above the basis cutoff still couple the basis fields
@@ -372,7 +374,7 @@ class TestAssembly:
 
         w = leray_project(random_vector_field(ELL, 9, rng, amplitude=0.3))
         op = assemble_linearized(w, basis4, MU)
-        wpart = op.matrices[0] - np.diag(op.diffusion)
+        wpart = op.matrix - np.diag(op.diffusion)
         fields = list(basis4.fields())
         for i, j in [(3, 10), (0, 5), (20, 21)]:
             row, col = fields[i], fields[j]
@@ -442,7 +444,7 @@ def _transport_matrix(w, basis):
 class TestLinearizedSolve:
     def test_pure_decay_closed_form(self, basis4):
         op = assemble_linearized(SpectralZero(), basis4, MU)
-        u0 = basis4.entries[0][2]  # shell m = 1 eigenfield
+        u0 = list(basis4.fields())[3]  # shell m = 1 eigenfield, after the constants
         cfg = SolverConfig(mu=MU, horizon=1.0, cutoff=4, dt=1e-3, scheme="if_rk4")
         traj = solve_linearized(op, None, u0, cfg)
         lam = MU * (2 * math.pi / ELL) ** 2
@@ -451,7 +453,7 @@ class TestLinearizedSolve:
 
     def test_constant_forcing_steady_state(self, basis4):
         op = assemble_linearized(SpectralZero(), basis4, MU)
-        forcing = basis4.entries[0][2] * 0.8
+        forcing = list(basis4.fields())[3] * 0.8
         zero = vector_from_modes(ELL, 4, {})
         cfg = SolverConfig(mu=MU, horizon=1.0, cutoff=4, dt=1e-3, scheme="if_rk4")
         traj = solve_linearized(op, forcing, zero, cfg)
@@ -484,7 +486,7 @@ class TestLinearizedSolve:
         worst = 0.0
         for i in range(1, len(traj.times) - 1):
             dcdt = (coeffs[i + 1] - coeffs[i - 1]) / (2 * dt)
-            res = dcdt + op.matrices[0] @ coeffs[i]
+            res = dcdt + op.matrix @ coeffs[i]
             worst = max(worst, float(np.max(np.abs(res))))
         assert worst <= 10.0 * dt**2 * float(np.max(np.abs(coeffs)))
 
@@ -521,8 +523,9 @@ class TestLinearizedSolve:
         gfun = _forcing_function(forcing, ELL, 0.1, lambda g: project_coefficients(g, basis4))
         coeffs = _integrate_linear(op, gfun, c0, cfg)[1]
         rhs = np.stack([r.coeffs for r in traj.rhs])
+        at = _dense_per_sample(op)
         ref = np.stack(
-            [reconstruct(basis4, gfun(t) - op.at(t) @ c).coeffs for t, c in zip(traj.times, coeffs)]
+            [reconstruct(basis4, gfun(t) - at(t) @ c).coeffs for t, c in zip(traj.times, coeffs)]
         )
         for u, c in zip(traj.fields, coeffs):
             assert np.array_equal(u.coeffs, reconstruct(basis4, c).coeffs)
@@ -531,31 +534,31 @@ class TestLinearizedSolve:
     @pytest.mark.parametrize("scheme, per_step", [("if_rk4", 4), ("imex_euler", 1)])
     def test_operator_evaluations_per_solve(self, basis4, monkeypatch, scheme, per_step):
         calls = []
-        at = galerkin.LinearizedOperator.at
+        stage = galerkin._ns_stage
 
-        def counted(self, t):
-            calls.append(t)
-            return at(self, t)
+        def counted(stacks, *args):
+            calls.append(len(stacks))
+            return stage(stacks, *args)
 
-        monkeypatch.setattr(galerkin.LinearizedOperator, "at", counted)
+        monkeypatch.setattr(galerkin, "_ns_stage", counted)
         op, forcing, c0 = self._sampled_problem(basis4)
         cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
         solve_linearized(op, forcing, c0, cfg)
-        # one run: the stages of every step plus k1 at the final time; the
-        # stored rhs samples reuse the k1 values
-        assert len(calls) == 1 + per_step * cfg.nsteps
+        # one kernel call per stage, on (w(t), v): the stages of every step
+        # plus k1 at the final time; the stored rhs samples reuse the k1 values
+        assert calls == [2] * (1 + per_step * cfg.nsteps)
 
     def test_closed_form_requires_autonomous(self, basis4, rng):
         w0 = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.2))
         drift = FieldTrajectory(np.array([0.0, 1.0]), (w0, w0 * 0.5))
         op = assemble_linearized(drift, basis4, MU)
         with pytest.raises(ValueError, match="autonomous"):
-            linearized_closed_form(op, None, np.zeros(op.matrices.shape[1]), [0.1])
+            linearized_closed_form(op, None, np.zeros(basis4.dim), [0.1])
 
 
 def _closed_form_per_time(op, f_const, c0, times, expm=matrix_exponential):
     """The closed form with one augmented exponential per output time."""
-    a = op.matrices[0]
+    a = op.matrix
     dim = a.shape[0]
     g = np.zeros(dim) if f_const is None else f_const
     aug = np.zeros((dim + 1, dim + 1))
@@ -593,13 +596,22 @@ def _linear_step_halving(op, f, c0, cfg):
     return float(max(np.max(np.abs(a - b)) for a, b in zip(coarse, fine[::2])))
 
 
+def _dense_per_sample(op):
+    """t -> A(t) of the dense per-sample reference: each drift sample is
+    assembled as a steady operator, and the matrices are interpolated by the
+    solver's rule.  ``op`` is assembled at viscosity MU."""
+    matrices = [assemble_linearized(w, op.basis, MU).matrix for w in op.drift.fields]
+    return lambda t: galerkin._interpolate(op.drift.times, matrices, t)
+
+
 def _integrate_linear_dense(op, gfun, c0, config):
-    """The integrator with a dense A(t) - diag(diffusion) formed at every stage."""
+    """The integrator with a dense A(t) - diag(diffusion) formed at every
+    stage, A(t) that of :func:`_dense_per_sample`."""
     nsteps, dt = config.nsteps, config.dt_effective
-    diff = op.diffusion
+    diff, at = op.diffusion, _dense_per_sample(op)
 
     def gee(c, t):
-        return gfun(t) - (op.at(t) - np.diag(diff)) @ c
+        return gfun(t) - (at(t) - np.diag(diff)) @ c
 
     c = c0.copy()
     out = [c0.copy()]
@@ -707,7 +719,7 @@ class TestClosedForm:
 
     def test_zero_operator_returns_initial_coefficients(self, drift_problem, monkeypatch):
         op, c0, _ = drift_problem
-        zero = dataclasses.replace(op, matrices=np.zeros_like(op.matrices))
+        zero = dataclasses.replace(op, matrix=np.zeros_like(op.matrix))
         times = _solver_times(0.02, 5e-3)
         for path, got in _on_both_paths(monkeypatch, zero, np.zeros(len(c0)), c0, times).items():
             assert np.array_equal(got, np.tile(c0, (len(times), 1))), path
@@ -716,8 +728,8 @@ class TestClosedForm:
         op, c0, g = drift_problem
         bad_g = g.copy()
         bad_g[3] = math.nan
-        bad_op = dataclasses.replace(op, matrices=op.matrices.copy())
-        bad_op.matrices[0, 2, 5] = math.inf
+        bad_op = dataclasses.replace(op, matrix=op.matrix.copy())
+        bad_op.matrix[2, 5] = math.inf
         for cost in (0.0, math.inf):
             monkeypatch.setattr(galerkin, "_PRODUCT_COST", cost)
             for args in ((op, bad_g), (bad_op, g)):
@@ -770,7 +782,7 @@ class TestClosedForm:
         monkeypatch.setattr(galerkin, "matrix_exponential", counted)
         op, c0, g = drift_problem
         lam = (1.0 + op.diffusion) * scale  # c(t) = g / lam + exp(-t lam)(c0 - g / lam)
-        heat = dataclasses.replace(op, matrices=np.diag(lam)[None])
+        heat = dataclasses.replace(op, matrix=np.diag(lam))
         got = linearized_closed_form(heat, g, c0, [0.0, t])
         assert len(calls) == 1
         assert np.max(np.abs(got[1] - g / lam)) <= 1e-13 * np.max(np.abs(g / lam))
@@ -807,6 +819,47 @@ class TestMatrixFreeStages:
         times, got, _ = _integrate_linear(op, gfun, c0, cfg)
         assert np.array_equal(times, _solver_times(0.1, 4e-3))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
+    @pytest.mark.parametrize("w_cutoff", [1, 4, 9, 17])
+    def test_sampled_drift_matches_dense_per_sample(self, basis4, scheme, w_cutoff):
+        # drifts below, at and above M = 4; at 17 > 4M the stage cuts the
+        # drift to shell 16, whose modes k_a -+ k_b hold every coupling
+        from torusns.galerkin import _forcing_function, _integrate_linear
+
+        rng = np.random.default_rng(53 + w_cutoff)
+        ws = [leray_project(random_vector_field(ELL, w_cutoff, rng, amplitude=0.3)) for _ in "abc"]
+        drift = FieldTrajectory(np.array([0.0, 0.04, 0.1]), tuple(ws))
+        op = assemble_linearized(drift, basis4, MU)
+        assert op.matrix is None
+        g = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
+        forcing = FieldTrajectory(np.array([0.0, 0.1]), (g, g * 0.25))
+        gfun = _forcing_function(forcing, ELL, 0.1, lambda g: project_coefficients(g, basis4))
+        c0 = rng.standard_normal(basis4.dim)
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=4, dt=4e-3, scheme=scheme)
+        ref = _integrate_linear_dense(op, gfun, c0, cfg)
+        got = _integrate_linear(op, gfun, c0, cfg)[1]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_sampled_drift_peak_memory(self):
+        # 101 drift samples at M = 9, dim 247: the per-sample dense matrices
+        # alone were 49 MB; the stage keeps the drift's own coefficients
+        basis = build_basis(ELL, 9)
+        rng = np.random.default_rng(59)
+        w = smooth_random_divfree(ELL, 9, rng, amplitude=0.3)
+        times = np.linspace(0.0, 0.1, 101)
+        drift = FieldTrajectory(times, tuple(w * math.cos(20.0 * t) for t in times))
+        c0 = rng.standard_normal(basis.dim)
+        cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=9, dt=1e-2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve_linearized(assemble_linearized(drift, basis, MU), None, c0, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestNavierStokes:
