@@ -1197,7 +1197,10 @@ class TestGoldenDigests:
 
     ``NS`` is the Navier-Stokes run on the advective kernel (u . grad) u,
     which the loop used before the divergence form; ``NS_DIV`` is the same
-    run on the solver's kernel div(u (x) u)."""
+    run on the solver's kernel div(u (x) u).  ``LINEAR`` is a linearized run
+    with a sampled drift, on its kernel stage; the dense per-sample stage it
+    replaced gave coefficients within 1.2e-16 of these, relative to the
+    largest."""
 
     NS = {
         "if_rk4": "2e03060230921dd45075c7d8165a6514e9911f87550b6ae65e56602cdf68e2e8",
@@ -1208,8 +1211,8 @@ class TestGoldenDigests:
         "imex_euler": "c73ea3e28299dd55af151109c621d4af1b8b58ed023ee70f830d349c4dec24eb",
     }
     LINEAR = {
-        "if_rk4": "9f9ee59b12a0d78f844c5de85578c6a800ae040ea02b07ed680ef221a6aa4522",
-        "imex_euler": "dedc6c45ad55192ecbd5b00313083eb6555665673b0e194c9003f6242e591cc6",
+        "if_rk4": "db945fe09978bd279b404410086d949a1ccff12b9fd162d0127daf21afa23a1b",
+        "imex_euler": "dc8af0c0cbf79137cb6e65e5e3d5f2deca066ea4340755541a8bac4235099fe4",
     }
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
