@@ -338,6 +338,21 @@ class TestAssembly:
             assert np.array_equal(m, mats[0])
         assert np.array_equal(got, mats[0][perm][:, perm])
 
+    # sha256 of the steady matrix's bytes, pinned to the complex-arithmetic
+    # triad assembly; the digests assume the IEEE double BLAS of TestGoldenDigests
+    MATRIX = {
+        4: "4cac23624e47bee4c656949db43f9a7f635223e18ae1dff866d0bdac350d5906",
+        9: "5c82eb7cf56c1a698bba437753c3a1982222c030da8c51398abb71b81641eeaa",
+        16: "edccd167384f28901bcac83f7ddb577050c53344369d1caeea7452dba8ff3740",
+    }
+
+    @pytest.mark.parametrize("cutoff", [4, 9, 16])
+    def test_matrix_digest(self, cutoff):
+        rng = np.random.default_rng(4431)
+        w = smooth_random_divfree(ELL, cutoff, rng, amplitude=0.3)
+        op = assemble_linearized(w, build_basis(ELL, cutoff), MU)
+        assert hashlib.sha256(op.matrix.tobytes()).hexdigest() == self.MATRIX[cutoff]
+
     def test_assembly_peak_memory(self, rng):
         basis = build_basis(ELL, 16)
         w = smooth_random_divfree(ELL, 16, rng, amplitude=0.3)
