@@ -166,7 +166,13 @@ def _gather(u: SpectralVectorField, modes: PairFields) -> np.ndarray:
         raise ValueError("incompatible domains: field and basis periods differ")
     if u.cutoff > modes.cutoff:
         raise ValueError(f"field cutoff {u.cutoff} exceeds basis cutoff {modes.cutoff}")
-    flat = embed(u, modes.cutoff).coeffs.reshape(3, -1)
+    return _pair_sums(embed(u, modes.cutoff).coeffs, modes)
+
+
+def _pair_sums(cube: np.ndarray, modes: PairFields) -> np.ndarray:
+    """(u, b) for every field b of ``modes``, u given by its (3, s, s, s)
+    coefficient cube at the cutoff of ``modes``."""
+    flat = cube.reshape(3, -1)
     at = _positions(modes.kvec, modes.cutoff)
     # (u, b) = ell^3 Re sum over +-k_b of conj(b_k) . u_k
     terms = np.conj(modes.coef) * flat[:, at].T + modes.coef * flat[:, -1 - at].T
@@ -192,9 +198,15 @@ def reconstruct(basis: DivFreeBasis, coeffs: np.ndarray) -> SpectralVectorField:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
-    side = 2 * bandwidth_of(basis.cutoff) + 1
+    return SpectralVectorField(basis.ell, basis.cutoff, _scatter(basis, coeffs, basis.cutoff))
+
+
+def _scatter(basis: DivFreeBasis, coeffs: np.ndarray, cutoff: int) -> np.ndarray:
+    """The (3, s, s, s) coefficient cube of sum_i c_i b_i at ``cutoff``, at
+    least the basis cutoff."""
+    side = 2 * bandwidth_of(cutoff) + 1
     size = side**3
-    at = _positions(basis.kvec, basis.cutoff)
+    at = _positions(basis.kvec, cutoff)
     # component j of slot p is bin j size + p; each slot sums its direct
     # terms, then its conjugate terms (at -k_b), in row order, from 0
     slots = np.concatenate((at, size - 1 - at)) + size * np.arange(3)[:, None]
@@ -206,7 +218,7 @@ def reconstruct(basis: DivFreeBasis, coeffs: np.ndarray) -> SpectralVectorField:
     ):
         weights = np.concatenate((direct, mirrored), axis=1)
         part[...] = np.bincount(slots.ravel(), weights.ravel(), 3 * size).reshape(part.shape)
-    return SpectralVectorField(basis.ell, basis.cutoff, out)
+    return out
 
 
 def save_basis(basis: DivFreeBasis, path) -> None:

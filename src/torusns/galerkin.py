@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .eigenbasis import DivFreeBasis, project_coefficients, reconstruct
+from .eigenbasis import DivFreeBasis, _pair_sums, _scatter, project_coefficients, reconstruct
 from .fields import (
     _FMT,
     _write_block,
@@ -432,21 +432,25 @@ def assemble_linearized(
 ) -> LinearizedOperator:
     """Galerkin matrix of the drift coupling plus diagonal diffusion.
 
-    A drift sampled at several times gets no matrix, and a basis field is
-    checked to be solenoidal by c_b . k_b = 0.  For a steady drift, entry
-    (a, b) of the coupling is (w . grad v_b, v_a) + (v_b . grad w, v_a),
-    summed in Fourier space over the triads r = p + q, r = +-k_a,
-    q = +-k_b: each basis field is one +-k pair, so only the drift modes
-    k_a -+ k_b enter.  The identity (v_b . grad w, v_a) + (w, v_b . grad v_a)
-    = -((div v_b) w, v_a) = 0 is checked to 1e-11, which rejects a basis
-    field that is not solenoidal.  A drift that is not solenoidal is
-    rejected by its divergence.
+    Each basis field is one +-k pair, c_b = phi_b a_b with a_b real and
+    phi_b = 1 (the cos fields and the constants) or -i (the sin fields), as
+    :func:`~torusns.eigenbasis.build_basis` makes them.  For either kind of
+    drift a basis field is first checked to be solenoidal, |c_b . k_b| <=
+    1e-11 |k_b| |c_b|, in O(dim); a drift that is not solenoidal is rejected
+    by its divergence.  A drift sampled at several times gets no matrix.  A
+    steady drift needs every c_b real or imaginary: a dump can hold a
+    cos(k . x + theta) field, which is not orthogonal to its sin partner, and
+    that raises ValueError naming its row.
 
-    The matrix is built a block of rows at a time, the rows sized so that
-    a (rows, dim) complex temporary fits a fixed byte budget.  The drift is
-    gathered once per distinct k_b, which the polarizations of a pair share,
-    and spread over the columns by one gather; every entry takes the same
-    arithmetic whatever the blocks, so the bits do not depend on them.
+    For a steady drift, entry (a, b) of the coupling is
+    (w . grad v_b, v_a) + (v_b . grad w, v_a), summed in Fourier space over
+    the triads r = p + q, r = +-k_a, q = +-k_b: only the drift modes
+    k_a -+ k_b enter.  The matrix is built a block of rows at a time, the
+    rows sized so that a (rows, dim) complex temporary fits a fixed byte
+    budget.  The drift is gathered once per distinct k_b, which the
+    polarizations of a pair share, and spread over the columns by one
+    gather; every entry takes the same arithmetic whatever the blocks, so
+    the bits do not depend on them.
     """
     if isinstance(w, SpectralVectorField):
         w = FieldTrajectory(np.zeros(1), (w,))
@@ -458,10 +462,16 @@ def assemble_linearized(
     kvec, coef = basis.kvec, basis.coef
     # [b] entries: c_b . k_b
     kb_cb = np.einsum("bj,bj->b", kvec, coef)
+    bad = np.abs(kb_cb) > 1e-11 * np.linalg.norm(kvec, axis=1) * np.linalg.norm(coef, axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"a basis field is not solenoidal: c_b . k_b is not 0 (row {row})")
     if len(w) > 1:
-        if np.any(np.abs(kb_cb) > 1e-11 * np.linalg.norm(kvec, axis=1) * np.linalg.norm(coef, axis=1)):
-            raise ValueError("a basis field is not solenoidal: c_b . k_b is not 0")
         return LinearizedOperator(basis, w, None, diffusion)
+    phased = coef.real.any(axis=1) & coef.imag.any(axis=1)
+    if phased.any():
+        row = int(np.argmax(phased))
+        raise ValueError(f"basis row {row}: c_b is neither real nor imaginary")
 
     conj = coef.conj()
     # |k_a +- k_b|^2 <= 4 M: drift modes beyond that never couple the basis
@@ -484,8 +494,6 @@ def assemble_linearized(
     bounds = [*range(0, basis.dim - 1, rows), basis.dim]
     matrix = np.empty((basis.dim, basis.dim))
     wflat = truncate(w.initial, w_cutoff).coeffs.reshape(3, -1)
-    # block maxima folded by np.maximum, which keeps a nan as np.max does
-    t1_max = t2_max = defect = 0.0
     for r in map(slice, bounds, bounds[1:]):
         at_diff = side**3 // 2 + lin[r, None] - ulin
         at_sum = side**3 // 2 + lin[r, None] + ulin
@@ -504,17 +512,7 @@ def assemble_linearized(
         t1 = fac * np.imag(wd_kb * gram - ws_kb * gram_bar)
         # (v_b . grad w, v_a): (c_q . p)(w_p . conj c_a)
         t2 = fac * np.imag((ka_cb - kb_cb) * wd_ca + np.conj(ka_cb + kb_cb) * ws_ca)
-        # (w, v_b . grad v_a): -(c_q . r)(w_p . conj c_a)
-        s2 = -fac * np.imag(ka_cb * wd_ca + np.conj(ka_cb) * ws_ca)
-        t1_max = np.maximum(t1_max, np.max(np.abs(t1)))
-        t2_max = np.maximum(t2_max, np.max(np.abs(t2)))
-        defect = np.maximum(defect, np.max(np.abs(t2 + s2)))
-        matrix[r] = t1 + t2
-    if defect > 1e-11 * max(1.0, float(t1_max + t2_max)):
-        raise ValueError(
-            f"coupling-form identity violated (defect {defect:.3e}); "
-            "a basis field is not solenoidal"
-        )
+        np.add(t1, t2, out=matrix[r])
     matrix.reshape(-1)[:: basis.dim + 1] += diffusion  # the diagonal
     return LinearizedOperator(basis, w, matrix, diffusion)
 
@@ -551,9 +549,11 @@ def _integrate_linear(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times, coefficients and rhs samples g(t) - A(t) c at the steps of ``config``.
 
-    A sampled drift's coupling is P div(w (x) v + v (x) w), one kernel call,
-    v the field of c and w(t) the drift's interpolated coefficients, cut to
-    shell 4M (only its modes k_a -+ k_b couple the basis) and raised to M."""
+    A sampled drift's coupling is P div(w (x) v + v (x) w), one kernel call
+    on coefficient cubes: v scattered from c and w(t) the drift's
+    interpolated coefficients, both at the drift's cutoff cut to shell 4M
+    (only its modes k_a -+ k_b couple the basis) and raised to M; the
+    coupling is gathered back at +-k_b."""
     basis, diff, a = op.basis, op.diffusion, op.matrix
     wide = max(basis.cutoff, min(op.drift.cutoff, 4 * basis.cutoff))
     stacks = [truncate(w, wide).coeffs for w in op.drift.fields] if a is None else None
@@ -562,9 +562,9 @@ def _integrate_linear(
     def gee(c: np.ndarray, t: float) -> np.ndarray:
         if a is not None:  # g minus (A - diag(diff)) c, without forming it
             return gfun(t) - a @ c + diff * c
-        v, w = reconstruct(basis, c), _interpolate(op.drift.times, stacks, t)
-        coupling = _ns_stage((w, embed(v, wide).coeffs), 0.0, v.ell, v.cutoff, ws)
-        return gfun(t) + project_coefficients(v.with_coeffs(coupling), basis)
+        w, v = _interpolate(op.drift.times, stacks, t), _scatter(basis, c, wide)
+        coupling = _ns_stage((w, v), 0.0, basis.ell, basis.cutoff, ws)
+        return gfun(t) + _pair_sums(coupling, basis)
 
     steps = _march(1.0, diff, gee, c0, config.dt_effective, config.nsteps, config.scheme)
     times, coeffs, stages = (np.array(x) for x in zip(*steps))

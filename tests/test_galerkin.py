@@ -276,47 +276,42 @@ class TestAssembly:
     @pytest.mark.parametrize(
         "swap, message",
         [
-            # the coupling-form identity holds only for solenoidal basis fields
-            ("curl_free", "coupling-form identity.*basis field is not solenoidal"),
-            ("curl_free_last", "coupling-form identity.*basis field is not solenoidal"),
-            # a sampled drift forms no identity: c_b . k_b = 0 is checked instead
+            # one O(dim) check, c_b . k_b = 0, before any block, for either drift
+            ("curl_free", r"basis field is not solenoidal: c_b \. k_b is not 0"),
+            ("curl_free_last", r"basis field is not solenoidal: c_b \. k_b is not 0"),
             ("curl_free_sampled", r"basis field is not solenoidal: c_b \. k_b is not 0"),
+            ("curl_free_zero_drift", r"basis field is not solenoidal: c_b \. k_b is not 0"),
             ("two_pairs", r"single \+-k pair"),
+            ("phase", r"basis row 8: c_b is neither real nor imaginary"),
         ],
     )
-    def test_malformed_basis_field_rejected(
-        self, basis4, rng, tmp_path, monkeypatch, swap, message
-    ):
+    def test_malformed_basis_field_rejected(self, basis4, rng, tmp_path, swap, message):
         w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
+        fields = list(basis4.fields())
         # entry 5 is row 8, after the three constants
         if swap.startswith("curl_free"):
             # its mode is swapped for the first curl-free one: amplitude parallel to k
-            row = 8 if swap == "curl_free" else basis4.dim - 1
+            row = basis4.dim - 1 if swap == "curl_free_last" else 8
             kvec, coef = basis4.kvec.copy(), basis4.coef.copy()
             kvec[row], coef[row] = basis4.gradient.kvec[0], basis4.gradient.coef[0]
             bad = lambda: dataclasses.replace(basis4, kvec=kvec, coef=coef)
-        if swap == "curl_free_last":
-            # 3-row blocks, the last one rows 63-66.  The drift's one pair
-            # p = +-(2, 0, -1) couples the curl-free column k_b = (0, 0, 1)
-            # only to the rows at k_a = k_b + p = (2, 0, 0), rows 63-65, so
-            # only the last block sees the defect
-            assert basis4.dim == 67 and (basis4.kvec[63:] == (2, 0, 0)).all()
-            monkeypatch.setattr(galerkin, "_ASSEMBLY_BLOCK_BYTES", 3 * 16 * basis4.dim)
-            w = vector_from_modes(ELL, 5, {(2, 0, -1): (0, 1, 0)})
         if swap == "curl_free_sampled":
             w = FieldTrajectory(np.array([0.0, 0.1]), (w, w * 0.5))
+        if swap == "curl_free_zero_drift":
+            w = w * 0.0
         if swap == "two_pairs":
             # a basis dump whose block of entry 5 holds two +-k pairs
-            fields = list(basis4.fields())
-            block = io.StringIO()
-            write_field((fields[8] + fields[12]) * math.sqrt(0.5), block)
-            save_basis(basis4, tmp_path / "basis.txt")
-            parts = (tmp_path / "basis.txt").read_text().split("BASIS ")
-            parts[9] = parts[9].split("\n", 1)[0] + "\n" + block.getvalue()
-            (tmp_path / "mixed.txt").write_text("BASIS ".join(parts))
-            bad = lambda: load_basis(tmp_path / "mixed.txt")
+            bad = lambda: _edited_dump(basis4, tmp_path, (fields[8] + fields[12]) * math.sqrt(0.5))
+        if swap == "phase":
+            bad = lambda: _phase_shifted_dump(basis4, tmp_path)
         with pytest.raises(ValueError, match=message):
             assemble_linearized(w, bad(), MU)
+
+    def test_phase_shifted_field_takes_the_kernel(self, basis4, rng, tmp_path):
+        # a sampled drift runs on the solver's kernel, which takes any phase
+        w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
+        drift = FieldTrajectory(np.array([0.0, 0.1]), (w, w * 0.5))
+        assert assemble_linearized(drift, _phase_shifted_dump(basis4, tmp_path), MU).matrix is None
 
     @pytest.mark.parametrize("cutoff", [4, 9])
     def test_row_blocks_bitwise(self, basis4, rng, monkeypatch, cutoff):
@@ -402,6 +397,24 @@ class TestAssembly:
 
 def SpectralZero():
     return vector_from_modes(ELL, 4, {})
+
+
+def _edited_dump(basis, tmp_path, field):
+    """The basis read back from a save_basis dump whose block of entry 5
+    (row 8) is ``field``."""
+    block = io.StringIO()
+    write_field(field, block)
+    save_basis(basis, tmp_path / "basis.txt")
+    parts = (tmp_path / "basis.txt").read_text().split("BASIS ")
+    parts[9] = parts[9].split("\n", 1)[0] + "\n" + block.getvalue()
+    (tmp_path / "edited.txt").write_text("BASIS ".join(parts))
+    return load_basis(tmp_path / "edited.txt")
+
+
+def _phase_shifted_dump(basis, tmp_path):
+    """A dump whose row 8 is a cos(k . x + pi/4) field: its block times e^(i pi/4)."""
+    field = list(basis.fields())[8]
+    return _edited_dump(basis, tmp_path, field.with_coeffs(field.coeffs * np.exp(0.25j * math.pi)))
 
 
 def _shells1():
