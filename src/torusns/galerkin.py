@@ -420,8 +420,8 @@ class LinearizedOperator:
     diffusion: np.ndarray
 
 
-# byte budget of one (rows, dim) complex temporary of the assembly, so
-# that its temporaries do not grow with dim^2
+# byte budget of one (rows, dim) complex array of the assembly: a block of
+# rows holds a few such temporaries, so they do not grow with dim^2
 _ASSEMBLY_BLOCK_BYTES = 256 * 1024
 
 
@@ -433,24 +433,26 @@ def assemble_linearized(
     """Galerkin matrix of the drift coupling plus diagonal diffusion.
 
     Each basis field is one +-k pair, c_b = phi_b a_b with a_b real and
-    phi_b = 1 (the cos fields and the constants) or -i (the sin fields), as
-    :func:`~torusns.eigenbasis.build_basis` makes them.  For either kind of
-    drift a basis field is first checked to be solenoidal, |c_b . k_b| <=
-    1e-11 |k_b| |c_b|, in O(dim); a drift that is not solenoidal is rejected
-    by its divergence.  A drift sampled at several times gets no matrix.  A
-    steady drift needs every c_b real or imaginary: a dump can hold a
-    cos(k . x + theta) field, which is not orthogonal to its sin partner, and
-    that raises ValueError naming its row.
+    phi_b = 1 (cos fields, constants) or -i (sin fields), as
+    :func:`~torusns.eigenbasis.build_basis` makes them.  For either drift a
+    basis field is first checked to be solenoidal, |c_b . k_b| <= 1e-11
+    |k_b| |c_b|, in O(dim); a drift that is not solenoidal is rejected by
+    its divergence.  A drift sampled at several times gets no matrix.  A
+    steady drift needs every c_b real or imaginary, else ValueError names
+    the row: a dump can hold a cos(k . x + theta) field, which is not
+    orthogonal to the sin field of its pair.
 
     For a steady drift, entry (a, b) of the coupling is
     (w . grad v_b, v_a) + (v_b . grad w, v_a), summed in Fourier space over
     the triads r = p + q, r = +-k_a, q = +-k_b: only the drift modes
     k_a -+ k_b enter.  The matrix is built a block of rows at a time, the
-    rows sized so that a (rows, dim) complex temporary fits a fixed byte
+    rows sized so that a (rows, dim) complex array fits a fixed byte
     budget.  The drift is gathered once per distinct k_b, which the
     polarizations of a pair share, and spread over the columns by one
     gather; every entry takes the same arithmetic whatever the blocks, so
-    the bits do not depend on them.
+    the bits do not depend on them.  The products stay complex: with
+    phi_b each is one real product, but the product with the exact-zero
+    component sets the sign of an entry that is 0, so the bytes would move.
     """
     if isinstance(w, SpectralVectorField):
         w = FieldTrajectory(np.zeros(1), (w,))
@@ -492,27 +494,38 @@ def assemble_linearized(
     # taking a single leftover row
     rows = max(2, _ASSEMBLY_BLOCK_BYTES // (16 * basis.dim))
     bounds = [*range(0, basis.dim - 1, rows), basis.dim]
-    matrix = np.empty((basis.dim, basis.dim))
     wflat = truncate(w.initial, w_cutoff).coeffs.reshape(3, -1)
-    for r in map(slice, bounds, bounds[1:]):
-        at_diff = side**3 // 2 + lin[r, None] - ulin
-        at_sum = side**3 // 2 + lin[r, None] + ulin
+    signs = np.array([-1, 1])[:, None, None]
+    matrix = np.empty((basis.dim, basis.dim))
+
+    def fill(r: slice) -> None:
+        """matrix[r], the coupling of rows r; its temporaries end with it."""
         # the drift modes w_p at p = k_a - k_b and k_a + k_b, contracted
-        # one component at a time with k_b and with conj c_a
-        wd_kb, ws_kb, wd_ca, ws_ca = (np.zeros(at_diff.shape, complex) for _ in range(4))
+        # one component at a time with k_b ([0]) and with conj c_a ([1])
+        w_p = np.take(wflat, side**3 // 2 + lin[r, None] + signs * ulin, axis=1)
+        drift = np.zeros((2,) + w_p.shape[1:], complex)
         for j in range(3):
-            for at, to_kb, to_ca in ((at_diff, wd_kb, wd_ca), (at_sum, ws_kb, ws_ca)):
-                w_p = wflat[j, at]
-                to_kb += w_p * ukvec[:, j]
-                to_ca += w_p * conj[r, j, None]
-        wd_kb, ws_kb, wd_ca, ws_ca = (x[:, ucol] for x in (wd_kb, ws_kb, wd_ca, ws_ca))
-        # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a
+            drift[0] += w_p[j] * ukvec[:, j]
+            drift[1] += w_p[j] * conj[r, j, None]
+        (wd_kb, ws_kb), (wd_ca, ws_ca) = drift.take(ucol, axis=-1)
+        del w_p, drift
+        # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a;
+        # the products below are taken in place, operands in the order of
+        # the expression each comment gives
         gram, gram_bar, ka_cb = conj[r] @ coef.T, conj[r] @ conj.T, kvec[r] @ coef.T
-        # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a)
-        t1 = fac * np.imag(wd_kb * gram - ws_kb * gram_bar)
-        # (v_b . grad w, v_a): (c_q . p)(w_p . conj c_a)
-        t2 = fac * np.imag((ka_cb - kb_cb) * wd_ca + np.conj(ka_cb + kb_cb) * ws_ca)
-        np.add(t1, t2, out=matrix[r])
+        # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a),
+        # fac Im(wd_kb gram - ws_kb gram_bar)
+        wd_kb *= gram
+        wd_kb -= np.multiply(ws_kb, gram_bar, out=ws_kb)
+        np.multiply(wd_kb.imag, fac, out=matrix[r])
+        # (v_b . grad w, v_a): (c_q . p)(w_p . conj c_a),
+        # fac Im((ka_cb - kb_cb) wd_ca + conj(ka_cb + kb_cb) ws_ca)
+        np.multiply(np.subtract(ka_cb, kb_cb, out=gram), wd_ca, out=wd_ca)
+        np.multiply(np.conj(np.add(ka_cb, kb_cb, out=ka_cb), out=ka_cb), ws_ca, out=ws_ca)
+        matrix[r] += fac * np.add(wd_ca, ws_ca, out=wd_ca).imag
+
+    for r in map(slice, bounds, bounds[1:]):
+        fill(r)
     matrix.reshape(-1)[:: basis.dim + 1] += diffusion  # the diagonal
     return LinearizedOperator(basis, w, matrix, diffusion)
 
