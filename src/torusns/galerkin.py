@@ -434,25 +434,18 @@ def assemble_linearized(
 
     Each basis field is one +-k pair, c_b = phi_b a_b with a_b real and
     phi_b = 1 (cos fields, constants) or -i (sin fields), as
-    :func:`~torusns.eigenbasis.build_basis` makes them.  For either drift a
-    basis field is first checked to be solenoidal, |c_b . k_b| <= 1e-11
-    |k_b| |c_b|, in O(dim); a drift that is not solenoidal is rejected by
-    its divergence.  A drift sampled at several times gets no matrix.  A
-    steady drift needs every c_b real or imaginary, else ValueError names
-    the row: a dump can hold a cos(k . x + theta) field, which is not
-    orthogonal to the sin field of its pair.
-
-    For a steady drift, entry (a, b) of the coupling is
+    :func:`~torusns.eigenbasis.build_basis` makes them.  Every c_b is first
+    checked to be solenoidal, |c_b . k_b| <= 1e-11 |k_b| |c_b|, and the
+    drift by its divergence; a drift sampled at several times then gets no
+    matrix.  A steady drift needs each c_b real or imaginary, else
+    ValueError names the row (a dump's cos(k . x + theta) field is not
+    orthogonal to its pair's sin field).  Entry (a, b) is
     (w . grad v_b, v_a) + (v_b . grad w, v_a), summed in Fourier space over
     the triads r = p + q, r = +-k_a, q = +-k_b: only the drift modes
-    k_a -+ k_b enter.  The matrix is built a block of rows at a time, the
-    rows sized so that a (rows, dim) complex array fits a fixed byte
-    budget.  The drift is gathered once per distinct k_b, which the
-    polarizations of a pair share, and spread over the columns by one
-    gather; every entry takes the same arithmetic whatever the blocks, so
-    the bits do not depend on them.  The products stay complex: with
-    phi_b each is one real product, but the product with the exact-zero
-    component sets the sign of an entry that is 0, so the bytes would move.
+    k_a -+ k_b enter.  Blocks of rows keep each (rows, dim) complex array to
+    a fixed byte budget, the drift is gathered once per distinct k_b and
+    spread over the columns, and every entry takes the same complex
+    arithmetic, exact-zero products and all, whatever the blocks.
     """
     if isinstance(w, SpectralVectorField):
         w = FieldTrajectory(np.zeros(1), (w,))
@@ -466,14 +459,12 @@ def assemble_linearized(
     kb_cb = np.einsum("bj,bj->b", kvec, coef)
     bad = np.abs(kb_cb) > 1e-11 * np.linalg.norm(kvec, axis=1) * np.linalg.norm(coef, axis=1)
     if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"a basis field is not solenoidal: c_b . k_b is not 0 (row {row})")
+        raise ValueError(f"a basis field is not solenoidal: c_b . k_b is not 0 (row {np.argmax(bad)})")
     if len(w) > 1:
         return LinearizedOperator(basis, w, None, diffusion)
     phased = coef.real.any(axis=1) & coef.imag.any(axis=1)
     if phased.any():
-        row = int(np.argmax(phased))
-        raise ValueError(f"basis row {row}: c_b is neither real nor imaginary")
+        raise ValueError(f"basis row {np.argmax(phased)}: c_b is neither real nor imaginary")
 
     conj = coef.conj()
     # |k_a +- k_b|^2 <= 4 M: drift modes beyond that never couple the basis
@@ -495,23 +486,20 @@ def assemble_linearized(
     rows = max(2, _ASSEMBLY_BLOCK_BYTES // (16 * basis.dim))
     bounds = [*range(0, basis.dim - 1, rows), basis.dim]
     wflat = truncate(w.initial, w_cutoff).coeffs.reshape(3, -1)
-    signs = np.array([-1, 1])[:, None, None]
     matrix = np.empty((basis.dim, basis.dim))
 
-    def fill(r: slice) -> None:
-        """matrix[r], the coupling of rows r; its temporaries end with it."""
+    def fill(r: slice) -> None:  # the coupling rows r; their temporaries end with the call
         # the drift modes w_p at p = k_a - k_b and k_a + k_b, contracted
         # one component at a time with k_b ([0]) and with conj c_a ([1])
-        w_p = np.take(wflat, side**3 // 2 + lin[r, None] + signs * ulin, axis=1)
+        w_p = np.take(wflat, side**3 // 2 + lin[r, None] + np.stack((-ulin, ulin))[:, None], axis=1)
         drift = np.zeros((2,) + w_p.shape[1:], complex)
         for j in range(3):
             drift[0] += w_p[j] * ukvec[:, j]
             drift[1] += w_p[j] * conj[r, j, None]
         (wd_kb, ws_kb), (wd_ca, ws_ca) = drift.take(ucol, axis=-1)
         del w_p, drift
-        # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a;
-        # the products below are taken in place, operands in the order of
-        # the expression each comment gives
+        # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a; the
+        # products below go in place, operands ordered as each comment's
         gram, gram_bar, ka_cb = conj[r] @ coef.T, conj[r] @ conj.T, kvec[r] @ coef.T
         # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a),
         # fac Im(wd_kb gram - ws_kb gram_bar)
@@ -523,7 +511,6 @@ def assemble_linearized(
         np.multiply(np.subtract(ka_cb, kb_cb, out=gram), wd_ca, out=wd_ca)
         np.multiply(np.conj(np.add(ka_cb, kb_cb, out=ka_cb), out=ka_cb), ws_ca, out=ws_ca)
         matrix[r] += fac * np.add(wd_ca, ws_ca, out=wd_ca).imag
-
     for r in map(slice, bounds, bounds[1:]):
         fill(r)
     matrix.reshape(-1)[:: basis.dim + 1] += diffusion  # the diagonal
@@ -563,10 +550,9 @@ def _integrate_linear(
     """Times, coefficients and rhs samples g(t) - A(t) c at the steps of ``config``.
 
     A sampled drift's coupling is P div(w (x) v + v (x) w), one kernel call
-    on coefficient cubes: v scattered from c and w(t) the drift's
-    interpolated coefficients, both at the drift's cutoff cut to shell 4M
-    (only its modes k_a -+ k_b couple the basis) and raised to M; the
-    coupling is gathered back at +-k_b."""
+    on the cubes of v, scattered from c, and of w(t), the drift's coefficients
+    interpolated, cut to shell 4M (only its modes k_a -+ k_b couple the
+    basis) and raised to M; it is gathered back at +-k_b."""
     basis, diff, a = op.basis, op.diffusion, op.matrix
     wide = max(basis.cutoff, min(op.drift.cutoff, 4 * basis.cutoff))
     stacks = [truncate(w, wide).coeffs for w in op.drift.fields] if a is None else None
