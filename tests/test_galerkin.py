@@ -285,22 +285,32 @@ class TestAssembly:
             ("phase", r"basis row 8: c_b is neither real nor imaginary"),
         ],
     )
-    def test_malformed_basis_field_rejected(self, basis4, rng, tmp_path, swap, message):
+    def test_malformed_basis_field_rejected(
+        self, basis4, rng, tmp_path, monkeypatch, swap, message
+    ):
         w = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.4))
-        fields = list(basis4.fields())
         # entry 5 is row 8, after the three constants
         if swap.startswith("curl_free"):
             # its mode is swapped for the first curl-free one: amplitude parallel to k
-            row = basis4.dim - 1 if swap == "curl_free_last" else 8
+            row = 8 if swap == "curl_free" else basis4.dim - 1
             kvec, coef = basis4.kvec.copy(), basis4.coef.copy()
             kvec[row], coef[row] = basis4.gradient.kvec[0], basis4.gradient.coef[0]
             bad = lambda: dataclasses.replace(basis4, kvec=kvec, coef=coef)
+        if swap == "curl_free_last":
+            # 3-row blocks, the last one rows 63-66.  The drift's one pair
+            # p = +-(2, 0, -1) couples the curl-free column k_b = (0, 0, 1)
+            # only to the rows at k_a = k_b + p = (2, 0, 0), rows 63-65: only
+            # the last block would see it, but the check runs before any block
+            assert basis4.dim == 67 and (basis4.kvec[63:] == (2, 0, 0)).all()
+            monkeypatch.setattr(galerkin, "_ASSEMBLY_BLOCK_BYTES", 3 * 16 * basis4.dim)
+            w = vector_from_modes(ELL, 5, {(2, 0, -1): (0, 1, 0)})
         if swap == "curl_free_sampled":
             w = FieldTrajectory(np.array([0.0, 0.1]), (w, w * 0.5))
         if swap == "curl_free_zero_drift":
             w = w * 0.0
         if swap == "two_pairs":
             # a basis dump whose block of entry 5 holds two +-k pairs
+            fields = list(basis4.fields())
             bad = lambda: _edited_dump(basis4, tmp_path, (fields[8] + fields[12]) * math.sqrt(0.5))
         if swap == "phase":
             bad = lambda: _phase_shifted_dump(basis4, tmp_path)
