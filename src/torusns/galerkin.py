@@ -498,8 +498,8 @@ def assemble_linearized(
             drift[1] += w_p[j] * conj[r, j, None]
         (wd_kb, ws_kb), (wd_ca, ws_ca) = drift.take(ucol, axis=-1)
         del w_p, drift
-        # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a; the
-        # products below go in place, operands ordered as each comment's
+        # [a, b] entries: c_b . conj c_a, conj c_b . conj c_a, c_b . k_a; each
+        # product below goes in place, its operands in its comment's order
         gram, gram_bar, ka_cb = conj[r] @ coef.T, conj[r] @ conj.T, kvec[r] @ coef.T
         # (w . grad v_b, v_a): (w_p . q)(c_q . conj c_a),
         # fac Im(wd_kb gram - ws_kb gram_bar)
