@@ -181,7 +181,7 @@ def _certificate_payload(
         norms["energy_defect_max"] = float(np.max(defect))
     bochner = []
     for k, s in args.bochner:
-        bn = estimates.bochner_scale_norm(traj, k, s, args.mu, f_series=f_series)
+        bn = estimates.bochner_scale_norm(traj, k, s, args.mu, f_series=f_series, norms=table)
         bochner.append(bn.to_dict())
     if bochner:
         norms["bochner"] = bochner
@@ -245,24 +245,15 @@ def _run_decay(args) -> None:
     cfg = args.solver
     u0 = problems.shear_field(args.ell, cfg.cutoff, args.amplitude)
     traj = solve_navier_stokes(None, u0, cfg)
-    final_amp = problems.shear_decay_amplitude(
-        traj.horizon, cfg.mu, args.ell, args.amplitude
-    )
+    final_amp = problems.shear_decay_amplitude(traj.horizon, cfg.mu, args.ell, args.amplitude)
     exact_final = problems.shear_field(args.ell, cfg.cutoff, 1.0) * final_amp
     decay_error = l2_norm_exact(traj.final - exact_final)
     # the samples' O(dt^2) finite-difference residual; their stored rhs would give 0
-    res = residual(replace(traj, rhs=None), None, cfg.mu)
-    payload = _emit_run_outputs(
-        args,
-        traj,
-        None,
-        extra_norms={
-            "decay_error_l2": decay_error,
-            "pressure_residual_max": float(np.max(res)),
-        },
-    )
+    res_max = float(np.max(residual(replace(traj, rhs=None), None, cfg.mu)))
+    extra = {"decay_error_l2": decay_error, "pressure_residual_max": res_max}
+    payload = _emit_run_outputs(args, traj, None, extra_norms=extra)
     print(f"final L2 error vs closed form: {_fmt(decay_error)}")
-    print(f"pressure residual max: {_fmt(float(np.max(res)))}")
+    print(f"pressure residual max: {_fmt(res_max)}")
     _report_certificate(payload, converged="decay run")
 
 
@@ -308,11 +299,7 @@ def _run_manufactured(args) -> None:
     )
     f_series = [prob.forcing_derivative(j) for j in range(_bochner_depth(args))]
     payload = _emit_run_outputs(
-        args,
-        traj,
-        prob.forcing,
-        extra_norms={"manufactured_error_l2": err},
-        f_series=f_series,
+        args, traj, prob.forcing, extra_norms={"manufactured_error_l2": err}, f_series=f_series
     )
     print(f"max L2 error vs manufactured solution: {_fmt(err)}")
     _report_certificate(payload, converged="run")
@@ -353,11 +340,7 @@ def _run_linearized(args) -> None:
     numeric = np.stack([project_coefficients(u, basis) for u in traj.fields])
     agreement = float(np.max(np.abs(exact - numeric)))
     payload = _emit_run_outputs(
-        args,
-        traj,
-        f,
-        extra_norms={"matrix_exponential_agreement": agreement},
-        w=w,
+        args, traj, f, extra_norms={"matrix_exponential_agreement": agreement}, w=w
     )
     print(f"matrix exponential agreement: {_fmt(agreement)}")
     _report_certificate(payload)

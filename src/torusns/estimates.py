@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -323,32 +323,27 @@ class BochnerScaleNorm:
 
 
 def _time_derivative_chain(
-    traj: FieldTrajectory, s: int, mu: float, f_series
-) -> list[list[np.ndarray]]:
-    """Coefficient stacks of d_t^j u for j = 0..s via the evolution equation,
+    traj: FieldTrajectory, s: int, mu: float, f_series, norms: NormTable | None = None
+) -> Iterator[list[np.ndarray]]:
+    """Coefficient stacks [d_t^j u for j = 0..s], one sample at a time, via
+    the evolution equation
 
     d_t^(j+1) u = mu Lap d_t^j u
                   + P( d_t^j f - div sum_l C(j,l) d_t^l u (x) d_t^(j-l) u ),
 
-    one solver stage, :func:`galerkin._ns_stage`, per sample and order.  The
-    stored rhs samples are d_t u; see :func:`bochner_scale_norm` for when
-    generating an order raises ``ValueError``.
+    one solver stage, :func:`galerkin._ns_stage`, per sample and generated
+    order.  The stored rhs samples are d_t u; see :func:`bochner_scale_norm`
+    for ``norms`` and for when generating an order raises ``ValueError``.
     """
     if f_series is not None and len(f_series) < s:
         raise ValueError(
             f"requested s={s} exceeds available derivative depth {len(f_series)} of the forcing"
         )
     lookups = [_trajectory_forcing(fj, traj) for fj in f_series or ()]
-    chain = [[u.coeffs for u in traj.fields]]
-    if s >= 1 and traj.rhs is not None:
-        # stored rhs samples are exactly d_t u for solver output
-        chain.append([r.coeffs for r in traj.rhs])
-    if len(chain) > s:
-        return chain[: s + 1]
-    for u in traj.fields:
-        _require_divfree(u, "a trajectory sample whose time derivatives are generated")
+    # stored rhs samples are exactly d_t u for solver output
+    stored = [traj.fields] + ([traj.rhs] if s >= 1 and traj.rhs is not None else [])
     lapmult = _laplacian_symbol(traj.ell, traj.fields[0].bandwidth)
-    zero = np.zeros_like(chain[0][0])
+    zero = np.zeros_like(traj.fields[0].coeffs)
     ws = {}  # the kernel's grids, reused by every stage of this chain
 
     def next_order(stacks, j: int, t: float) -> np.ndarray:
@@ -356,17 +351,23 @@ def _time_derivative_chain(
         fj = lookups[j](t).coeffs if lookups else zero
         return (stacks[j] * lapmult) * float(mu) + _ns_stage(stacks, fj, traj.ell, traj.cutoff, ws)
 
-    if len(chain) == 2:  # the stored rhs must be this equation's d_t u
-        rhs0 = chain[1][0]
-        dtu0 = next_order([chain[0][0]], 0, float(traj.times[0]))
+    if len(stored) <= s:  # orders are generated: check every sample first
+        for i, u in enumerate(traj.fields):
+            known = () if norms is None else (norms.l2[i], norms.div[i])
+            _require_divfree(u, "a trajectory sample whose time derivatives are generated", *known)
+    if len(stored) == 2 and s >= 2:  # the stored rhs must be this equation's d_t u
+        rhs0 = traj.rhs[0].coeffs
+        dtu0 = next_order([traj.fields[0].coeffs], 0, float(traj.times[0]))
         if np.max(np.abs(dtu0 - rhs0)) > 1e-12 * np.max(np.abs(rhs0)):
             raise ValueError(
                 "the stored rhs samples are not d_t u of the Navier-Stokes equation "
                 "with this mu and forcing, so higher time derivatives cannot be generated"
             )
-    for j in range(len(chain) - 1, s):  # zip(*chain): the orders so far, per sample
-        chain.append([next_order(c, j, float(t)) for c, t in zip(zip(*chain), traj.times)])
-    return chain
+    for sample, t in zip(zip(*stored), traj.times):
+        stacks = [x.coeffs for x in sample]
+        for j in range(len(stacks) - 1, s):
+            stacks.append(next_order(stacks, j, float(t)))
+        yield stacks
 
 
 def bochner_scale_norm(
@@ -375,27 +376,33 @@ def bochner_scale_norm(
     s: int,
     mu: float,
     f_series: Sequence[Forcing] | None = None,
+    *,
+    norms: NormTable | None = None,
 ) -> BochnerScaleNorm:
     """Evaluate the parabolic-scale norm of a trajectory.
 
     ``f_series`` lists the forcing and its time derivatives (element j is
     d_t^j f); None means the run is unforced.  Time derivatives of u beyond
     the stored rhs samples are generated spectrally from the Navier-Stokes
-    equation by the solver's stage, never by finite differences.  That
-    raises ``ValueError`` for a sample that is not divergence-free, and for
-    a stored rhs that is not this equation's d_t u at the first sample (as
-    of a drift-linearized run), to 1e-12 of its largest coefficient.
+    equation by the solver's stage, never by finite differences, and one
+    sample at a time reduced to per-mode powers.  That raises ``ValueError``
+    for a sample that is not divergence-free, read from the trajectory's
+    norm table ``norms`` when given, and for a stored rhs that is not this
+    equation's d_t u at the first sample (as of a drift-linearized run), to
+    1e-12 of its largest coefficient.
     """
     if k < 0 or s < 0:
         raise ValueError("indices k and s must be nonnegative")
-    chain = _time_derivative_chain(traj, s, mu, f_series)
     ell, bw = traj.ell, traj.fields[0].bandwidth
     k1, k2, k3, _ = wave_cubes(bw)
     kappa2 = (2.0 * math.pi / ell) ** 2
     lam = -_laplacian_symbol(ell, bw).ravel()
     axis_sq = [(k.astype(np.float64) ** 2 * kappa2).ravel() for k in (k1, k2, k3)]
-    # per derivative order: |c|^2 summed over components, per sample
-    power = [np.stack([np.sum(np.abs(c) ** 2, axis=0).ravel() for c in lst]) for lst in chain]
+    # per derivative order: |c|^2 summed over components, one row per sample
+    power = [np.empty((len(traj), lam.size)) for _ in range(s + 1)]
+    for i, stacks in enumerate(_time_derivative_chain(traj, s, mu, f_series, norms)):
+        for table, c in zip(power, stacks, strict=True):
+            table[i] = np.sum(np.abs(c) ** 2, axis=0).ravel()
     total = 0.0
     for j in range(s + 1):
         for order in range(0, 2 * s - 2 * j + 1):

@@ -635,6 +635,13 @@ def _action_plan(norm: float, budget: float) -> tuple[int, int] | None:
     return best[1:] if best[0] <= budget else None
 
 
+def _one_norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a, 1)``, bitwise, without its |a| temporary of a's size:
+    each 128-column block's sums are numpy's column sums of |a| there."""
+    blocks = range(0, a.shape[1], 128)  # 0.30 against 0.25 ms at dim 515
+    return float(np.max([np.abs(a[:, j : j + 128]).sum(axis=0).max() for j in blocks]))
+
+
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
     """exp(a) by scaling and squaring a Taylor polynomial.
 
@@ -647,7 +654,7 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     q squarings follow.  At ||a||_1 = 0.06: q = 0, m = 8, 4 products.
     """
     a = np.asarray(a, dtype=np.float64)
-    norm = float(np.linalg.norm(a, 1))
+    norm = _one_norm(a)
     if not math.isfinite(norm):
         raise ValueError("matrix exponential of a non-finite matrix")
     if norm == 0.0:
@@ -745,7 +752,7 @@ def linearized_closed_form(
     # is one of matrix_exponential's plans.  So longer runs take the dense
     # walk without a plan, and its exponential rejects a non-finite A or g.
     if n <= (dim + 1) * _PRODUCT_COST:
-        norm_a, norm_g = float(np.linalg.norm(a, 1)), float(np.abs(g).sum())
+        norm_a, norm_g = _one_norm(a), float(np.abs(g).sum())
         if not math.isfinite(norm_a + norm_g):
             raise ValueError("closed form of a non-finite operator or forcing")
         norm = max(norm_a, norm_g) * float(steps.max(initial=0.0))  # ||h B||_1, largest h
@@ -844,12 +851,13 @@ def energy_identity_defect(
     """
     if norms is None:
         norms = norm_table(traj.fields)
-    forcing = _trajectory_forcing(f, traj)
     energy = np.array([0.5 * x**2 for x in norms.l2])
     enstrophy = np.array([g**2 for g in norms.grad[1]])
-    work = np.array(
-        [inner_l2(forcing(float(t)), u) for t, u in zip(traj.times, traj.fields)]
-    )
+    if f is None:  # each (0, u) is +-0.0, which the absolute value below does not see
+        work = np.zeros(len(traj))
+    else:
+        forcing = _trajectory_forcing(f, traj)
+        work = np.array([inner_l2(forcing(float(t)), u) for t, u in zip(traj.times, traj.fields)])
     return np.abs(
         energy
         + mu * cumulative_trapezoid(enstrophy, traj.times)

@@ -146,9 +146,10 @@ def l2_norm_exact(u: Field) -> float:
     return _l2_norm(u.coeffs, u.ell)
 
 
-def _require_divfree(u: SpectralVectorField, what: str) -> None:
-    scale = l2_norm_exact(u) + 1e-30
-    if _l2_norm(_div_stack(u.coeffs, u.ell), u.ell) > 1e-10 * scale * (1.0 + u.bandwidth):
+def _require_divfree(u: SpectralVectorField, what: str, l2=None, div=None) -> None:
+    if div is None:  # else l2 and div are u's and div u's L2 norms, as in a NormTable
+        l2, div = l2_norm_exact(u), _l2_norm(_div_stack(u.coeffs, u.ell), u.ell)
+    if div > 1e-10 * (l2 + 1e-30) * (1.0 + u.bandwidth):
         raise ValueError(f"{what} must be divergence-free")
 
 

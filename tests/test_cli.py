@@ -7,7 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -720,16 +719,11 @@ class TestSelftest:
         assert failed == ["eigenbasis_eigen_identities"]
 
     @pytest.mark.parametrize("name", ["eigenbasis_gram", "eigenbasis_eigen_identities"])
-    def test_basis_checks_hold_one_field_at_a_time(self, name):
+    def test_basis_checks_hold_one_field_at_a_time(self, name, traced_peak):
         # a dense (fields, coefficients) stack reads 86.5 MiB (Gram) and
         # 17.5 MiB (eigen) at M = 16; one field at a time stays near 0.3 MB
         check = dict(_selftest_checks(16, build_basis(ELL, 16)))[name]
-        tracemalloc.start()
-        try:
-            ok, detail = check()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (ok, detail), peak = traced_peak(check)
         assert ok, detail
         assert peak < 2e6
 

@@ -42,7 +42,12 @@ from torusns.operators import (
     norm_table,
     symmetrized_convection,
 )
-from torusns.problems import shear_field, taylor_green_field, two_shell_problem
+from torusns.problems import (
+    shear_field,
+    smooth_random_divfree,
+    taylor_green_field,
+    two_shell_problem,
+)
 
 ELL = 2.0 * math.pi
 MU = 0.1
@@ -451,9 +456,9 @@ class TestNormTable:
         assert energy_certificate(shear_run, None, MU, norms=table).lhs_squared == lhs2
 
 
-def _symmetrized_chain(traj, s, mu, f_series):
+def _symmetrized_chain(traj, s, mu, f_series, norms=None):
     """The derivative chain as it was built from symmetrized products, as
-    coefficient stacks."""
+    coefficient stacks, one sample's orders at a time."""
     from torusns.galerkin import _trajectory_forcing
 
     lookups = None
@@ -476,7 +481,7 @@ def _symmetrized_chain(traj, s, mu, f_series):
             fj = lookups[j](float(t)) if lookups is not None else zero
             nxt.append(laplacian(chain[j][i]) * mu + leray_project(fj - transport))
         chain.append(nxt)
-    return [[u.coeffs for u in order] for order in chain[: s + 1]]
+    return ([order[i].coeffs for order in chain[: s + 1]] for i in range(len(traj)))
 
 
 @pytest.fixture(scope="module")
@@ -521,18 +526,54 @@ class TestChainKernelCalls:
             traj = FieldTrajectory(traj.times, traj.fields)
         calls, advective = [], []
         real = estimates._ns_stage
-        monkeypatch.setattr(estimates, "_ns_stage", lambda *a: calls.append(a) or real(*a))
+        # the highest order each stage is given, taken when it is called
+        monkeypatch.setattr(
+            estimates, "_ns_stage", lambda *a: calls.append(len(a[0]) - 1) or real(*a)
+        )
         real_advective = operators._convect_stack
         monkeypatch.setattr(
             operators, "_convect_stack", lambda *a: advective.append(1) or real_advective(*a)
         )
-        estimates._time_derivative_chain(traj, s, mu, series)
+        list(estimates._time_derivative_chain(traj, s, mu, series))
         # one stage per sample and generated order, each on all orders below
         # it; a stored rhs is checked first by one more stage at sample 0
         assert len(calls) == len(generated) * len(traj) + stored_rhs
-        orders = sorted(len(stacks) - 1 for stacks, *_ in calls[stored_rhs:])
+        orders = sorted(calls[stored_rhs:])
         assert orders == sorted(generated * len(traj))
         assert advective == []
+
+    def test_one_sample_of_orders_held_at_a_time(self, rng, tmp_path, traced_peak):
+        # 80 loaded samples at M = 16 and s = 3: every order of every sample,
+        # kept until the sum, read 11.0 MB above the trajectory; one sample's
+        # orders at a time 4.0 MB, most of it the kernel's grids and the
+        # (samples, modes) power tables
+        u = smooth_random_divfree(ELL, 16, rng, amplitude=1.0)
+        times = np.linspace(0.0, 0.5, 80)
+        traj = FieldTrajectory(times, tuple(u * math.exp(-t) for t in times))
+        save_trajectory(traj, tmp_path / "run.traj")
+        loaded = load_trajectory(tmp_path / "run.traj")
+        assert loaded.rhs is None
+        bn, peak = traced_peak(lambda: bochner_scale_norm(loaded, 1, 3, MU))
+        assert math.isfinite(bn.value)
+        assert peak < 5e6
+
+    def test_norm_table_gives_the_same_check(self, rng, manufactured_run):
+        traj, mu, series = manufactured_run
+        for run in (traj, FieldTrajectory(traj.times, traj.fields)):  # stored rhs and none
+            table = norm_table(run.fields)
+            for k, s in ((1, 1), (0, 2), (1, 3)):
+                assert bochner_scale_norm(run, k, s, mu, series, norms=table) == (
+                    bochner_scale_norm(run, k, s, mu, series)
+                )
+        u = leray_project(random_vector_field(ELL, 4, rng, amplitude=0.5))
+        gradient = grad(random_scalar_field(ELL, 4, rng, amplitude=0.5))
+        bad = FieldTrajectory(np.linspace(0.0, 0.1, 4), (u, u, u + gradient, u))
+        errors = []
+        for norms in (None, norm_table(bad.fields, 9, (4.0,))):
+            with pytest.raises(ValueError, match="must be divergence-free") as err:
+                bochner_scale_norm(bad, 0, 1, MU, norms=norms)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("cutoff", [4, 9, 16])
     def test_generated_first_derivative_is_solver_rhs(self, rng, tmp_path, cutoff):
@@ -543,7 +584,7 @@ class TestChainKernelCalls:
         loaded = load_trajectory(tmp_path / "run.traj")
         assert loaded.rhs is None
         chain = estimates._time_derivative_chain(loaded, 1, MU, None)
-        for generated, stored in zip(chain[1], run.rhs, strict=True):
+        for (_, generated), stored in zip(chain, run.rhs, strict=True):
             assert np.array_equal(generated, stored.coeffs)
 
     @pytest.mark.parametrize("k, s", [(0, 1), (1, 2)])
@@ -642,12 +683,12 @@ class TestBochner:
         cfg = SolverConfig(mu=prob.mu, horizon=0.05, cutoff=4, dt=1e-3, scheme="if_rk4")
         traj = solve_navier_stokes(prob.forcing, u0, cfg)
         series = [prob.forcing_derivative(j) for j in range(2)]
-        chain = _time_derivative_chain(traj, 2, prob.mu, series)
+        chain = list(_time_derivative_chain(traj, 2, prob.mu, series))
         for order in (1, 2):
             exact_fn = prob.velocity_derivative(order)
             for i in (0, len(traj) // 2, len(traj) - 1):
                 t = float(traj.times[i])
                 exact = truncate(exact_fn(t), 4)
                 scale = l2_norm_exact(exact)
-                assert l2_norm_exact(exact.with_coeffs(chain[order][i]) - exact) <= 1e-7 * scale
+                assert l2_norm_exact(exact.with_coeffs(chain[i][order]) - exact) <= 1e-7 * scale
 

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,8 +38,10 @@ from torusns.operators import (
     _sample_stack,
     _self_convect_stack,
     div,
+    inner_l2,
     l2_norm_exact,
     laplacian,
+    norm_table,
     self_convection,
 )
 from torusns.problems import (
@@ -358,17 +359,10 @@ class TestAssembly:
         op = assemble_linearized(w, build_basis(ELL, cutoff), MU)
         assert hashlib.sha256(op.matrix.tobytes()).hexdigest() == self.MATRIX[cutoff]
 
-    def test_assembly_peak_memory(self, rng):
+    def test_assembly_peak_memory(self, rng, traced_peak):
         basis = build_basis(ELL, 16)
         w = smooth_random_divfree(ELL, 16, rng, amplitude=0.3)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            op = assemble_linearized(w, basis, MU)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        op, peak = traced_peak(lambda: assemble_linearized(w, basis, MU))
         # 44.8 MB when every (dim, dim) intermediate was formed whole; the
         # matrix itself is 2.1 MB at dim 515
         assert peak <= 4 * op.matrix.nbytes
@@ -747,6 +741,18 @@ class TestClosedForm:
         for path, got in _on_both_paths(monkeypatch, op, None, c0, times).items():
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), path
 
+    def test_one_norm_is_numpys(self, drift_problem, benchmark_problem):
+        # each column is summed in numpy's order, whatever the column blocks
+        rng = np.random.default_rng(5)
+        small, large = drift_problem[0].matrix, benchmark_problem[0].matrix
+        aug = np.zeros((len(large) + 1, len(large) + 1))
+        aug[:-1, :-1], aug[:-1, -1] = -large, rng.standard_normal(len(large))
+        wide = rng.standard_normal((40, 300)) * np.logspace(-8, 8, 300)
+        for a in (small, large, aug, aug * 0.005, wide, wide.T, rng.standard_normal((1, 1))):
+            assert galerkin._one_norm(a) == np.linalg.norm(a, 1)
+        wide[7, 290] = math.nan  # in the last block
+        assert math.isnan(galerkin._one_norm(wide))
+
     def test_benchmark_regime_takes_no_exponential(self, benchmark_problem, monkeypatch):
         def refused(a):
             raise AssertionError("matrix_exponential called")
@@ -879,7 +885,7 @@ class TestMatrixFreeStages:
         got = _integrate_linear(op, gfun, c0, cfg)[1]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_sampled_drift_peak_memory(self):
+    def test_sampled_drift_peak_memory(self, traced_peak):
         # 101 drift samples at M = 9, dim 247: the per-sample dense matrices
         # alone were 49 MB; the stage keeps the drift's own coefficients
         basis = build_basis(ELL, 9)
@@ -889,14 +895,9 @@ class TestMatrixFreeStages:
         drift = FieldTrajectory(times, tuple(w * math.cos(20.0 * t) for t in times))
         c0 = rng.standard_normal(basis.dim)
         cfg = SolverConfig(mu=MU, horizon=0.1, cutoff=9, dt=1e-2)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            solve_linearized(assemble_linearized(drift, basis, MU), None, c0, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: solve_linearized(assemble_linearized(drift, basis, MU), None, c0, cfg)
+        )
         assert peak <= 4 * 2**20
 
 
@@ -1110,19 +1111,12 @@ class TestStageWorkspace:
             assert got == galerkin._ns_stage(stacks, g, ell, cutoff, {}).tobytes()
             assert galerkin._ns_stage((us[16],), f, ELL, 16, ws).tobytes() == fresh
 
-    def test_warm_stage_allocation(self, rng):
+    def test_warm_stage_allocation(self, rng, traced_peak):
         u = smooth_random_divfree(ELL, 36, rng, amplitude=0.5).coeffs
         f = np.zeros_like(u)
         ws = {}
         galerkin._ns_stage((u,), f, ELL, 36, ws)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            galerkin._ns_stage((u,), f, ELL, 36, ws)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: galerkin._ns_stage((u,), f, ELL, 36, ws))
         # about 2 MB when every stage allocated its grids, 0.42 MB with the
         # grids in the workspace, 0.32 MB measured with the run's constants
         # there too (the result is 0.1 MB, hermitianize's temporaries 0.2 MB);
@@ -1134,6 +1128,21 @@ class TestEnergyIdentity:
     def test_shear_defect_small(self, shear_run):
         defect = energy_identity_defect(shear_run, None, MU)
         assert float(np.max(defect)) <= 1e-6
+
+    def test_unforced_work_is_not_summed(self, shear_run, tmp_path):
+        # each inner product with the zero forcing is +-0.0, and the defect
+        # is an absolute value, so zeros give the same bytes
+        save_trajectory(shear_run, tmp_path / "run.traj")
+        for traj in (shear_run, load_trajectory(tmp_path / "run.traj")):
+            table = norm_table(traj.fields)
+            energy = np.array([0.5 * x**2 for x in table.l2])
+            enstrophy = np.array([g**2 for g in table.grad[1]])
+            forcing = galerkin._trajectory_forcing(None, traj)
+            samples = zip(traj.times, traj.fields)
+            work = np.array([inner_l2(forcing(float(t)), u) for t, u in samples])
+            balance = energy + MU * galerkin.cumulative_trapezoid(enstrophy, traj.times) - energy[0]
+            explicit = np.abs(balance - galerkin.cumulative_trapezoid(work, traj.times))
+            assert energy_identity_defect(traj, None, MU).tobytes() == explicit.tobytes()
 
     def test_imex_defect_scales_linearly(self):
         prob = two_shell_problem()
