@@ -638,7 +638,7 @@ def _action_plan(norm: float, budget: float) -> tuple[int, int] | None:
 def _one_norm(a: np.ndarray) -> float:
     """``np.linalg.norm(a, 1)``, bitwise, without its |a| temporary of a's size:
     each 128-column block's sums are numpy's column sums of |a| there."""
-    blocks = range(0, a.shape[1], 128)  # 0.30 against 0.25 ms at dim 515
+    blocks = range(0, a.shape[1], 128)  # dim 515: 0.30 ms, numpy's 0.25 (one 2-vCPU core)
     return float(np.max([np.abs(a[:, j : j + 128]).sum(axis=0).max() for j in blocks]))
 
 
